@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import barcode as bc
 from . import bijections, counting, oracle, partitions, starset
@@ -32,7 +32,6 @@ class Config:
     fmt: str = "text"
     out: str | None = None
     truncate: bool = True
-    caps: dict[int, int] = field(default_factory=dict)
 
 
 def _emit(cfg: Config, text: str) -> None:

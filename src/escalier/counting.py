@@ -12,6 +12,7 @@ plain Python integers, so there is no overflow anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import isqrt
 
 from .partitions import IntPartition, count_Q, enumerate_distinct, minimal_sum
@@ -104,16 +105,23 @@ def bar_lists_3vars(p: int) -> list[tuple[int, int, int]]:
     k = 1
     while k * (k + 1) * (k + 2) <= 6 * p:
         h = k * (k + 1) // 2
-        while h <= p:
-            feasible = any(
-                minimal_sum(shape) <= p for shape in enumerate_distinct(h, k)
-            )
-            if not feasible:
-                break
+        while _is_bar_list(p, h, k):
             out.append((p, h, k))
             h += 1
         k += 1
     return out
+
+
+def _is_bar_list(p: int, h: int, k: int) -> bool:
+    """Whether some shape of h into k distinct parts has minimal_sum <= p.
+
+    These are exactly the bar lists bar_lists_3vars(p) emits.  A shape's
+    minimal_sum is at least h and at least the staircase's k(k+1)(k+2)/6, so
+    h <= p and the cube bound follow.  Every shape but the staircase has a
+    part that can drop by one with the parts still distinct, which lowers
+    minimal_sum, so the feasible h of each k run from k(k+1)/2 without a gap.
+    """
+    return h <= p and any(minimal_sum(s) <= p for s in enumerate_distinct(h, k))
 
 
 def a_vector_stable(beta: IntPartition, p: int) -> tuple[int, ...]:
@@ -131,7 +139,7 @@ def count_stable_barlist(
     p: int, h: int, k: int, truncate: bool = True
 ) -> tuple[int, tuple[ShapeCount, ...]]:
     """Stable ideals with bar list (p, h, k), plus the per-shape split."""
-    if (p, h, k) not in set(bar_lists_3vars(p)):
+    if not _is_bar_list(p, h, k):
         raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
     if k == 1:
         q = count_Q(p, h)
@@ -167,30 +175,21 @@ def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     """All admissible exact first-part vectors for a shifted shape.
 
     The budget M = p - sum of staircase minima caps every entry; parts then
-    strictly increase from a_r up to a_1 within their windows.
+    strictly increase from a_r >= lam[r-1] - r + 1 up to a_1 <= M, so the
+    vectors are the r-subsets of that window, listed with a_r varying slowest.
     """
     r = len(lam)
     staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
     M = p - sum(c * (c + 1) // 2 for c in staircases)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev: int | None, acc: list[int]):
-        if i == 0:
-            out.append(tuple(reversed(acc)))
-            return
-        lo = lam[r - 1] - r + 1 if i == r else prev + 1
-        for v in range(lo, M - i + 2):
-            rec(i - 1, v, acc + [v])
-
-    rec(r, None, [])
-    return out
+    window = range(lam[r - 1] - r + 1, M + 1)
+    return [tuple(reversed(c)) for c in combinations(window, r)]
 
 
 def count_sstable_barlist(
     p: int, h: int, k: int, truncate: bool = True
 ) -> tuple[int, tuple[ShapeCount, ...]]:
     """Strongly stable ideals with bar list (p, h, k), per-shape split."""
-    if (p, h, k) not in set(bar_lists_3vars(p)):
+    if not _is_bar_list(p, h, k):
         raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
     if k == 1:
         q = count_Q(p, h)

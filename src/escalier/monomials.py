@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -252,6 +252,32 @@ class MonomialIdeal:
         return sorted(self.generators, key=Term.lex_key)
 
 
+def border_terms(terms: AbstractSet[Term], n: int) -> set[Term]:
+    """{x_i * tau : tau in terms, 1 <= i <= n} minus terms.
+
+    Works on a raw set of n-variable terms, with no divisor-closure check.
+    """
+    return {
+        s
+        for t in terms
+        for s in map(t.times_var, range(1, n + 1))
+        if s not in terms
+    }
+
+
+def corner_terms(terms: AbstractSet[Term], n: int) -> set[Term]:
+    """The border terms all of whose predecessors lie in terms.
+
+    For a divisor-closed set these are the terms that keep it closed when
+    added, and the minimal generators of the ideal it is the escalier of.
+    """
+    return {
+        c
+        for c in border_terms(terms, n)
+        if all(c.predecessor(i) in terms for i in range(1, n + 1) if c.deg(i) > 0)
+    }
+
+
 def minimal_generators(N: OrderIdeal) -> MonomialIdeal:
     """The monomial basis of the ideal whose escalier is N.
 
@@ -259,31 +285,14 @@ def minimal_generators(N: OrderIdeal) -> MonomialIdeal:
     """
     if not N.terms:
         return MonomialIdeal(frozenset([Term((0,) * N.n)]), N.n)
-    candidates = set()
-    for t in N:
-        for i in range(1, N.n + 1):
-            s = t.times_var(i)
-            if s not in N:
-                candidates.add(s)
-    gens = {
-        c
-        for c in candidates
-        if all(c.predecessor(i) in N for i in range(1, N.n + 1) if c.deg(i) > 0)
-    }
-    return MonomialIdeal(frozenset(gens), N.n)
+    return MonomialIdeal(frozenset(corner_terms(N.terms, N.n)), N.n)
 
 
 def border_set(N: OrderIdeal) -> frozenset[Term]:
     """B(I) = {x_h * tau : tau in N} \\ N, or {1} for the empty escalier."""
     if not N.terms:
         return frozenset([Term((0,) * N.n)])
-    out = set()
-    for t in N:
-        for i in range(1, N.n + 1):
-            s = t.times_var(i)
-            if s not in N:
-                out.add(s)
-    return frozenset(out)
+    return frozenset(border_terms(N.terms, N.n))
 
 
 def escalier(I: MonomialIdeal) -> OrderIdeal:

@@ -23,6 +23,7 @@ from .counting import STABLE, STRONGLY_STABLE
 from .monomials import (
     OrderIdeal,
     Term,
+    corner_terms,
     is_stable,
     is_strongly_stable,
     minimal_generators,
@@ -63,24 +64,11 @@ def _frozen_order_ideals(n: int, p: int):
     unit = Term((0,) * n)
     out: list[frozenset[Term]] = []
 
-    def eligible(N: frozenset[Term]) -> list[Term]:
-        border = set()
-        for t in N:
-            for i in range(1, n + 1):
-                s = t.times_var(i)
-                if s not in N:
-                    border.add(s)
-        return [
-            c
-            for c in border
-            if all(c.predecessor(i) in N for i in range(1, n + 1) if c.deg(i) > 0)
-        ]
-
     def grow(N: frozenset[Term], top: Term):
         if len(N) == p:
             out.append(N)
             return
-        for g in sorted(eligible(N), key=Term.lex_key):
+        for g in sorted(corner_terms(N, n), key=Term.lex_key):
             if g > top:
                 grow(N | {g}, g)
 

@@ -1,12 +1,13 @@
 """Integer partitions, plane partitions with strictness parameters, and their
 higher-dimensional relatives.
 
-Counting goes through the classical recurrences P(n,k) and Q(p,k); explicit
-enumeration is depth-first with remaining-norm pruning, which is plenty at the
-sizes these censuses run at.  Plane partitions carry their strictness
-parameters (c across rows, d down columns) and an optional shift, with row i
-of a shifted array occupying columns i..shape[i-1].  Entries outside the shape
-are simply absent, never stored as zeros.
+Counting goes through one table of distinct-part counts Q(m,i), filled
+bottom-up by additions; P(n,k) is read from it through the staircase shift.
+Explicit enumeration is depth-first with remaining-norm pruning, which is
+plenty at the sizes these censuses run at.  Plane partitions carry their
+strictness parameters (c across rows, d down columns) and an optional shift,
+with row i of a shifted array occupying columns i..shape[i-1].  Entries
+outside the shape are simply absent, never stored as zeros.
 
 Solid (and higher) partitions exist for the n >= 4 experiments only.  Their
 validator follows the recursive reading of the definitions: a strict
@@ -26,25 +27,44 @@ from typing import Iterator, Sequence
 IntPartition = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def count_P(n: int, k: int) -> int:
-    """Number of partitions of n with largest part exactly k."""
-    if k > n:
-        return 0
-    if n == k:
-        return 1
-    if k <= 0:
-        return 0
-    return count_P(n - 1, k - 1) + count_P(n - k, k)
+    """Number of partitions of n with largest part exactly k.
+
+    By conjugation these are the partitions of n into exactly k parts; adding
+    the staircase k-1, ..., 1, 0 to their parts makes the parts distinct.
+    """
+    if k == 0:
+        return int(n == 0)
+    return count_Q(n + k * (k - 1) // 2, k)
 
 
 def count_Q(p: int, i: int) -> int:
     """Number of partitions of p into i distinct positive parts."""
     if p < 1 or i < 1:
         return 0
-    if i == 1:
-        return 1
-    return count_P(p - i * (i - 1) // 2, i)
+    column = _distinct_part_counts(p)
+    return column[i] if i < len(column) else 0
+
+
+@lru_cache(maxsize=256)
+def _distinct_part_counts(p: int) -> tuple[int, ...]:
+    """Q(p, i) for i = 0 up to the largest i with i(i+1)/2 <= p.
+
+    Fills the table Q(m, i) = Q(m-i, i) + Q(m-i, i-1) (take 1 from every
+    part; a part equal to 1 drops out) one row i at a time over m = 0..p,
+    keeping only the column m = p.
+    """
+    row = [1] + [0] * p  # Q(m, 0)
+    column = [row[p]]
+    i = 1
+    while i * (i + 1) // 2 <= p:
+        nxt = [0] * (p + 1)
+        for m in range(i * (i + 1) // 2, p + 1):
+            nxt[m] = nxt[m - i] + row[m - i]
+        row = nxt
+        column.append(row[p])
+        i += 1
+    return tuple(column)
 
 
 def minimal_sum(parts: Sequence[int]) -> int:

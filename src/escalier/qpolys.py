@@ -7,9 +7,10 @@ which case all arithmetic happens modulo x^(T+1); the counting pipelines use
 this to cap work at the one coefficient they consume, and truncated results
 agree with full arithmetic up to degree T.
 
-Gaussian binomials are built by exact division, one factor (1-x^m)/(1-x^i) at
-a time (each partial product is itself a Gaussian binomial, so every division
-is exact and any nonzero remainder is a bug, not an input problem).
+Gaussian binomials are built in place on one coefficient list by additions
+alone, one factor (1-x^m)/(1-x^i) at a time: each partial product is itself a
+Gaussian binomial, a polynomial of degree at most the final one, so the
+power-series division by 1-x^i is exact on the kept coefficients.
 
 The generating-function entries can involve monomial prefactors x^N with N
 negative; determinants are therefore computed after factoring the minimal
@@ -144,7 +145,7 @@ class IntPoly:
 
         Untruncated operands use classical long division.  Truncated ones use
         power-series division from the constant term up, which needs the
-        divisor to start with a unit (all divisors here are 1 - x^i).
+        divisor to start with a unit, such as 1 - x^i.
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -220,15 +221,6 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-def one_minus_x_power(m: int, trunc: int | None = None) -> IntPoly:
-    """The bracket [m] = 1 - x^m."""
-    if m == 0:
-        return IntPoly.zero(trunc)
-    if m < 0:
-        raise ValueError("bracket index must be non-negative")
-    return IntPoly((1,) + (0,) * (m - 1) + (-1,), trunc)
-
-
 @lru_cache(maxsize=4096)
 def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
     """The Gaussian polynomial [n]! / ([k]! [n-k]!) in the variable x.
@@ -243,76 +235,53 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
     if k < 0 or n < k:
         return IntPoly.zero(trunc)
     k = min(k, n - k)
-    result = IntPoly.const(1, trunc)
+    top = k * (n - k) if trunc is None else min(trunc, k * (n - k))
+    c = [1] + [0] * top
     for i in range(1, k + 1):
-        result = result * one_minus_x_power(n - i + 1, trunc)
-        result = result.exact_div(one_minus_x_power(i, trunc))
-    return result
+        m = n - i + 1
+        for j in range(top, m - 1, -1):  # times 1 - x^m
+            c[j] -= c[j - m]
+        for j in range(i, top + 1):  # divided by 1 - x^i
+            c[j] += c[j - i]
+    return IntPoly(c, trunc)
 
 
 def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     """Exact determinant of a square polynomial matrix.
 
-    Cofactor expansion (memoized over column subsets) up to 6x6 and whenever
-    entries are truncated; fraction-free Bareiss elimination otherwise, where
-    every division is exact over the integers.
+    Cofactor expansion along the rows, memoised over the subsets of columns
+    left: 2^r minors, each an exact sum of products, so no division is needed
+    and truncated entries stay exact up to their truncation degree.
     """
     r = len(matrix)
     if r == 0 or any(len(row) != r for row in matrix):
         raise ValueError("determinant needs a non-empty square matrix")
-    truncated = any(e.trunc is not None for row in matrix for e in row)
-    if r <= 6 or truncated:
-        return _det_expansion(matrix)
-    return _det_bareiss([list(row) for row in matrix])
+    return _minor(matrix, (1 << r) - 1, {})
 
 
-def _det_expansion(matrix) -> IntPoly:
+def _minor(matrix, colmask: int, cache: dict[int, IntPoly]) -> IntPoly:
+    """Determinant of the last popcount(colmask) rows of matrix on the columns
+    in colmask, expanded along its first row.  Module-level, not nested in
+    det, so that no reference cycle keeps the cache alive once det returns."""
+    if colmask == 0:
+        return IntPoly.const(1)
+    got = cache.get(colmask)
+    if got is not None:
+        return got
     r = len(matrix)
-    cache: dict[int, IntPoly] = {}
-
-    def minor(colmask: int) -> IntPoly:
-        if colmask == 0:
-            return IntPoly.const(1)
-        got = cache.get(colmask)
-        if got is not None:
-            return got
-        row = r - bin(colmask).count("1")
-        acc = IntPoly.zero()
-        sign = 1
-        for col in range(r):
-            if not colmask & (1 << col):
-                continue
-            entry = matrix[row][col]
-            if entry:
-                term = entry * minor(colmask & ~(1 << col))
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        cache[colmask] = acc
-        return acc
-
-    return minor((1 << r) - 1)
-
-
-def _det_bareiss(m: list[list[IntPoly]]) -> IntPoly:
-    r = len(m)
+    row = r - bin(colmask).count("1")
+    acc = IntPoly.zero()
     sign = 1
-    prev = IntPoly.const(1)
-    for k in range(r - 1):
-        if m[k][k].is_zero():
-            for swap in range(k + 1, r):
-                if not m[swap][k].is_zero():
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPoly.zero()
-        for i in range(k + 1, r):
-            for j in range(k + 1, r):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-        prev = m[k][k]
-    result = m[r - 1][r - 1]
-    return result if sign > 0 else -result
+    for col in range(r):
+        if not colmask & (1 << col):
+            continue
+        entry = matrix[row][col]
+        if entry:
+            term = entry * _minor(matrix, colmask & ~(1 << col), cache)
+            acc = acc + (term if sign > 0 else -term)
+        sign = -sign
+    cache[colmask] = acc
+    return acc
 
 
 def _choose2(m: int) -> int:

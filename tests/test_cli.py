@@ -41,6 +41,17 @@ class TestCount:
                     "--class", "strongly-stable"]) == 0
         assert out_of(capsys) == "total: 444793"
 
+    def test_two_vars_five_thousand(self, capsys):
+        # independent route: the x^5000 coefficient of prod_j (1 + x^j)
+        p = 5000
+        coeffs = [1] + [0] * p
+        for j in range(1, p + 1):
+            coeffs[j:] = [a + b for a, b in zip(coeffs[j:], coeffs)]
+        assert coeffs[p] == 15988884521431077020247618131907553242282546626679512
+        assert run(["count", "--vars", "2", "--hilbert", str(p),
+                    "--class", "stable"]) == 0
+        assert out_of(capsys) == f"total: {coeffs[p]}"
+
     def test_no_truncate_agrees(self, capsys):
         run(["count", "--vars", "3", "--hilbert", "8", "--class", "stable"])
         a = out_of(capsys)

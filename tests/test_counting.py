@@ -64,6 +64,16 @@ class TestBarLists:
             for (_, h, k) in bar_lists_3vars(p):
                 assert k * (k + 1) // 2 <= h
                 assert any(minimal_sum(s) <= p for s in enumerate_distinct(h, k))
+        # and every feasible (h, k) is emitted
+        least = {
+            (h, k): min(minimal_sum(s) for s in enumerate_distinct(h, k))
+            for h in range(1, 61)
+            for k in range(1, 11)
+            if k * (k + 1) // 2 <= h
+        }
+        for p in range(1, 61):
+            feasible = {(p, h, k) for (h, k), m in least.items() if m <= p}
+            assert set(bar_lists_3vars(p)) == feasible
 
 
 class TestAVectors:
@@ -101,8 +111,10 @@ class TestStableCensus:
         assert by_shape == {(4, 1): 0, (3, 2): 1}
 
     def test_rejects_unknown_barlist(self):
-        with pytest.raises(ValueError):
-            count_stable_barlist(10, 6, 2)
+        for count in (count_stable_barlist, count_sstable_barlist):
+            for (p, h, k) in ((10, 6, 2), (10, 11, 1), (10, 3, 0), (0, 1, 1)):
+                with pytest.raises(ValueError):
+                    count(p, h, k)
 
     def test_totals(self):
         c = count_stable_3vars(10)

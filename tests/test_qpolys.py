@@ -118,11 +118,14 @@ class TestGaussBinomial:
                 assert gauss_binomial(n, k)(1) == math.comb(n, k)
 
     def test_truncation_matches(self):
-        for (n, k) in ((8, 3), (12, 5), (20, 7)):
-            full = gauss_binomial(n, k)
-            capped = gauss_binomial(n, k, trunc=6)
-            for d in range(7):
-                assert capped.coefficient(d) == full.coefficient(d)
+        for n in range(0, 41):
+            for k in range(0, n + 1):
+                full = gauss_by_recurrence(n, k)
+                for T in (0, 5, 17, k * (n - k)):
+                    capped = gauss_binomial(n, k, trunc=T)
+                    assert capped.trunc == T and capped.degree <= T
+                    for d in range(T + 1):
+                        assert capped.coefficient(d) == full.coefficient(d)
 
 
 class TestDet:
