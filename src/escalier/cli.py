@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("stable", "strongly-stable"))
     sp.add_argument("--breakdown", action="store_true")
     sp.add_argument("--no-truncate", action="store_true",
-                    help="run the generating functions without degree capping")
+                    help="run the stable generating functions without degree "
+                         "capping (the strongly stable count uses none)")
     _add_common(sp)
 
     sp = sub.add_parser("list", help="list the ideals explicitly")

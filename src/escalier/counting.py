@@ -2,11 +2,14 @@
 have a prescribed constant affine Hilbert value p.
 
 Two variables reduce to sums of distinct-part partition counts.  Three
-variables run over bar lists (p, h, k): the k = 1 column is again the
-two-variable count, and for k > 1 each admissible shape contributes the
-x^p coefficient of a determinantal norm generating function, with a first-part
-bound vector chosen so the bound never cuts into the norm-p slice.  Counts are
-plain Python integers, so there is no overflow anywhere.
+variables run over bar lists (p, h, k), and the k = 1 column is again the
+two-variable count.  For k > 1 each shape of h into k distinct parts
+contributes a count of plane partitions of norm p.  The stable class reads it
+as the x^p coefficient of a determinantal norm generating function, with a
+first-part bound vector chosen so the bound never cuts into the norm-p slice.
+The strongly stable class counts its shifted row-strict, column-weak arrays
+directly with a row-transfer DP, filling one row at a time.  Counts are plain
+Python integers, so there is no overflow anywhere.
 """
 
 from __future__ import annotations
@@ -15,8 +18,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
-from .partitions import IntPartition, count_Q, enumerate_distinct, minimal_sum
-from .qpolys import gf_shifted, gf_strict
+from .partitions import (
+    IntPartition,
+    count_Q,
+    enumerate_distinct,
+    minimal_sum,
+    strict_rows,
+)
+from .qpolys import gf_strict
 
 STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
@@ -177,6 +186,8 @@ def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     The budget M = p - sum of staircase minima caps every entry; parts then
     strictly increase from a_r >= lam[r-1] - r + 1 up to a_1 <= M, so the
     vectors are the r-subsets of that window, listed with a_r varying slowest.
+    Summing gf_shifted over them is the determinantal route to the strongly
+    stable counts, which the tests keep as an oracle for the DP.
     """
     r = len(lam)
     staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
@@ -185,37 +196,56 @@ def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     return [tuple(reversed(c)) for c in combinations(window, r)]
 
 
-def count_sstable_barlist(
-    p: int, h: int, k: int, truncate: bool = True
-) -> tuple[int, tuple[ShapeCount, ...]]:
-    """Strongly stable ideals with bar list (p, h, k), per-shape split."""
+def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
+    """Strongly stable ideals with bar list (p, h, k), per-shape split.
+
+    The ideals of shape alpha are the shifted arrays of norm p whose row i
+    holds alpha[i] positive entries, strictly decreasing, with each column
+    weakly decreasing downwards.  Row i+1 starts one column to the right of
+    row i, so the column condition bounds it entrywise by row i with its first
+    entry dropped.  _shifted_arrays fills the rows top-down from that bound;
+    its memo is shared by the shapes of this bar list and dropped on return.
+    """
     if not _is_bar_list(p, h, k):
         raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
     if k == 1:
         q = count_Q(p, h)
         return q, (ShapeCount((h,), q),)
-    shapes = []
-    for alpha in enumerate_distinct(h, k):
-        lam = tuple(i + 1 + alpha[i] - 1 for i in range(k))
-        acc = 0
-        for a in a_vectors_strongly(lam, p):
-            poly = gf_shifted(
-                lam,
-                a,
-                (1,) * k,
-                c=1,
-                d=0,
-                truncate_at=p if truncate else None,
-            )
-            acc += poly.coefficient(p)
-        shapes.append(ShapeCount(alpha, acc))
-    return sum(sc.count for sc in shapes), tuple(shapes)
+    memo: dict = {}
+    shapes = tuple(
+        ShapeCount(alpha, _shifted_arrays(alpha, None, p, memo))
+        for alpha in enumerate_distinct(h, k)
+    )
+    return sum(sc.count for sc in shapes), shapes
 
 
-def count_sstable_3vars(p: int, truncate: bool = True) -> BarListCensus:
+def _shifted_arrays(
+    lengths: tuple[int, ...], bounds: tuple[int, ...] | None, norm: int, memo: dict
+) -> int:
+    """Arrays of the kind count_sstable_barlist counts, with these row
+    lengths and norm, whose first row is at most bounds entrywise (None: no
+    bound).  Each first row leaves at least the staircase minimum of the rows
+    below it; the last row is counted at exact sum."""
+    key = (lengths, bounds, norm)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    rest = lengths[1:]
+    if not rest:
+        got = len(strict_rows(lengths[0], bounds, norm, norm))
+    else:
+        below = sum(m * (m + 1) // 2 for m in rest)
+        got = 0
+        for row in strict_rows(lengths[0], bounds, 0, norm - below):
+            got += _shifted_arrays(rest, row[1:rest[0] + 1], norm - sum(row), memo)
+    memo[key] = got
+    return got
+
+
+def count_sstable_3vars(p: int) -> BarListCensus:
     rows = []
     for (pp, h, k) in bar_lists_3vars(p):
-        subtotal, shapes = count_sstable_barlist(pp, h, k, truncate)
+        subtotal, shapes = count_sstable_barlist(pp, h, k)
         rows.append(CensusRow((pp, h, k), shapes, subtotal))
     return BarListCensus(p, 3, STRONGLY_STABLE, tuple(rows))
 
@@ -228,12 +258,14 @@ def closed_form_shape22(p: int) -> int:
 
 
 def census(p: int, n: int, kind: str, truncate: bool = True) -> BarListCensus:
-    """Dispatch by variable count; the two-variable classes coincide."""
+    """Dispatch by variable count; the two-variable classes coincide.
+
+    truncate only reaches the stable class's generating functions."""
     _check_kind(kind)
     if n == 2:
         return census_2vars(p, kind)
     if n == 3:
         if kind == STABLE:
             return count_stable_3vars(p, truncate)
-        return count_sstable_3vars(p, truncate)
+        return count_sstable_3vars(p)
     raise ValueError("censuses are implemented for 2 and 3 variables")

@@ -76,21 +76,42 @@ def minimal_sum(parts: Sequence[int]) -> int:
 
 def enumerate_distinct(p: int, k: int) -> list[IntPartition]:
     """All partitions of p into k distinct positive parts, descending lex order."""
+    if p < 1 or k < 1:
+        return []
+    return strict_rows(k, None, p, p)
+
+
+def strict_rows(
+    length: int, bounds: Sequence[int] | None, least: int, most: int
+) -> list[IntPartition]:
+    """Strictly decreasing sequences of `length` >= 1 positive integers whose
+    sum lies in least..most, with entry t at most bounds[t] unless bounds is
+    None; descending lex order."""
     out: list[IntPartition] = []
-
-    def rec(rem: int, left: int, hi: int, acc: list[int]):
-        if left == 0:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        floor = left * (left - 1) // 2  # minimal staircase below the next part
-        lowest = -(-(rem + floor) // left)  # anything smaller cannot reach rem
-        for v in range(min(hi, rem - floor), lowest - 1, -1):
-            rec(rem - v, left - 1, v - 1, acc + [v])
-
-    if p >= 1 and k >= 1:
-        rec(p, k, p, [])
+    _extend_rows(out, (), length, bounds, least, most)
     return out
+
+
+def _extend_rows(out, row, length, bounds, least, most) -> None:
+    """Append to out every completion of row for strict_rows, with least and
+    most already reduced by the entries placed.  Module-level, not a nested
+    closure, so that a call leaves no reference cycle behind."""
+    t = len(row)
+    left = length - t - 1  # entries still to place after this one
+    floor = left * (left + 1) // 2  # their least sum: left, ..., 1
+    hi = most - floor
+    if bounds is not None and bounds[t] < hi:
+        hi = bounds[t]
+    if row and row[-1] <= hi:
+        hi = row[-1] - 1
+    if left == 0:
+        for v in range(hi, max(1, least) - 1, -1):
+            out.append(row + (v,))
+        return
+    # the entries after v sum to at most left*v - floor
+    lo = max(left + 1, -(-(least + floor) // (left + 1)))
+    for v in range(hi, lo - 1, -1):
+        _extend_rows(out, row + (v,), length, bounds, least - v, most - v)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,11 @@ class TestCount:
         run(["count", "--vars", "3", "--hilbert", "8", "--class", "stable",
              "--no-truncate"])
         assert out_of(capsys) == a
+        run(["count", "--vars", "3", "--hilbert", "8", "--class", "strongly-stable"])
+        b = out_of(capsys)
+        assert run(["count", "--vars", "3", "--hilbert", "8", "--class",
+                    "strongly-stable", "--no-truncate"]) == 0
+        assert out_of(capsys) == b
 
     def test_deterministic_output(self, capsys):
         run(["count", "--vars", "3", "--hilbert", "9", "--class", "stable",

@@ -1,8 +1,11 @@
+import gc
+
 import pytest
 
 from escalier.counting import (
     STABLE,
     STRONGLY_STABLE,
+    ShapeCount,
     a_vector_stable,
     a_vectors_strongly,
     bar_lists_3vars,
@@ -17,6 +20,21 @@ from escalier.counting import (
     max_h_2vars,
 )
 from escalier.partitions import enumerate_plane_partitions, minimal_sum, enumerate_distinct
+from escalier.qpolys import gf_shifted
+
+
+def determinant_split(p, h, k):
+    """Per-shape strongly stable counts by the determinantal route: one
+    gf_shifted per admissible first-part vector, read at x^p."""
+    shapes = []
+    for alpha in enumerate_distinct(h, k):
+        lam = tuple(i + alpha[i] for i in range(k))
+        count = sum(
+            gf_shifted(lam, a, (1,) * k, 1, 0, truncate_at=p).coefficient(p)
+            for a in a_vectors_strongly(lam, p)
+        )
+        shapes.append(ShapeCount(alpha, count))
+    return tuple(shapes)
 
 
 class TestTwoVars:
@@ -130,6 +148,7 @@ class TestStableCensus:
             assert count_stable_3vars(p, truncate=True).total == count_stable_3vars(
                 p, truncate=False
             ).total
+            assert census(p, 3, STRONGLY_STABLE, truncate=False) == count_sstable_3vars(p)
 
 
 class TestStronglyStableCensus:
@@ -144,10 +163,33 @@ class TestStronglyStableCensus:
         assert c.total == 24
         assert [r.subtotal for r in c.rows] == [1, 4, 4, 1, 7, 5, 1, 1]
         assert count_sstable_3vars(1).total == 1
+        # the determinant route's totals, also in the benchmark's reference
+        assert [count_sstable_3vars(p).total for p in (20, 30, 40)] == [425, 5127, 48545]
 
     def test_never_exceeds_stable(self):
         for p in range(1, 14):
             assert count_sstable_3vars(p).total <= count_stable_3vars(p).total
+
+    def test_matches_determinant_route(self):
+        # the per-shape split equals the determinantal generating functions
+        # on every bar list, well past the brute-force oracle's p <= 12
+        for p in range(1, 25):
+            for (_, h, k) in bar_lists_3vars(p):
+                if k > 1:
+                    assert count_sstable_barlist(p, h, k)[1] == determinant_split(p, h, k)
+
+    def test_leaves_no_reference_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            enumerate_distinct(30, 4)
+            assert gc.collect() == 0
+            count_sstable_3vars(30)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_shifted_partitions_unshift_into_strict_ones(self):
         # every shifted array counted for the strong class sits inside the
@@ -173,7 +215,11 @@ class TestStronglyStableCensus:
 class TestClosedForm:
     def test_ten(self):
         assert closed_form_shape22(10) == 7
-        assert closed_form_shape22(10) == count_sstable_barlist(10, 3, 2)[0]
+
+    def test_matches_census(self):
+        # bar list (p, 3, 2) holds the one shape (2, 1), i.e. shifted shape (2, 2)
+        for p in range(4, 61):
+            assert closed_form_shape22(p) == count_sstable_barlist(p, 3, 2)[0]
 
     def test_one(self):
         assert closed_form_shape22(1) == 0
