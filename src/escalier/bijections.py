@@ -184,11 +184,15 @@ def barcode_from_partition_2vars(parts: IntPartition) -> BarCode:
 
 
 def ideal_from_partition_2vars(parts: IntPartition) -> MonomialIdeal:
-    """The staircase ideal (x1^a1, x1^a2 x2, ..., x2^h)."""
+    """The staircase ideal (x1^a1, x1^a2 x2, ..., x2^h).
+
+    The parts are distinct, so x1 falls and x2 rises strictly along the
+    staircase and no generator divides another: the set is already minimal.
+    """
     h = len(parts)
-    gens = [Term((parts[i], i)) for i in range(h)]
-    gens.append(Term((0, h)))
-    return MonomialIdeal.of(gens, 2)
+    gens = {Term((parts[i], i)) for i in range(h)}
+    gens.add(Term((0, h)))
+    return MonomialIdeal(frozenset(gens), 2)
 
 
 def _listing_2vars(p: int) -> list[ListedIdeal]:

@@ -197,7 +197,8 @@ def _cmd_pommaret(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_check_stability(args, cfg: Config, strongly: bool) -> int:
+def _cmd_check_stability(args, cfg: Config) -> int:
+    strongly = args.command == "check-strongly-stable"
     ideal = MonomialIdeal.of(_parse_terms(args.terms, args.vars))
     ok = is_strongly_stable(ideal) if strongly else is_stable(ideal)
     name = "strongly-stable" if strongly else "stable"
@@ -255,6 +256,22 @@ def _cmd_conjecture(args, cfg: Config) -> int:
         lines.append("all agree" if report.all_agree else "evidence of disagreement")
         _emit(cfg, "\n".join(lines))
     return 0
+
+
+_HANDLERS = {
+    "count": _cmd_count,
+    "list": _cmd_list,
+    "gf": _cmd_gf,
+    "partitions": _cmd_partitions,
+    "barcode": _cmd_barcode,
+    "render": _cmd_barcode,
+    "starset": _cmd_starset,
+    "pommaret": _cmd_pommaret,
+    "check-stable": _cmd_check_stability,
+    "check-strongly-stable": _cmd_check_stability,
+    "verify": _cmd_verify,
+    "conjecture": _cmd_conjecture,
+}
 
 
 # -- parser ------------------------------------------------------------------
@@ -376,33 +393,10 @@ def run(argv: list[str] | None = None) -> int:
         out=getattr(args, "out", None),
         truncate=not getattr(args, "no_truncate", False),
     )
+    if args.command == "render":
+        args.action = "render"
     try:
-        if args.command == "count":
-            return _cmd_count(args, cfg)
-        if args.command == "list":
-            return _cmd_list(args, cfg)
-        if args.command == "gf":
-            return _cmd_gf(args, cfg)
-        if args.command == "partitions":
-            return _cmd_partitions(args, cfg)
-        if args.command == "barcode":
-            return _cmd_barcode(args, cfg)
-        if args.command == "render":
-            args.action = "render"
-            return _cmd_barcode(args, cfg)
-        if args.command == "starset":
-            return _cmd_starset(args, cfg)
-        if args.command == "pommaret":
-            return _cmd_pommaret(args, cfg)
-        if args.command == "check-stable":
-            return _cmd_check_stability(args, cfg, strongly=False)
-        if args.command == "check-strongly-stable":
-            return _cmd_check_stability(args, cfg, strongly=True)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args, cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _HANDLERS[args.command](args, cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,9 +182,10 @@ def is_order_ideal(terms: Iterable[Term]) -> bool:
     """True iff the set is closed under taking predecessors (divisor-closed)."""
     ts = set(terms)
     _check_uniform(ts)
-    for t in ts:
-        for i, e in enumerate(t.exponents, start=1):
-            if e > 0 and t.predecessor(i) not in ts:
+    vectors = {t.exponents for t in ts}
+    for v in vectors:
+        for i, e in enumerate(v):
+            if e and v[:i] + (e - 1,) + v[i + 1:] not in vectors:
                 return False
     return True
 

@@ -2,9 +2,15 @@
 stability counts, and the four-variable conjecture probe.
 
 Order ideals of a given size are generated canonically: grow from {1} and only
-ever add a border term Lex-greater than everything present.  Removing the
+ever add a corner Lex-greater than everything present.  Removing the
 Lex-maximum of any order ideal in reverse shows each one is produced exactly
-once, so no deduplication pass is needed.
+once, so no deduplication pass is needed (a reverse search in the sense of
+Avis and Fukuda).  The corners of an order ideal N are the terms outside N all
+of whose predecessors lie in N: the terms that keep N closed when added, and
+the minimal generators of the ideal whose escalier N is.  Each node of the
+growth carries its corner set, updated by a few terms per step, so the
+enumeration hands every order ideal over together with its generators and the
+stability tests need no border rebuilt.
 
 The probe compares per-bar-list definitional counts against brute-force counts
 of strict / shifted solid partitions.  It records evidence about the n = 4
@@ -21,12 +27,11 @@ from dataclasses import dataclass
 from .barcode import bar_list, encode
 from .counting import STABLE, STRONGLY_STABLE
 from .monomials import (
+    MonomialIdeal,
     OrderIdeal,
     Term,
-    corner_terms,
     is_stable,
     is_strongly_stable,
-    minimal_generators,
 )
 from .partitions import (
     SolidPartition,
@@ -49,9 +54,13 @@ def oracle_cap(n: int) -> int:
 
 @dataclass(frozen=True)
 class EscalierEnumeration:
+    """Order ideals of one size, each with the minimal generators of the
+    ideal it is the escalier of: generators[i] belongs to items[i]."""
+
     n: int
     p: int
     items: tuple[OrderIdeal, ...]
+    generators: tuple[MonomialIdeal, ...]
 
     def __len__(self) -> int:
         return len(self.items)
@@ -60,56 +69,96 @@ class EscalierEnumeration:
         return iter(self.items)
 
 
-def _frozen_order_ideals(n: int, p: int):
-    unit = Term((0,) * n)
-    out: list[frozenset[Term]] = []
+def _lex(e: tuple[int, ...]) -> tuple[int, ...]:
+    return e[::-1]  # the Lex key of the term with exponent vector e
 
-    def grow(N: frozenset[Term], top: Term):
-        if len(N) == p:
-            out.append(N)
-            return
-        for g in sorted(corner_terms(N, n), key=Term.lex_key):
-            if g > top:
-                grow(N | {g}, g)
 
-    grow(frozenset([unit]), unit)
-    return out
+def _grown_corners(
+    corners: frozenset[tuple[int, ...]], terms: frozenset[tuple[int, ...]], g: tuple[int, ...]
+) -> frozenset[tuple[int, ...]]:
+    """Corners of terms = N + {g}, given the corners of N, g among them.
+
+    g stops being a corner; the only terms that can become one are the x_i*g,
+    and each does when all of its predecessors lie in terms.
+    """
+    grown = set(corners)
+    grown.remove(g)
+    for i in range(len(g)):
+        c = g[:i] + (g[i] + 1,) + g[i + 1:]
+        if all(
+            c[:j] + (c[j] - 1,) + c[j + 1:] in terms
+            for j in range(len(c))
+            if j != i and c[j]
+        ):
+            grown.add(c)
+    return frozenset(grown)
+
+
+def _canonical_growth(n: int, p: int) -> list[tuple[frozenset, frozenset]]:
+    """(terms, corners) of every order ideal of size p as exponent vectors.
+
+    Level by level, each node (terms, Lex-maximum, corners) gets one child per
+    corner Lex-greater than its maximum, in Lex order, so the last level comes
+    out in the depth-first order of the growth tree and no recursion depth
+    grows with p.
+    """
+    unit = (0,) * n
+    firsts = frozenset(unit[:i] + (1,) + unit[i + 1:] for i in range(n))
+    level = [(frozenset([unit]), unit, firsts)]
+    for _ in range(p - 1):
+        nxt = []
+        for terms, top, corners in level:
+            floor = _lex(top)
+            for g in sorted((c for c in corners if _lex(c) > floor), key=_lex):
+                grown = terms | {g}
+                nxt.append((grown, g, _grown_corners(corners, grown, g)))
+        level = nxt
+    return [(terms, corners) for terms, _, corners in level]
+
+
+def _as_terms(vectors, term_of: dict) -> frozenset[Term]:
+    """The Terms of some exponent vectors, one Term per vector across calls."""
+    return frozenset({term_of.get(e) or term_of.setdefault(e, Term(e)) for e in vectors})
 
 
 def enumerate_order_ideals(n: int, p: int, cap: int | None = None) -> EscalierEnumeration:
-    """Every order ideal of cardinality p in n variables, exactly once."""
+    """Every order ideal of cardinality p in n variables, exactly once, with
+    the minimal generators of the ideal it is the escalier of."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     limit = cap if cap is not None else oracle_cap(n)
     if p > limit:
         raise ValueError(f"p={p} exceeds the n={n} enumeration cap {limit}")
-    items = tuple(OrderIdeal(N, n) for N in _frozen_order_ideals(n, p))
-    return EscalierEnumeration(n, p, items)
+    leaves = _canonical_growth(n, p)
+    term_of: dict[tuple[int, ...], Term] = {}
+    items = tuple(OrderIdeal(_as_terms(terms, term_of), n) for terms, _ in leaves)
+    generators = tuple(
+        MonomialIdeal(_as_terms(corners, term_of), n) for _, corners in leaves
+    )
+    return EscalierEnumeration(n, p, items, generators)
 
 
-def _passes(N: OrderIdeal, kind: str) -> bool:
-    gens = minimal_generators(N)
-    return is_stable(gens) if kind == STABLE else is_strongly_stable(gens)
+def _stability_test(kind: str):
+    if kind not in (STABLE, STRONGLY_STABLE):
+        raise ValueError(f"unknown ideal class {kind!r}")
+    return is_stable if kind == STABLE else is_strongly_stable
 
 
 def count_by_definition(n: int, p: int, kind: str, cap: int | None = None) -> int:
     """Definitional census: filter the full enumeration by the stability test."""
-    if kind not in (STABLE, STRONGLY_STABLE):
-        raise ValueError(f"unknown ideal class {kind!r}")
-    return sum(
-        1 for N in enumerate_order_ideals(n, p, cap) if _passes(N, kind)
-    )
+    passes = _stability_test(kind)
+    return sum(1 for gens in enumerate_order_ideals(n, p, cap).generators if passes(gens))
 
 
 def census_by_definition(
     n: int, p: int, kind: str, cap: int | None = None
 ) -> Counter:
     """Counts keyed by the bar list of each surviving escalier's Bar Code."""
-    if kind not in (STABLE, STRONGLY_STABLE):
-        raise ValueError(f"unknown ideal class {kind!r}")
+    passes = _stability_test(kind)
+    en = enumerate_order_ideals(n, p, cap)
     per: Counter = Counter()
-    for N in enumerate_order_ideals(n, p, cap):
-        if _passes(N, kind):
+    for N, gens in zip(en.items, en.generators):
+        if passes(gens):
             per[bar_list(encode(N.terms))] += 1
     return per
 

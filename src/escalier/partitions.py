@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 IntPartition = tuple[int, ...]
 
@@ -251,16 +251,6 @@ def enumerate_plane_partitions(
     spans = {i: _row_span(shape, inner_t, shifted, i) for i in range(1, r + 1)}
     cells = [(i, j) for i in range(1, r + 1) for j in range(spans[i][0], spans[i][1] + 1)]
 
-    def build(values: dict) -> PlanePartition:
-        rows = tuple(
-            tuple(values[(i, j)] for j in range(spans[i][0], spans[i][1] + 1))
-            for i in range(1, r + 1)
-        )
-        return PlanePartition(shape, rows, c, d, shifted, () if shifted else inner_t)
-
-    if not cells:
-        return [build({})] if norm == 0 else []
-
     # static per-cell lower bounds: chain the last-part anchors up and left
     lo: dict[tuple[int, int], int] = {}
     for i in range(r, 0, -1):
@@ -288,36 +278,68 @@ def enumerate_plane_partitions(
     for idx in range(len(cells) - 1, -1, -1):
         suffix_lo[idx] = suffix_lo[idx + 1] + lo[cells[idx]]
 
-    values: dict[tuple[int, int], int] = {}
+    grid = _Grid(shape, () if shifted else inner_t, shifted, c, d, first,
+                 spans, cells, lo, hi, suffix_lo)
     out: list[PlanePartition] = []
-
-    def rec(idx: int, rem: int):
-        if idx == len(cells):
-            if rem == 0:
-                out.append(build(values))
-            return
-        i, j = cells[idx]
-        top = rem - suffix_lo[idx + 1]
-        if j > spans[i][0]:
-            top = min(top, values[(i, j - 1)] - c)
-        if (i - 1, j) in values:
-            top = min(top, values[(i - 1, j)] - d)
-        bottom = lo[(i, j)]
-        if first is not None:
-            if shifted and j == spans[i][0]:
-                # shifted generating functions pin the first part exactly
-                if not bottom <= first[i - 1] <= top:
-                    return
-                top = bottom = first[i - 1]
-            else:
-                top = min(top, hi[(i, j)])
-        for v in range(top, bottom - 1, -1):
-            values[(i, j)] = v
-            rec(idx + 1, rem - v)
-        values.pop((i, j), None)
-
-    rec(0, norm)
+    _fill_cells(out, grid, {}, 0, norm)
     return out
+
+
+class _Grid(NamedTuple):
+    """The fixed data of one enumerate_plane_partitions call."""
+
+    shape: tuple[int, ...]
+    inner: tuple[int, ...]
+    shifted: bool
+    c: int
+    d: int
+    first: Sequence[int] | None
+    spans: dict[int, tuple[int, int]]  # row -> (first column, last column)
+    cells: list[tuple[int, int]]  # filled in this order, row by row
+    lo: dict[tuple[int, int], int]  # static lower bound per cell
+    hi: dict[tuple[int, int], int]  # static upper bound per cell, given first
+    suffix_lo: list[int]  # sum of the lower bounds of cells idx onwards
+
+
+def _plane_partition(grid: _Grid, values: dict) -> PlanePartition:
+    rows = tuple(
+        tuple(values[(i, j)] for j in range(start, end + 1))
+        for i, (start, end) in grid.spans.items()
+    )
+    return PlanePartition(grid.shape, rows, grid.c, grid.d, grid.shifted, grid.inner)
+
+
+def _fill_cells(out: list, grid: _Grid, values: dict, idx: int, rem: int) -> None:
+    """Append to out every plane partition that extends values, which holds
+    the entries of the first idx cells, with rem of the norm left to place.
+    Module-level, not a nested closure, so that a call leaves no reference
+    cycle behind."""
+    cells = grid.cells
+    if idx == len(cells):
+        if rem == 0:
+            out.append(_plane_partition(grid, values))
+        return
+    i, j = cells[idx]
+    start = grid.spans[i][0]
+    top = rem - grid.suffix_lo[idx + 1]
+    if j > start:
+        top = min(top, values[(i, j - 1)] - grid.c)
+    if (i - 1, j) in values:
+        top = min(top, values[(i - 1, j)] - grid.d)
+    bottom = grid.lo[(i, j)]
+    first = grid.first
+    if first is not None:
+        if grid.shifted and j == start:
+            # shifted generating functions pin the first part exactly
+            if not bottom <= first[i - 1] <= top:
+                return
+            top = bottom = first[i - 1]
+        else:
+            top = min(top, grid.hi[(i, j)])
+    for v in range(top, bottom - 1, -1):
+        values[(i, j)] = v
+        _fill_cells(out, grid, values, idx + 1, rem - v)
+    values.pop((i, j), None)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,16 @@ from escalier.bijections import (
 )
 from escalier.counting import STABLE, STRONGLY_STABLE, census
 from escalier.monomials import (
+    MonomialIdeal,
     OrderIdeal,
+    Term,
     escalier,
     is_stable,
     is_strongly_stable,
     minimal_generators,
     parse_term,
 )
-from escalier.partitions import PlanePartition
+from escalier.partitions import PlanePartition, enumerate_distinct
 from escalier.starset import star_set_direct
 from randgen import random_order_ideal
 
@@ -199,6 +201,16 @@ class TestTwoVariableCorrespondence:
         assert gens(ideal_from_partition_2vars((2, 1))) == texts(
             "x1^2", "x1*x2", "x2^2", n=2
         )
+
+    def test_staircase_generators_are_minimal(self):
+        for p in range(1, 31):
+            for h in range(1, p + 1):
+                for parts in enumerate_distinct(p, h):
+                    staircase = [Term((a, i)) for i, a in enumerate(parts)]
+                    staircase.append(Term((0, h)))
+                    assert ideal_from_partition_2vars(parts) == MonomialIdeal.of(
+                        staircase, 2
+                    )
 
     def test_roundtrip(self):
         for parts in ((9, 1), (7,), (2, 1), (5, 3, 2)):

@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escalier.monomials import (
     MonomialIdeal,
@@ -112,6 +115,43 @@ class TestOrderIdeals:
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
             OrderIdeal.of(terms("x1", "x1^2", n=2))
+
+
+def closed_by_predecessors(ts):
+    """Reference for is_order_ideal, one Term.predecessor at a time."""
+    return all(
+        t.predecessor(i) in ts for t in ts for i in range(1, t.n + 1) if t.deg(i)
+    )
+
+
+@st.composite
+def term_sets(draw):
+    n = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(0, 3)] * n)
+    return {Term(v) for v in draw(st.sets(vectors, max_size=12))}
+
+
+@st.composite
+def closed_term_sets(draw):
+    """Every divisor of a few random terms: a nonempty order ideal."""
+    n = draw(st.integers(1, 4))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))
+    return {Term(e) for top in tops for e in product(*(range(a + 1) for a in top))}
+
+
+class TestOrderIdealProperty:
+    @settings(deadline=None)
+    @given(term_sets())
+    def test_random_sets(self, ts):
+        assert is_order_ideal(ts) == closed_by_predecessors(ts)
+
+    @settings(deadline=None)
+    @given(closed_term_sets(), st.data())
+    def test_closed_sets_and_one_term_removed(self, closed, data):
+        assert is_order_ideal(closed) and closed_by_predecessors(closed)
+        gone = data.draw(st.sampled_from(sorted(closed, key=Term.lex_key)))
+        rest = closed - {gone}
+        assert is_order_ideal(rest) == closed_by_predecessors(rest)
 
 
 class TestMinimalGenerators:

@@ -1,8 +1,10 @@
+import gc
+
 import pytest
 
 from escalier.barcode import bar_list, encode, is_admissible, length
 from escalier.counting import STABLE, STRONGLY_STABLE
-from escalier.monomials import is_stable, minimal_generators, term
+from escalier.monomials import Term, corner_terms, is_stable, minimal_generators, term
 from escalier.oracle import (
     census_by_definition,
     conjecture_probe,
@@ -22,6 +24,17 @@ def n_partitions(p):
     return sum(count_P(p, k) for k in range(1, p + 1))
 
 
+def reference_growth(N, top, n, p, out):
+    """Canonical growth with the corner set rebuilt from scratch at every
+    node, depth first: the reference for the enumeration order."""
+    if len(N) == p:
+        out.append(N)
+        return
+    for g in sorted(corner_terms(N, n), key=Term.lex_key):
+        if g > top:
+            reference_growth(N | {g}, g, n, p, out)
+
+
 class TestEnumeration:
     def test_two_vars_size_three(self):
         got = {frozenset(t.exponents for t in N) for N in enumerate_order_ideals(2, 3)}
@@ -32,10 +45,11 @@ class TestEnumeration:
         }
 
     def test_one_var_unique(self):
-        for p in (1, 4, 9):
+        for p in (1, 4, 9, oracle_cap(1)):
             en = enumerate_order_ideals(1, p)
             assert len(en) == 1
             assert {t.exponents for t in en.items[0]} == {(e,) for e in range(p)}
+            assert {t.exponents for t in en.generators[0].generators} == {(p,)}
 
     def test_two_vars_matches_partition_numbers(self):
         for p in range(1, 21):
@@ -48,6 +62,34 @@ class TestEnumeration:
     def test_four_vars_matches_solid_partition_numbers(self):
         for p, expect in enumerate(SOLID_PARTITIONS, start=1):
             assert len(enumerate_order_ideals(4, p)) == expect
+
+    def test_generators_are_the_minimal_generators(self):
+        for n, max_p in ((1, 30), (2, 20), (3, 10), (4, 7)):
+            for p in range(1, max_p + 1):
+                en = enumerate_order_ideals(n, p)
+                assert len(en.generators) == len(en.items)
+                for N, gens in zip(en.items, en.generators):
+                    assert gens == minimal_generators(N)
+
+    def test_order_of_the_recursive_growth(self):
+        unit = term(0, 0, 0)
+        for p in range(1, 9):
+            expected = []
+            reference_growth(frozenset([unit]), unit, 3, p, expected)
+            assert [N.terms for N in enumerate_order_ideals(3, p)] == expected
+
+    def test_leaves_no_reference_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            enumerate_order_ideals(3, 8)
+            assert gc.collect() == 0
+            count_by_definition(3, 8, STABLE)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_no_duplicates(self):
         items = enumerate_order_ideals(3, 8).items

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -142,6 +143,20 @@ class TestEnumeratePlanePartitions:
             (3, 3, 3), True, 1, 0, None, (1, 1, 1), 17
         )
         assert len(shifted_free) > len(shifted_bounded)
+
+    def test_leaves_no_reference_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            enumerate_plane_partitions(
+                (3, 2, 1), shifted=False, c=1, d=1, first=None,
+                last_min=(1, 1, 1), norm=20,
+            )
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_descending_flat_order(self):
         got = enumerate_plane_partitions((3, 1), False, 1, 1, None, (1, 1), 12)
