@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barcode import bar_list, encode
 from .counting import STABLE, STRONGLY_STABLE
@@ -168,79 +169,66 @@ def census_by_definition(
 
 def _enumerate_strict_solids(rho: tuple[tuple[int, ...], ...], norm: int) -> list[SolidPartition]:
     """Strict solid partitions whose layer shapes are the rows of rho."""
-    cells = [
-        (l, i, j)
+    # cell (l, i, j): layer l, row i, column j; strict along all three axes
+    layers = tuple(
+        tuple(tuple((l, i, j) for j in range(rho[l][i])) for i in range(len(rho[l])))
         for l in range(len(rho))
-        for i in range(len(rho[l]))
-        for j in range(rho[l][i])
-    ]
-    values: dict[tuple[int, int, int], int] = {}
-    out = []
-
-    def rec(idx: int, rem: int):
-        if idx == len(cells):
-            if rem == 0:
-                layers = tuple(
-                    tuple(
-                        tuple(values[(l, i, j)] for j in range(rho[l][i]))
-                        for i in range(len(rho[l]))
-                    )
-                    for l in range(len(rho))
-                )
-                out.append(SolidPartition("strict", layers))
-            return
-        l, i, j = cells[idx]
-        hi = rem - (len(cells) - idx - 1)  # everything left needs at least 1
-        for prev in ((l, i, j - 1), (l, i - 1, j), (l - 1, i, j)):
-            if prev in values:
-                hi = min(hi, values[prev] - 1)
-        for v in range(hi, 0, -1):
-            values[(l, i, j)] = v
-            rec(idx + 1, rem - v)
-        values.pop((l, i, j), None)
-
-    rec(0, norm)
-    return out
+    )
+    return _solids(_SolidShape("strict", layers, ((0, 0, -1, 1), (0, -1, 0, 1), (-1, 0, 0, 1))), norm)
 
 
 def _enumerate_shifted_solids(pi: tuple[tuple[int, ...], ...], norm: int) -> list[SolidPartition]:
     """Shifted solid partitions of shape pi (pi rows on the diagonal)."""
-    # cell (l, i, j): layer l, absolute row i >= l, absolute column j >= i
-    cells = []
-    for l in range(len(pi)):
-        for off, width in enumerate(pi[l]):
-            i = l + off
-            cells.extend((l, i, j) for j in range(i, i + width))
-    values: dict[tuple[int, int, int], int] = {}
-    out = []
+    # cell (l, i, j): layer l, absolute row i >= l, absolute column j >= i;
+    # rows strict, columns and stacking weak
+    layers = tuple(
+        tuple(
+            tuple((l, l + off, j) for j in range(l + off, l + off + width))
+            for off, width in enumerate(pi[l])
+        )
+        for l in range(len(pi))
+    )
+    return _solids(_SolidShape("shifted", layers, ((0, 0, -1, 1), (0, -1, 0, 0), (-1, 0, 0, 0))), norm)
 
-    def rec(idx: int, rem: int):
-        if idx == len(cells):
-            if rem == 0:
-                layers = []
-                for l in range(len(pi)):
-                    layer = tuple(
-                        tuple(values[(l, l + off, j)] for j in range(l + off, l + off + width))
-                        for off, width in enumerate(pi[l])
-                    )
-                    layers.append(layer)
-                out.append(SolidPartition("shifted", tuple(layers)))
-            return
-        l, i, j = cells[idx]
-        hi = rem - (len(cells) - idx - 1)
-        if (l, i, j - 1) in values:
-            hi = min(hi, values[(l, i, j - 1)] - 1)  # rows strict
-        if (l, i - 1, j) in values:
-            hi = min(hi, values[(l, i - 1, j)])  # columns weak
-        if (l - 1, i, j) in values:
-            hi = min(hi, values[(l - 1, i, j)])  # stacking weak
-        for v in range(hi, 0, -1):
-            values[(l, i, j)] = v
-            rec(idx + 1, rem - v)
-        values.pop((l, i, j), None)
 
-    rec(0, norm)
+class _SolidShape(NamedTuple):
+    """The fixed data of one solid-partition enumeration."""
+
+    kind: str
+    layers: tuple  # layer -> row -> cell (l, i, j), in filling order
+    rules: tuple  # (dl, di, dj, strict): the cell at that offset bounds this one
+
+
+def _solids(shape: _SolidShape, norm: int) -> list[SolidPartition]:
+    cells = [cell for layer in shape.layers for row in layer for cell in row]
+    out: list[SolidPartition] = []
+    _fill_solid(out, shape, cells, {}, 0, norm)
     return out
+
+
+def _fill_solid(out: list, shape: _SolidShape, cells: list, values: dict, idx: int, rem: int) -> None:
+    """Append to out every solid partition that extends values, which holds
+    the entries of the first idx cells, with rem of the norm left to place.
+    Module-level, not a nested closure, so that a call leaves no reference
+    cycle behind."""
+    if idx == len(cells):
+        if rem == 0:
+            out.append(SolidPartition(shape.kind, tuple(
+                tuple(tuple(values[cell] for cell in row) for row in layer)
+                for layer in shape.layers
+            )))
+        return
+    cell = cells[idx]
+    l, i, j = cell
+    hi = rem - (len(cells) - idx - 1)  # everything left needs at least 1
+    for dl, di, dj, strict in shape.rules:
+        prev = values.get((l + dl, i + di, j + dj))
+        if prev is not None:
+            hi = min(hi, prev - strict)
+    for v in range(hi, 0, -1):
+        values[cell] = v
+        _fill_solid(out, shape, cells, values, idx + 1, rem - v)
+    values.pop(cell, None)
 
 
 def _partition_side_count(bar: tuple[int, int, int, int], kind: str) -> int:

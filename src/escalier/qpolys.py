@@ -12,6 +12,16 @@ alone, one factor (1-x^m)/(1-x^i) at a time: each partial product is itself a
 Gaussian binomial, a polynomial of degree at most the final one, so the
 power-series division by 1-x^i is exact on the kept coefficients.
 
+Determinants do not use IntPoly arithmetic.  They work modulo x^(T+1), with
+T the smallest truncation degree among the entries or, untruncated, the sum
+of the rows' largest entry degrees (a bound on the determinant's degree).
+Each entry is packed into one Python integer by x -> 2^B (Kronecker
+substitution), so the memoised cofactor expansion runs on plain integers,
+reduced mod 2^((T+1)B), and CPython's Karatsuba does the products.  B is one
+bit more than the bit length of the product over rows of each row's summed
+coefficient norms, which bounds every coefficient of the determinant, so the
+result decodes exactly as digits in balanced base 2^B.
+
 The generating-function entries can involve monomial prefactors x^N with N
 negative; determinants are therefore computed after factoring the minimal
 power out of each row, and the global power is reapplied at the end.
@@ -20,6 +30,7 @@ power out of each row, and the global power is reapplied at the end.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 
@@ -249,37 +260,85 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
 def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     """Exact determinant of a square polynomial matrix.
 
-    Cofactor expansion along the rows, memoised over the subsets of columns
-    left: 2^r minors, each an exact sum of products, so no division is needed
-    and truncated entries stay exact up to their truncation degree.
+    Works modulo x^(T+1), where T is the smallest truncation degree among the
+    entries or, if none is truncated, the sum over rows of the row's largest
+    entry degree, which bounds the degree of the determinant.  The result
+    carries truncation degree T in the first case and none in the second.
+
+    Each entry is packed once into an integer by the ring map x -> 2^B,
+    which takes Z[x]/(x^(T+1)) onto Z/2^((T+1)B) (Kronecker substitution),
+    and the determinant is taken on those integers by cofactor expansion
+    along the rows, memoised over the subsets of columns left: 2^r minors,
+    each a sum of products reduced mod 2^((T+1)B), with no division.  Each
+    coefficient of the determinant is at most the permanent of the entries'
+    norms (sums of |c| over degrees <= T), hence at most the product over
+    rows of each row's summed norms.  B is one bit more than that product's
+    bit length, so every coefficient lies in [-2^(B-1), 2^(B-1)), is one
+    digit of the result in balanced base 2^B, and decodes exactly.
     """
     r = len(matrix)
     if r == 0 or any(len(row) != r for row in matrix):
         raise ValueError("determinant needs a non-empty square matrix")
-    return _minor(matrix, (1 << r) - 1, {})
+    truncs = [e.trunc for row in matrix for e in row if e.trunc is not None]
+    trunc = min(truncs) if truncs else None
+    top = trunc if trunc is not None else sum(
+        max(max(e.degree for e in row), 0) for row in matrix
+    )
+    bound = prod(sum(sum(map(abs, e.coeffs[: top + 1])) for e in row) for row in matrix)
+    width = bound.bit_length() + 1
+    mask = (1 << (top + 1) * width) - 1
+    packed = [[_pack(e.coeffs[: top + 1], width) & mask for e in row] for row in matrix]
+    value = _minor(packed, (1 << r) - 1, {}, mask)
+    return IntPoly(_unpack(value, top + 1, width), trunc)
 
 
-def _minor(matrix, colmask: int, cache: dict[int, IntPoly]) -> IntPoly:
-    """Determinant of the last popcount(colmask) rows of matrix on the columns
-    in colmask, expanded along its first row.  Module-level, not nested in
-    det, so that no reference cycle keeps the cache alive once det returns."""
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The polynomial with these coefficients evaluated at x = 2^width."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << width) + c
+    return acc
+
+
+def _unpack(value: int, count: int, width: int) -> list[int]:
+    """The first count digits of value in balanced base 2^width, lowest
+    first: each digit is the residue of value mod 2^width in
+    [-2^(width-1), 2^(width-1)), and value moves on to (value - digit) / 2^width."""
+    half = 1 << (width - 1)
+    low = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        digit = value & low
+        if digit >= half:
+            digit -= low + 1
+        out.append(digit)
+        value = (value - digit) >> width
+    return out
+
+
+def _minor(packed: list[list[int]], colmask: int, cache: dict[int, int], mask: int) -> int:
+    """Packed determinant, reduced by mask, of the last popcount(colmask) rows
+    of packed on the columns in colmask, expanded along its first row.
+    Module-level, not nested in det, so that no reference cycle keeps the
+    cache alive once det returns."""
     if colmask == 0:
-        return IntPoly.const(1)
+        return 1
     got = cache.get(colmask)
     if got is not None:
         return got
-    r = len(matrix)
-    row = r - bin(colmask).count("1")
-    acc = IntPoly.zero()
+    r = len(packed)
+    entries = packed[r - bin(colmask).count("1")]
+    acc = 0
     sign = 1
     for col in range(r):
         if not colmask & (1 << col):
             continue
-        entry = matrix[row][col]
+        entry = entries[col]
         if entry:
-            term = entry * _minor(matrix, colmask & ~(1 << col), cache)
-            acc = acc + (term if sign > 0 else -term)
+            term = entry * _minor(packed, colmask & ~(1 << col), cache, mask)
+            acc = acc + term if sign > 0 else acc - term
         sign = -sign
+    acc &= mask
     cache[colmask] = acc
     return acc
 

@@ -150,6 +150,14 @@ class TestStableCensus:
             ).total
             assert census(p, 3, STRONGLY_STABLE, truncate=False) == count_sstable_3vars(p)
 
+    def test_truncated_breakdown_matches_untruncated(self):
+        # the determinants of the truncated and of the full generating
+        # functions take different packing widths and lengths
+        for p in range(1, 41):
+            assert census(p, 3, STABLE, truncate=False).to_json() == census(
+                p, 3, STABLE
+            ).to_json()
+
 
 class TestStronglyStableCensus:
     def test_per_barlist(self):

@@ -170,3 +170,15 @@ class TestConjectureProbe:
         assert doc["vars"] == 4 and doc["class"] == "strongly-stable"
         assert all(set(r) == {"bar_list", "ideals", "partitions", "agree"}
                    for r in doc["rows"])
+
+    def test_leaves_no_reference_cycles(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for kind in (STABLE, STRONGLY_STABLE):
+                conjecture_probe(5, kind)
+                assert gc.collect() == 0, kind
+        finally:
+            if enabled:
+                gc.enable()

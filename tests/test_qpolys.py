@@ -1,8 +1,11 @@
+import gc
 import math
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escalier.partitions import enumerate_plane_partitions
 from escalier.qpolys import IntPoly, det, gauss_binomial, gf_shifted, gf_strict
@@ -31,6 +34,19 @@ def det_by_permutations(matrix):
             prod = prod * matrix[i][perm[i]]
         acc = acc + prod
     return acc
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices of up to 4 rows: small and huge coefficients of both
+    signs, zero entries, and now and then a row of zeros."""
+    r = draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+    entry = st.lists(coeff, max_size=4).map(IntPoly)
+    rows = [draw(st.lists(entry, min_size=r, max_size=r)) for _ in range(r)]
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, r - 1))] = [IntPoly.zero()] * r
+    return rows
 
 
 def gauss_by_recurrence(n, k, cache={}):
@@ -156,7 +172,7 @@ class TestDet:
             swapped = [m[1], m[0], m[2]]
             assert det(swapped) == -det(m)
 
-    def test_bareiss_path_matches_expansion(self):
+    def test_seven_by_seven_matches_permutation_sum(self):
         rng = random.Random(229)
         m = [[rand_poly(rng, 1, -2, 2) for _ in range(7)] for _ in range(7)]
         assert det(m) == det_by_permutations(m)
@@ -173,6 +189,54 @@ class TestDet:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             det([[IntPoly.const(1), IntPoly.const(2)]])
+
+    @settings(deadline=None)
+    @given(poly_matrices(), st.one_of(st.none(), st.integers(0, 8)))
+    def test_matches_permutation_sum(self, m, T):
+        full = det_by_permutations(m)
+        if T is None:
+            got = det(m)
+            assert got == full and got.trunc is None
+        else:
+            got = det([[e.truncated(T) for e in row] for row in m])
+            assert got.trunc == T and got.degree <= T
+            for k in range(T + 1):
+                assert got.coefficient(k) == full.coefficient(k)
+
+    def test_coefficient_equal_to_the_width_bound(self):
+        # each determinant has a coefficient equal to the product over rows
+        # of the rows' summed coefficient norms, the bound the packing width
+        # is sized from: one bit narrower, it would decode as a negative digit
+        for k in (0, 1, 2, 7, 63, 64, 65, 200):
+            assert det([[IntPoly.const(2**k)]]) == IntPoly.const(2**k)
+            capped = det([[IntPoly((0, 2**k), trunc=1)]])
+            assert capped == poly(0, 2**k) and capped.trunc == 1
+        diagonal = [[IntPoly.x_power(i).scale(3 + i) if i == j else IntPoly.zero()
+                     for j in range(4)] for i in range(4)]
+        assert det(diagonal) == IntPoly.x_power(6).scale(3 * 4 * 5 * 6)
+        # the odd permutation and the negative entry cancel signs: +15x^3
+        assert det([[IntPoly.zero(), poly(0, 3)], [poly(0, 0, -5), IntPoly.zero()]]) == (
+            IntPoly.x_power(3).scale(15)
+        )
+        # several rows at the largest width, one of them untruncated
+        big = [[IntPoly.const(2**64, trunc=2), IntPoly.zero()],
+               [IntPoly.zero(), IntPoly.x_power(2).scale(2**64 - 1)]]
+        assert det(big).coefficient(2) == 2**64 * (2**64 - 1)
+
+    def test_leaves_no_reference_cycles(self):
+        rng = random.Random(239)
+        m = [[rand_poly(rng, 3) for _ in range(5)] for _ in range(5)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            det(m)
+            assert gc.collect() == 0
+            det([[e.truncated(4) for e in row] for row in m])
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def brute_counts(shape, shifted, c, d, first, last, top):
