@@ -31,7 +31,6 @@ from .qpolys import gf_shifted, gf_strict
 class Config:
     fmt: str = "text"
     out: str | None = None
-    truncate: bool = True
 
 
 def _emit(cfg: Config, text: str) -> None:
@@ -74,7 +73,7 @@ def _read_json(path: str | None):
 
 def _cmd_count(args, cfg: Config) -> int:
     kind = _kind(args.klass)
-    census = counting.census(args.hilbert, args.vars, kind, cfg.truncate)
+    census = counting.census(args.hilbert, args.vars, kind)
     if cfg.fmt == "json":
         doc = census.to_json()
         if not args.breakdown:
@@ -217,7 +216,7 @@ def _cmd_verify(args, cfg: Config) -> int:
         if args.vars == 2:
             pipeline = counting.count_2vars(p)
         else:
-            pipeline = counting.census(p, args.vars, kind, cfg.truncate).total
+            pipeline = counting.census(p, args.vars, kind).total
         brute = oracle.count_by_definition(args.vars, p, kind)
         match = pipeline == brute
         ok = ok and match
@@ -295,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class", dest="klass", required=True,
                     choices=("stable", "strongly-stable"))
     sp.add_argument("--breakdown", action="store_true")
-    sp.add_argument("--no-truncate", action="store_true",
-                    help="run the stable generating functions without degree "
-                         "capping (the strongly stable count uses none)")
     _add_common(sp)
 
     sp = sub.add_parser("list", help="list the ideals explicitly")
@@ -391,7 +387,6 @@ def run(argv: list[str] | None = None) -> int:
     cfg = Config(
         fmt=getattr(args, "format", "text"),
         out=getattr(args, "out", None),
-        truncate=not getattr(args, "no_truncate", False),
     )
     if args.command == "render":
         args.action = "render"

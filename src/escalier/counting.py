@@ -144,9 +144,7 @@ def a_vector_stable(beta: IntPartition, p: int) -> tuple[int, ...]:
     return tuple(a1 - i for i in range(len(beta)))
 
 
-def count_stable_barlist(
-    p: int, h: int, k: int, truncate: bool = True
-) -> tuple[int, tuple[ShapeCount, ...]]:
+def count_stable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
     """Stable ideals with bar list (p, h, k), plus the per-shape split."""
     if not _is_bar_list(p, h, k):
         raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
@@ -166,16 +164,16 @@ def count_stable_barlist(
             (1,) * k,
             c=1,
             d=1,
-            truncate_at=p if truncate else None,
+            truncate_at=p,
         )
         shapes.append(ShapeCount(beta, poly.coefficient(p)))
     return sum(sc.count for sc in shapes), tuple(shapes)
 
 
-def count_stable_3vars(p: int, truncate: bool = True) -> BarListCensus:
+def count_stable_3vars(p: int) -> BarListCensus:
     rows = []
     for (pp, h, k) in bar_lists_3vars(p):
-        subtotal, shapes = count_stable_barlist(pp, h, k, truncate)
+        subtotal, shapes = count_stable_barlist(pp, h, k)
         rows.append(CensusRow((pp, h, k), shapes, subtotal))
     return BarListCensus(p, 3, STABLE, tuple(rows))
 
@@ -257,15 +255,13 @@ def closed_form_shape22(p: int) -> int:
     return ((p - 1) ** 2 + 6) // 12
 
 
-def census(p: int, n: int, kind: str, truncate: bool = True) -> BarListCensus:
-    """Dispatch by variable count; the two-variable classes coincide.
-
-    truncate only reaches the stable class's generating functions."""
+def census(p: int, n: int, kind: str) -> BarListCensus:
+    """Dispatch by variable count; the two-variable classes coincide."""
     _check_kind(kind)
     if n == 2:
         return census_2vars(p, kind)
     if n == 3:
         if kind == STABLE:
-            return count_stable_3vars(p, truncate)
+            return count_stable_3vars(p)
         return count_sstable_3vars(p)
     raise ValueError("censuses are implemented for 2 and 3 variables")

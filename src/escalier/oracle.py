@@ -13,9 +13,9 @@ enumeration hands every order ideal over together with its generators and the
 stability tests need no border rebuilt.
 
 The probe compares per-bar-list definitional counts against brute-force counts
-of strict / shifted solid partitions.  It records evidence about the n = 4
-correspondence; it proves nothing and is deliberately not wired into any
-acceptance gate.
+of strict / shifted solid partitions, which `partitions` enumerates layer shape
+by layer shape.  It records evidence about the n = 4 correspondence; it proves
+nothing and is deliberately not wired into any acceptance gate.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .barcode import bar_list, encode
 from .counting import STABLE, STRONGLY_STABLE
@@ -35,9 +34,9 @@ from .monomials import (
     is_strongly_stable,
 )
 from .partitions import (
-    SolidPartition,
     enumerate_distinct,
     enumerate_plane_partitions,
+    enumerate_solid_partitions,
     validate_solid,
 )
 
@@ -164,96 +163,27 @@ def census_by_definition(
     return per
 
 
-# -- solid partition enumeration for the n = 4 probe ------------------------
-
-
-def _enumerate_strict_solids(rho: tuple[tuple[int, ...], ...], norm: int) -> list[SolidPartition]:
-    """Strict solid partitions whose layer shapes are the rows of rho."""
-    # cell (l, i, j): layer l, row i, column j; strict along all three axes
-    layers = tuple(
-        tuple(tuple((l, i, j) for j in range(rho[l][i])) for i in range(len(rho[l])))
-        for l in range(len(rho))
-    )
-    return _solids(_SolidShape("strict", layers, ((0, 0, -1, 1), (0, -1, 0, 1), (-1, 0, 0, 1))), norm)
-
-
-def _enumerate_shifted_solids(pi: tuple[tuple[int, ...], ...], norm: int) -> list[SolidPartition]:
-    """Shifted solid partitions of shape pi (pi rows on the diagonal)."""
-    # cell (l, i, j): layer l, absolute row i >= l, absolute column j >= i;
-    # rows strict, columns and stacking weak
-    layers = tuple(
-        tuple(
-            tuple((l, l + off, j) for j in range(l + off, l + off + width))
-            for off, width in enumerate(pi[l])
-        )
-        for l in range(len(pi))
-    )
-    return _solids(_SolidShape("shifted", layers, ((0, 0, -1, 1), (0, -1, 0, 0), (-1, 0, 0, 0))), norm)
-
-
-class _SolidShape(NamedTuple):
-    """The fixed data of one solid-partition enumeration."""
-
-    kind: str
-    layers: tuple  # layer -> row -> cell (l, i, j), in filling order
-    rules: tuple  # (dl, di, dj, strict): the cell at that offset bounds this one
-
-
-def _solids(shape: _SolidShape, norm: int) -> list[SolidPartition]:
-    cells = [cell for layer in shape.layers for row in layer for cell in row]
-    out: list[SolidPartition] = []
-    _fill_solid(out, shape, cells, {}, 0, norm)
-    return out
-
-
-def _fill_solid(out: list, shape: _SolidShape, cells: list, values: dict, idx: int, rem: int) -> None:
-    """Append to out every solid partition that extends values, which holds
-    the entries of the first idx cells, with rem of the norm left to place.
-    Module-level, not a nested closure, so that a call leaves no reference
-    cycle behind."""
-    if idx == len(cells):
-        if rem == 0:
-            out.append(SolidPartition(shape.kind, tuple(
-                tuple(tuple(values[cell] for cell in row) for row in layer)
-                for layer in shape.layers
-            )))
-        return
-    cell = cells[idx]
-    l, i, j = cell
-    hi = rem - (len(cells) - idx - 1)  # everything left needs at least 1
-    for dl, di, dj, strict in shape.rules:
-        prev = values.get((l + dl, i + di, j + dj))
-        if prev is not None:
-            hi = min(hi, prev - strict)
-    for v in range(hi, 0, -1):
-        values[cell] = v
-        _fill_solid(out, shape, cells, values, idx + 1, rem - v)
-    values.pop(cell, None)
-
-
 def _partition_side_count(bar: tuple[int, int, int, int], kind: str) -> int:
     p, h, k, l = bar
+    solid_kind = "strict" if kind == STABLE else "shifted"
     total = 0
     for shape in enumerate_distinct(k, l):
         if kind == STABLE:
-            for pp in enumerate_plane_partitions(
+            layer_shapes = enumerate_plane_partitions(
                 shape, shifted=False, c=1, d=1, first=None,
                 last_min=(1,) * len(shape), norm=h,
-            ):
-                for solid in _enumerate_strict_solids(pp.rows, p):
-                    if not validate_solid(solid):
-                        raise AssertionError(f"enumerated invalid solid {solid}")
-                    total += 1
+            )
         else:
-            lam = tuple(i + 1 + shape[i] - 1 for i in range(len(shape)))
-            for pp in enumerate_plane_partitions(
+            lam = tuple(i + part for i, part in enumerate(shape))
+            layer_shapes = enumerate_plane_partitions(
                 lam, shifted=True, c=1, d=0, first=None,
                 last_min=(1,) * len(lam), norm=h,
-            ):
-                for solid in _enumerate_shifted_solids(pp.rows, p):
-                    if not validate_solid(solid):
-                        raise AssertionError(f"enumerated invalid solid {solid}")
-                    total += 1
+            )
+        for pp in layer_shapes:
+            for solid in enumerate_solid_partitions(solid_kind, pp.rows, p):
+                if not validate_solid(solid):
+                    raise AssertionError(f"enumerated invalid solid {solid}")
+                total += 1
     return total
 
 

@@ -3,11 +3,13 @@ higher-dimensional relatives.
 
 Counting goes through one table of distinct-part counts Q(m,i), filled
 bottom-up by additions; P(n,k) is read from it through the staircase shift.
-Explicit enumeration is depth-first with remaining-norm pruning, which is
-plenty at the sizes these censuses run at.  Plane partitions carry their
-strictness parameters (c across rows, d down columns) and an optional shift,
-with row i of a shifted array occupying columns i..shape[i-1].  Entries
-outside the shape are simply absent, never stored as zeros.
+Plane and solid partitions are enumerated by one depth-first cell filler:
+each cell carries static bounds and the earlier cells that cap it, and the
+search prunes on the norm left, which is plenty at the sizes these censuses
+run at.  Plane partitions carry their strictness parameters (c across rows,
+d down columns) and an optional shift, with row i of a shifted array
+occupying columns i..shape[i-1].  Entries outside the shape are simply
+absent, never stored as zeros.
 
 Solid (and higher) partitions exist for the n >= 4 experiments only.  Their
 validator follows the recursive reading of the definitions: a strict
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 IntPartition = tuple[int, ...]
 
@@ -133,22 +136,7 @@ class PlanePartition:
         r = len(self.shape)
         if r == 0 or len(self.rows) != r:
             raise ValueError("rows must match the shape, one per shape entry")
-        if any(self.shape[i] < self.shape[i + 1] for i in range(r - 1)):
-            raise ValueError("shape must be weakly decreasing")
-        inner = self.inner or (0,) * r
-        if len(inner) != r:
-            raise ValueError("inner shape length must match the outer shape")
-        object.__setattr__(self, "inner", inner)
-        if self.shifted:
-            if any(inner):
-                raise ValueError("shifted partitions take no inner shape")
-            if self.shape[r - 1] < r:
-                raise ValueError(f"shifted shape needs shape[{r}] >= {r}")
-        else:
-            if any(inner[i] < inner[i + 1] for i in range(r - 1)):
-                raise ValueError("inner shape must be weakly decreasing")
-            if any(m > l for l, m in zip(self.shape, inner)):
-                raise ValueError("inner shape must fit inside the outer shape")
+        object.__setattr__(self, "inner", _checked_inner(self.shape, self.inner, self.shifted))
         for i in range(1, r + 1):
             if len(self.rows[i - 1]) != self.row_end(i) - self.row_start(i) + 1:
                 raise ValueError(f"row {i} has the wrong number of entries")
@@ -203,6 +191,30 @@ class PlanePartition:
         )
 
 
+def _checked_inner(shape: tuple[int, ...], inner: tuple[int, ...], shifted: bool) -> tuple[int, ...]:
+    """The inner shape, all zeros when none is given, once the outer shape,
+    the inner shape and the shifted condition hold; ValueError otherwise."""
+    r = len(shape)
+    if r == 0:
+        raise ValueError("shape must have at least one row")
+    if any(shape[i] < shape[i + 1] for i in range(r - 1)):
+        raise ValueError("shape must be weakly decreasing")
+    inner = inner or (0,) * r
+    if len(inner) != r:
+        raise ValueError("inner shape length must match the outer shape")
+    if shifted:
+        if any(inner):
+            raise ValueError("shifted partitions take no inner shape")
+        if shape[r - 1] < r:
+            raise ValueError(f"shifted shape needs shape[{r}] >= {r}")
+    else:
+        if any(inner[i] < inner[i + 1] for i in range(r - 1)):
+            raise ValueError("inner shape must be weakly decreasing")
+        if any(m > l for l, m in zip(shape, inner)):
+            raise ValueError("inner shape must fit inside the outer shape")
+    return inner
+
+
 def validate(pp: PlanePartition) -> bool:
     """Check the row (c) and column (d) inequalities over all in-shape cells."""
     r = len(pp.shape)
@@ -216,11 +228,6 @@ def validate(pp: PlanePartition) -> bool:
             if above is not None and below is not None and above < below + pp.d:
                 return False
     return True
-
-
-def _row_span(shape: tuple[int, ...], inner: tuple[int, ...], shifted: bool, i: int):
-    start = i if shifted else inner[i - 1] + 1
-    return start, shape[i - 1]
 
 
 def enumerate_plane_partitions(
@@ -244,102 +251,86 @@ def enumerate_plane_partitions(
     """
     shape = tuple(shape)
     r = len(shape)
-    inner_t = tuple(inner) if inner else (0,) * r
+    inner_t = _checked_inner(shape, tuple(inner) if inner else (), shifted)
     last_min = tuple(last_min)
     if len(last_min) != r or (first is not None and len(first) != r):
         raise ValueError("bound vectors must have one entry per row")
-    spans = {i: _row_span(shape, inner_t, shifted, i) for i in range(1, r + 1)}
-    cells = [(i, j) for i in range(1, r + 1) for j in range(spans[i][0], spans[i][1] + 1)]
+    starts = [i if shifted else inner_t[i - 1] + 1 for i in range(1, r + 1)]
+    cells = [(i, j) for i in range(1, r + 1) for j in range(starts[i - 1], shape[i - 1] + 1)]
+    index = {cell: idx for idx, cell in enumerate(cells)}
 
     # static per-cell lower bounds: chain the last-part anchors up and left
     lo: dict[tuple[int, int], int] = {}
-    for i in range(r, 0, -1):
-        start, end = spans[i]
-        for j in range(end, start - 1, -1):
-            bound = last_min[i - 1] + c * (end - j)
-            below = lo.get((i + 1, j))
-            if below is not None:
-                bound = max(bound, below + d)
-            lo[(i, j)] = bound
+    for i, j in reversed(cells):
+        bound = last_min[i - 1] + c * (shape[i - 1] - j)
+        below = lo.get((i + 1, j))
+        if below is not None:
+            bound = max(bound, below + d)
+        lo[(i, j)] = bound
 
-    # static per-cell upper bounds once first-column bounds are available
-    hi: dict[tuple[int, int], int] = {}
-    if first is not None:
-        for i in range(1, r + 1):
-            start, end = spans[i]
-            for j in range(start, end + 1):
-                bound = first[i - 1] - c * (j - start)
-                above = hi.get((i - 1, j))
-                if above is not None:
-                    bound = min(bound, above - d)
-                hi[(i, j)] = bound
+    # a first-part bound caps the row's first cell; the caps by the cell to
+    # the left and the cell above carry it along the row and down the column
+    records = []
+    for i, j in cells:
+        low, high = lo[(i, j)], None
+        if first is not None and j == starts[i - 1]:
+            high = first[i - 1]
+            if shifted:
+                # shifted generating functions pin the first part exactly
+                low = max(low, high)
+        above = tuple(
+            (index[cell], gap)
+            for cell, gap in (((i, j - 1), c), ((i - 1, j), d))
+            if cell in index
+        )
+        records.append((low, high, above))
 
-    suffix_lo = [0] * (len(cells) + 1)
+    lengths = [shape[i - 1] - starts[i - 1] + 1 for i in range(1, r + 1)]
+    return [
+        PlanePartition(shape, _rows(iter(flat), lengths), c, d, shifted, inner_t)
+        for flat in _fillings(records, norm)
+    ]
+
+
+def _fillings(cells: list, norm: int) -> list[tuple[int, ...]]:
+    """Every filling of the cells that sums to norm, as flat value tuples in
+    descending lex order.
+
+    cells[idx] is a record (low, high, above): the value of cell idx lies in
+    low..high (high None: no static cap) and is at most values[k] - gap for
+    each (k, gap) in above, where every k < idx.
+    """
+    suffix_low = [0] * (len(cells) + 1)
     for idx in range(len(cells) - 1, -1, -1):
-        suffix_lo[idx] = suffix_lo[idx + 1] + lo[cells[idx]]
-
-    grid = _Grid(shape, () if shifted else inner_t, shifted, c, d, first,
-                 spans, cells, lo, hi, suffix_lo)
-    out: list[PlanePartition] = []
-    _fill_cells(out, grid, {}, 0, norm)
+        suffix_low[idx] = suffix_low[idx + 1] + cells[idx][0]
+    out: list[tuple[int, ...]] = []
+    _fill(out, cells, suffix_low, [0] * len(cells), 0, norm)
     return out
 
 
-class _Grid(NamedTuple):
-    """The fixed data of one enumerate_plane_partitions call."""
-
-    shape: tuple[int, ...]
-    inner: tuple[int, ...]
-    shifted: bool
-    c: int
-    d: int
-    first: Sequence[int] | None
-    spans: dict[int, tuple[int, int]]  # row -> (first column, last column)
-    cells: list[tuple[int, int]]  # filled in this order, row by row
-    lo: dict[tuple[int, int], int]  # static lower bound per cell
-    hi: dict[tuple[int, int], int]  # static upper bound per cell, given first
-    suffix_lo: list[int]  # sum of the lower bounds of cells idx onwards
+def _rows(values: Iterator[int], lengths: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The next values, cut into consecutive rows of these lengths."""
+    return tuple(tuple(islice(values, n)) for n in lengths)
 
 
-def _plane_partition(grid: _Grid, values: dict) -> PlanePartition:
-    rows = tuple(
-        tuple(values[(i, j)] for j in range(start, end + 1))
-        for i, (start, end) in grid.spans.items()
-    )
-    return PlanePartition(grid.shape, rows, grid.c, grid.d, grid.shifted, grid.inner)
-
-
-def _fill_cells(out: list, grid: _Grid, values: dict, idx: int, rem: int) -> None:
-    """Append to out every plane partition that extends values, which holds
-    the entries of the first idx cells, with rem of the norm left to place.
-    Module-level, not a nested closure, so that a call leaves no reference
-    cycle behind."""
-    cells = grid.cells
+def _fill(out: list, cells: list, suffix_low: list, values: list, idx: int, rem: int) -> None:
+    """Append to out every filling that extends the first idx entries of
+    values, with rem of the norm left to place.  Module-level, not a nested
+    closure, so that a call leaves no reference cycle behind."""
     if idx == len(cells):
         if rem == 0:
-            out.append(_plane_partition(grid, values))
+            out.append(tuple(values))
         return
-    i, j = cells[idx]
-    start = grid.spans[i][0]
-    top = rem - grid.suffix_lo[idx + 1]
-    if j > start:
-        top = min(top, values[(i, j - 1)] - grid.c)
-    if (i - 1, j) in values:
-        top = min(top, values[(i - 1, j)] - grid.d)
-    bottom = grid.lo[(i, j)]
-    first = grid.first
-    if first is not None:
-        if grid.shifted and j == start:
-            # shifted generating functions pin the first part exactly
-            if not bottom <= first[i - 1] <= top:
-                return
-            top = bottom = first[i - 1]
-        else:
-            top = min(top, grid.hi[(i, j)])
-    for v in range(top, bottom - 1, -1):
-        values[(i, j)] = v
-        _fill_cells(out, grid, values, idx + 1, rem - v)
-    values.pop((i, j), None)
+    low, high, above = cells[idx]
+    top = rem - suffix_low[idx + 1]  # every later cell needs at least its low
+    if high is not None and high < top:
+        top = high
+    for k, gap in above:
+        if values[k] - gap < top:
+            top = values[k] - gap
+    for v in range(top, low - 1, -1):
+        values[idx] = v
+        _fill(out, cells, suffix_low, values, idx + 1, rem - v)
 
 
 @dataclass(frozen=True)
@@ -380,6 +371,43 @@ class SolidPartition:
             layers=_tuplify(doc["layers"]),
             dimension=int(doc.get("dimension", 3)),
         )
+
+
+def enumerate_solid_partitions(
+    kind: str, shape: Sequence[Sequence[int]], norm: int
+) -> list[SolidPartition]:
+    """Every solid partition of the kind and norm with these layer shapes.
+
+    shape[l][t] is the length of row t of layer l.  Strict solids start every
+    row at the first column and decrease strictly along all three axes.
+    Shifted solids put row t of layer l on the diagonal, at row and column
+    l + t, and decrease strictly along rows but weakly down columns and
+    through the layers.  Descending lex order of the flattened entries.
+    """
+    if kind not in ("strict", "shifted"):
+        raise ValueError(f"unknown kind {kind!r}")
+    shifted = kind == "shifted"
+    index: dict[tuple[int, int, int], int] = {}  # cell (layer, row, column)
+    for l, layer in enumerate(shape):
+        for t, width in enumerate(layer):
+            i = l + t if shifted else t
+            start = i if shifted else 0
+            for j in range(start, start + width):
+                index[(l, i, j)] = len(index)
+    down = 0 if shifted else 1  # the gap down columns and through layers
+    records = [
+        (1, None, tuple(
+            (index[cell], gap)
+            for cell, gap in (((l, i, j - 1), 1), ((l, i - 1, j), down), ((l - 1, i, j), down))
+            if cell in index
+        ))
+        for l, i, j in index
+    ]
+    out = []
+    for flat in _fillings(records, norm):
+        values = iter(flat)
+        out.append(SolidPartition(kind, tuple(_rows(values, layer) for layer in shape)))
+    return out
 
 
 def _listify(x):

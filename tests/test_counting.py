@@ -20,7 +20,7 @@ from escalier.counting import (
     max_h_2vars,
 )
 from escalier.partitions import enumerate_plane_partitions, minimal_sum, enumerate_distinct
-from escalier.qpolys import gf_shifted
+from escalier.qpolys import gf_shifted, gf_strict
 
 
 def determinant_split(p, h, k):
@@ -143,20 +143,19 @@ class TestStableCensus:
         }
         assert count_stable_3vars(1).total == 1
 
-    def test_truncation_toggle_agrees(self):
-        for p in (6, 9, 11):
-            assert count_stable_3vars(p, truncate=True).total == count_stable_3vars(
-                p, truncate=False
-            ).total
-            assert census(p, 3, STRONGLY_STABLE, truncate=False) == count_sstable_3vars(p)
-
-    def test_truncated_breakdown_matches_untruncated(self):
-        # the determinants of the truncated and of the full generating
-        # functions take different packing widths and lengths
+    def test_shape_counts_match_untruncated_gf(self):
+        # the census truncates its determinants at x^p; the full generating
+        # functions take other packing widths and lengths
         for p in range(1, 41):
-            assert census(p, 3, STABLE, truncate=False).to_json() == census(
-                p, 3, STABLE
-            ).to_json()
+            for row in census(p, 3, STABLE).rows:
+                if row.bar_list[2] < 2:
+                    continue
+                for sc in row.shapes:
+                    k = len(sc.shape)
+                    full = gf_strict(
+                        sc.shape, (0,) * k, a_vector_stable(sc.shape, p), (1,) * k, 1, 1
+                    )
+                    assert sc.count == full.coefficient(p), (p, sc.shape)
 
 
 class TestStronglyStableCensus:

@@ -1,5 +1,6 @@
 import gc
 import json
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from escalier.partitions import (
     count_Q,
     enumerate_distinct,
     enumerate_plane_partitions,
+    enumerate_solid_partitions,
     minimal_sum,
     validate,
     validate_solid,
@@ -28,6 +30,42 @@ def all_distinct_partitions(p):
             rec(rem - v, v - 1, acc + [v])
 
     rec(p, p, [])
+    return out
+
+
+def compositions(norm, parts, least):
+    """Every tuple of `parts` integers >= least summing to norm, in descending
+    lex order: the points of the box least..norm with that exact sum."""
+    free = norm - least * parts
+    if free < 0:
+        return []
+    out = []
+    for bars in combinations(range(free + parts - 1), parts - 1):
+        cuts = (-1,) + bars + (free + parts - 1,)
+        out.append(tuple(b - a - 1 + least for a, b in zip(cuts, cuts[1:])))
+    return sorted(out, reverse=True)
+
+
+def brute_plane_partitions(shape, shifted, c, d, first, last_min, norm, inner=None):
+    """The enumerator's contract as a filter: every non-negative filling of
+    the shape with this norm that validates, ends row i at >= last_min[i-1]
+    and meets the first-part bounds (exact values when shifted)."""
+    r = len(shape)
+    inner = inner or (0,) * r
+    lengths = [shape[i] - (i + 1 if shifted else inner[i] + 1) + 1 for i in range(r)]
+    out = []
+    for flat in compositions(norm, sum(lengths), 0):
+        values = iter(flat)
+        rows = tuple(tuple(next(values) for _ in range(n)) for n in lengths)
+        if any(row[-1] < m for row, m in zip(rows, last_min)):
+            continue
+        if first is not None and any(
+            row[0] != a if shifted else row[0] > a for row, a in zip(rows, first)
+        ):
+            continue
+        pp = PlanePartition(shape, rows, c, d, shifted, inner)
+        if validate(pp):
+            out.append(pp)
     return out
 
 
@@ -172,6 +210,43 @@ class TestEnumeratePlanePartitions:
             assert len(pp.rows[0]) == 2 and len(pp.rows[1]) == 2
             assert validate(pp)
 
+    def test_matches_brute_force_filter(self):
+        cases = [
+            ((1,), False, None), ((3,), False, None), ((2, 1), False, None),
+            ((2, 2), False, None), ((3, 1), False, None), ((1, 1, 1), False, None),
+            ((2,), True, None), ((2, 2), True, None), ((3, 2), True, None),
+            ((3, 3), True, None), ((3, 2), False, (1, 0)), ((3, 3), False, (2, 1)),
+        ]
+        for shape, shifted, inner in cases:
+            r = len(shape)
+            firsts = (None, tuple(4 - i for i in range(r)), tuple(2 + i for i in range(r)))
+            last_mins = ((0,) * r, (1,) * r, tuple(r - i for i in range(r)))
+            for c in (0, 1, 2):
+                for d in (0, 1):
+                    for first in firsts:
+                        for last_min in last_mins:
+                            for norm in range(8):
+                                args = (shape, shifted, c, d, first, last_min, norm, inner)
+                                expected = brute_plane_partitions(*args)
+                                assert enumerate_plane_partitions(*args) == expected, args
+
+    def test_invalid_shapes_raise_at_every_norm(self):
+        # an invalid shape used to raise only when some filling existed
+        bad = [
+            ((1, 1), True, None),
+            ((2, 3), False, None),
+            ((3, 3), False, (0, 1)),
+            ((3, 2), True, (1, 0)),
+            ((3, 2), False, (1,)),
+            ((), False, None),
+        ]
+        for shape, shifted, inner in bad:
+            for norm in (0, 1, 3, 5, 40):
+                with pytest.raises(ValueError):
+                    enumerate_plane_partitions(
+                        shape, shifted, 1, 1, None, (1,) * len(shape), norm, inner
+                    )
+
     def test_unshift_gives_strict(self):
         # drop the diagonal offsets of a shifted array: rows keep their values
         for norm in range(3, 14):
@@ -245,3 +320,42 @@ class TestSolidPartitions:
     def test_json_roundtrip(self):
         doc = json.loads(json.dumps(EX_SHIFTED_SOLID.to_json()))
         assert SolidPartition.from_json(doc) == EX_SHIFTED_SOLID
+
+
+def probe_layer_shapes(max_cells):
+    """(kind, layer shapes) pairs as the conjecture probe draws them: the
+    rows of its plane partitions of norm h <= max_cells."""
+    out = []
+    for h in range(1, max_cells + 1):
+        for k in range(1, h + 1):
+            for length in range(1, k + 1):
+                for shape in enumerate_distinct(k, length):
+                    ones = (1,) * length
+                    for pp in enumerate_plane_partitions(shape, False, 1, 1, None, ones, h):
+                        out.append(("strict", pp.rows))
+                    lam = tuple(i + part for i, part in enumerate(shape))
+                    for pp in enumerate_plane_partitions(lam, True, 1, 0, None, ones, h):
+                        out.append(("shifted", pp.rows))
+    return out
+
+
+class TestEnumerateSolidPartitions:
+    def test_matches_brute_force_filter(self):
+        for kind, shape in probe_layer_shapes(7):
+            cells = sum(sum(layer) for layer in shape)
+            for norm in range(11):
+                expected = []
+                for flat in compositions(norm, cells, 1):
+                    values = iter(flat)
+                    layers = tuple(
+                        tuple(tuple(next(values) for _ in range(n)) for n in layer)
+                        for layer in shape
+                    )
+                    solid = SolidPartition(kind, layers)
+                    if validate_solid(solid):
+                        expected.append(solid)
+                assert enumerate_solid_partitions(kind, shape, norm) == expected
+
+    def test_kind_checked(self):
+        with pytest.raises(ValueError):
+            enumerate_solid_partitions("other", ((1,),), 1)
