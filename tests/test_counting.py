@@ -23,6 +23,14 @@ from escalier.partitions import enumerate_plane_partitions, minimal_sum, enumera
 from escalier.qpolys import gf_shifted, gf_strict
 
 
+def untruncated_shape_count(shape, p):
+    """Stable count of one shape at norm p, read off the generating
+    function computed without truncation."""
+    k = len(shape)
+    full = gf_strict(shape, (0,) * k, a_vector_stable(shape, p), (1,) * k, 1, 1)
+    return full.coefficient(p)
+
+
 def determinant_split(p, h, k):
     """Per-shape strongly stable counts by the determinantal route: one
     gf_shifted per admissible first-part vector, read at x^p."""
@@ -143,7 +151,19 @@ class TestStableCensus:
         }
         assert count_stable_3vars(1).total == 1
 
-    def test_shape_counts_match_untruncated_gf(self):
+    def test_truncation_toggle_agrees(self):
+        # the census always truncates at x^p; its totals equal those read
+        # off the untruncated generating functions
+        for p in (6, 9, 11):
+            c = count_stable_3vars(p)
+            assert c.total == sum(
+                row.subtotal if row.bar_list[2] < 2
+                else sum(untruncated_shape_count(sc.shape, p) for sc in row.shapes)
+                for row in c.rows
+            )
+            assert census(p, 3, STRONGLY_STABLE) == count_sstable_3vars(p)
+
+    def test_truncated_breakdown_matches_untruncated(self):
         # the census truncates its determinants at x^p; the full generating
         # functions take other packing widths and lengths
         for p in range(1, 41):
@@ -151,11 +171,7 @@ class TestStableCensus:
                 if row.bar_list[2] < 2:
                     continue
                 for sc in row.shapes:
-                    k = len(sc.shape)
-                    full = gf_strict(
-                        sc.shape, (0,) * k, a_vector_stable(sc.shape, p), (1,) * k, 1, 1
-                    )
-                    assert sc.count == full.coefficient(p), (p, sc.shape)
+                    assert sc.count == untruncated_shape_count(sc.shape, p), (p, sc.shape)
 
 
 class TestStronglyStableCensus:
