@@ -78,8 +78,10 @@ class BarCode:
 
     @classmethod
     def from_json(cls, doc: dict) -> BarCode:
-        rows = tuple(tuple(r) for r in doc["rows"])
-        bc = cls(rows)
+        rows = doc.get("rows") if isinstance(doc, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("expected a JSON object whose rows are lists of bar lengths")
+        bc = cls(tuple(tuple(r) for r in rows))
         if "n" in doc and doc["n"] != bc.n:
             raise ValueError("declared row count does not match rows")
         if "width" in doc and doc["width"] != bc.width:

@@ -1,30 +1,29 @@
 """Constructive maps between partitions, Bar Codes, and monomial ideals, and
 the explicit listings behind the censuses.
 
-A strict plane partition of shape beta turns into a three-row Bar Code by
-reading beta as the 2-bars-per-3-bar profile and each entry as a 1-length; the
-shifted variant does the same with diagonal offsets.  Stable ideals come
-straight off the strict partition, since its star set equals its minimal
-generating set there.  In two variables the staircase construction is direct.
+A three-variable stable ideal is a row- and column-strict plane partition, and
+a strongly stable one a shifted row-strict, column-weak one.  Both classes are
+read off the rows the same way: each row is the run of 2-bars over one 3-bar,
+each entry the 1-length of one 2-bar, and the minimal generators come straight
+off the rows (one pure x3 power, one x2 corner per row, one x1 corner per
+cell), since the star set equals the minimal generating set there.  In two
+variables the staircase construction is direct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 
-from .barcode import BarCode, decode, length
-from .counting import (
-    STABLE,
-    STRONGLY_STABLE,
-    bar_lists_3vars,
-    max_h_2vars,
-)
-from .monomials import MonomialIdeal, OrderIdeal, Term, minimal_generators
+from .barcode import BarCode, length
+from .counting import STRONGLY_STABLE, _check_kind, bar_lists_3vars, max_h_2vars
+from .monomials import MonomialIdeal, Term
 from .partitions import (
     IntPartition,
     PlanePartition,
     enumerate_distinct,
     enumerate_plane_partitions,
+    validate,
 )
 
 
@@ -63,107 +62,82 @@ class IdealListing:
         return out
 
 
-def _pp_rows_strict(pp: PlanePartition) -> tuple[tuple[int, ...], ...]:
-    if pp.shifted or any(pp.inner):
-        raise ValueError("expected an unshifted straight-shape partition")
-    if any(v < 1 for row in pp.rows for v in row) or any(
-        len(row) == 0 for row in pp.rows
-    ):
+def _pp_rows(pp: PlanePartition, shifted: bool) -> tuple[tuple[int, ...], ...]:
+    """The rows of a three-variable array of the given class: unshifted row-
+    and column-strict, or shifted row-strict and column-weak, with positive
+    entries and strictly shorter rows going down; ValueError otherwise."""
+    if pp.shifted != shifted or any(pp.inner):
+        raise ValueError(f"expected a {'shifted' if shifted else 'straight unshifted'} partition")
+    if any(not row or min(row) < 1 for row in pp.rows):
         raise ValueError("entries must be positive in every row")
-    for row in pp.rows:
-        if any(a <= b for a, b in zip(row, row[1:])):
-            raise ValueError("rows must decrease strictly")
-    for up, down in zip(pp.rows, pp.rows[1:]):
-        if len(down) >= len(up):
-            raise ValueError("shape must decrease strictly")
-        if any(u <= d for u, d in zip(up, down)):
-            raise ValueError("columns must decrease strictly")
+    if any(len(up) <= len(down) for up, down in zip(pp.rows, pp.rows[1:])):
+        raise ValueError("row lengths must decrease strictly")
+    if not validate(replace(pp, c=1, d=0 if shifted else 1)):
+        columns = "weakly" if shifted else "strictly"
+        raise ValueError(f"rows must decrease strictly, columns {columns}")
     return pp.rows
+
+
+def _rows_barcode(rows: tuple[tuple[int, ...], ...]) -> BarCode:
+    """Each entry is the 1-length of a 2-bar, each row the 2-bars over a 3-bar."""
+    two_bars = tuple(v for row in rows for v in row)
+    three_bars = tuple(sum(row) for row in rows)
+    return BarCode(((1,) * sum(three_bars), two_bars, three_bars))
+
+
+def _barcode_rows(B: BarCode) -> tuple[tuple[int, ...], ...]:
+    """Inverse of _rows_barcode: the 2-bars over each 3-bar, by 1-length."""
+    if B.n != 3:
+        raise ValueError("the partition correspondences need 3 rows")
+    two_bars = iter(B.rows[1])
+    return tuple(tuple(islice(two_bars, length(B, 3, j, 2))) for j in range(1, B.mu(3) + 1))
+
+
+def _rows_ideal(rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
+    """Generators read straight off the rows: the pure x3 power, one mixed x2
+    corner per row, and one x1 corner per cell.
+
+    Rows and row lengths both decrease strictly, so no generator divides
+    another and the set is already minimal.  In a shifted array the weak
+    column rule gives rows[i-1][j+1] >= rows[i][j], so rows[i-1][j] > rows[i][j]
+    and every x3-predecessor of a corner still lies in the escalier.
+    """
+    gens = {Term((0, 0, len(rows)))}
+    for i, row in enumerate(rows):
+        gens.add(Term((0, len(row), i)))
+        gens.update(Term((v, j, i)) for j, v in enumerate(row))
+    return MonomialIdeal(frozenset(gens), 3)
 
 
 def barcode_from_strict_pp(pp: PlanePartition) -> BarCode:
     """Three-row Bar Code of a row- and column-strict positive partition."""
-    rows = _pp_rows_strict(pp)
-    two_bars = tuple(v for row in rows for v in row)
-    three_bars = tuple(sum(row) for row in rows)
-    width = sum(three_bars)
-    return BarCode(((1,) * width, two_bars, three_bars))
+    return _rows_barcode(_pp_rows(pp, shifted=False))
 
 
 def strict_pp_from_barcode(B: BarCode) -> PlanePartition:
     """Inverse of barcode_from_strict_pp; rejects codes of non-stable origin."""
-    if B.n != 3:
-        raise ValueError("the strict-partition correspondence needs 3 rows")
-    shape = []
-    rows = []
-    cursor = 0
-    for j3 in range(1, B.mu(3) + 1):
-        count = length(B, 3, j3, 2)
-        shape.append(count)
-        rows.append(tuple(B.rows[1][cursor : cursor + count]))
-        cursor += count
-    pp = PlanePartition(tuple(shape), tuple(rows), c=1, d=1, shifted=False)
-    _pp_rows_strict(pp)
+    rows = _barcode_rows(B)
+    pp = PlanePartition(tuple(map(len, rows)), rows, c=1, d=1, shifted=False)
+    _pp_rows(pp, shifted=False)
     return pp
 
 
 def ideal_from_strict_pp(pp: PlanePartition) -> MonomialIdeal:
-    """Generators read straight off the partition: the pure x3 power, one mixed
-    x2 corner per row, and one x1 corner per cell."""
-    rows = _pp_rows_strict(pp)
-    k = len(rows)
-    gens = [Term((0, 0, k))]
-    for i, row in enumerate(rows, start=1):
-        gens.append(Term((0, len(row), i - 1)))
-        for j, v in enumerate(row, start=1):
-            gens.append(Term((v, j - 1, i - 1)))
-    return MonomialIdeal.of(gens, 3)
-
-
-def _pp_rows_shifted(pp: PlanePartition) -> tuple[tuple[int, ...], ...]:
-    if not pp.shifted:
-        raise ValueError("expected a shifted partition")
-    if any(v < 1 for row in pp.rows for v in row) or any(
-        len(row) == 0 for row in pp.rows
-    ):
-        raise ValueError("entries must be positive in every row")
-    for row in pp.rows:
-        if any(a <= b for a, b in zip(row, row[1:])):
-            raise ValueError("rows must decrease strictly")
-    for i in range(1, len(pp.shape)):
-        for j in range(pp.row_start(i + 1), pp.row_end(i + 1) + 1):
-            above, below = pp.entry(i, j), pp.entry(i + 1, j)
-            if above is None or below is None or above < below:
-                raise ValueError("columns must decrease weakly inside the shape")
-    alphas = [len(row) for row in pp.rows]
-    if any(a <= b for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("row lengths must decrease strictly")
-    return pp.rows
+    """The stable ideal whose escalier has the Bar Code of pp."""
+    return _rows_ideal(_pp_rows(pp, shifted=False))
 
 
 def barcode_from_shifted_pp(pp: PlanePartition) -> BarCode:
     """Three-row Bar Code of a shifted row-strict, column-weak partition."""
-    rows = _pp_rows_shifted(pp)
-    two_bars = tuple(v for row in rows for v in row)
-    three_bars = tuple(sum(row) for row in rows)
-    width = sum(three_bars)
-    return BarCode(((1,) * width, two_bars, three_bars))
+    return _rows_barcode(_pp_rows(pp, shifted=True))
 
 
 def shifted_pp_from_barcode(B: BarCode) -> PlanePartition:
     """Inverse correspondence for strongly stable codes; shape[i] = i + alpha_i - 1."""
-    if B.n != 3:
-        raise ValueError("the shifted-partition correspondence needs 3 rows")
-    shape = []
-    rows = []
-    cursor = 0
-    for i in range(1, B.mu(3) + 1):
-        alpha = length(B, 3, i, 2)
-        shape.append(i + alpha - 1)
-        rows.append(tuple(B.rows[1][cursor : cursor + alpha]))
-        cursor += alpha
-    pp = PlanePartition(tuple(shape), tuple(rows), c=1, d=0, shifted=True)
-    _pp_rows_shifted(pp)
+    rows = _barcode_rows(B)
+    shape = tuple(i + len(row) for i, row in enumerate(rows))
+    pp = PlanePartition(shape, rows, c=1, d=0, shifted=True)
+    _pp_rows(pp, shifted=True)
     return pp
 
 
@@ -210,36 +184,26 @@ def _listing_2vars(p: int) -> list[ListedIdeal]:
 
 
 def _listing_3vars(p: int, kind: str) -> list[ListedIdeal]:
+    shifted = kind == STRONGLY_STABLE
+    code_of = barcode_from_shifted_pp if shifted else barcode_from_strict_pp
     items = []
     for (_, h, k) in bar_lists_3vars(p):
-        for shape in enumerate_distinct(h, k):
-            if kind == STABLE:
-                pps = enumerate_plane_partitions(
-                    shape, shifted=False, c=1, d=1, first=None,
-                    last_min=(1,) * k, norm=p,
-                )
-                for pp in pps:
-                    items.append(
-                        ListedIdeal(pp, barcode_from_strict_pp(pp), ideal_from_strict_pp(pp))
-                    )
-            else:
-                lam = tuple(i + 1 + shape[i] - 1 for i in range(k))
-                pps = enumerate_plane_partitions(
-                    lam, shifted=True, c=1, d=0, first=None,
-                    last_min=(1,) * k, norm=p,
-                )
-                for pp in pps:
-                    code = barcode_from_shifted_pp(pp)
-                    escalier = OrderIdeal.of(decode(code), 3)
-                    items.append(ListedIdeal(pp, code, minimal_generators(escalier)))
+        for alpha in enumerate_distinct(h, k):
+            # a shifted row i of length alpha_i ends in column i + alpha_i - 1
+            shape = tuple(i + a for i, a in enumerate(alpha)) if shifted else alpha
+            pps = enumerate_plane_partitions(
+                shape, shifted=shifted, c=1, d=0 if shifted else 1, first=None,
+                last_min=(1,) * k, norm=p,
+            )
+            for pp in pps:
+                items.append(ListedIdeal(pp, code_of(pp), _rows_ideal(pp.rows)))
     return items
 
 
 def list_ideals(p: int, n: int, kind: str) -> IdealListing:
     """Every stable / strongly stable ideal with Hilbert constant p, with the
     partition and Bar Code that produce it.  Deterministic census order."""
-    if kind not in (STABLE, STRONGLY_STABLE):
-        raise ValueError(f"unknown ideal class {kind!r}")
+    _check_kind(kind)
     if p < 1:
         raise ValueError("p must be positive")
     if n == 2:

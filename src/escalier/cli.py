@@ -123,7 +123,7 @@ def _cmd_gf(args, cfg: Config) -> int:
 def _cmd_partitions(args, cfg: Config) -> int:
     if args.action == "validate":
         doc = _read_json(args.infile)
-        if "layers" in doc:
+        if isinstance(doc, dict) and "layers" in doc:
             ok = partitions.validate_solid(partitions.SolidPartition.from_json(doc))
         else:
             ok = partitions.validate(partitions.PlanePartition.from_json(doc))
@@ -210,6 +210,7 @@ def _cmd_check_stability(args, cfg: Config) -> int:
 
 def _cmd_verify(args, cfg: Config) -> int:
     kind = _kind(args.klass)
+    oracle.check_size(args.vars, args.max_p)
     rows = []
     ok = True
     for p in range(1, args.max_p + 1):

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .barcode import bar_list, encode
-from .counting import STABLE, STRONGLY_STABLE
+from .counting import STABLE, _check_kind
 from .monomials import (
     MonomialIdeal,
     OrderIdeal,
@@ -50,6 +50,15 @@ def oracle_cap(n: int) -> int:
     if env is not None:
         return int(env)
     return DEFAULT_CAPS.get(n, 6)
+
+
+def check_size(n: int, p: int, cap: int | None = None) -> None:
+    """ValueError unless 1 <= p <= the enumeration cap for n >= 1 variables."""
+    if n < 1 or p < 1:
+        raise ValueError("need n >= 1 and p >= 1")
+    limit = cap if cap is not None else oracle_cap(n)
+    if p > limit:
+        raise ValueError(f"p={p} exceeds the n={n} enumeration cap {limit}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +133,7 @@ def _as_terms(vectors, term_of: dict) -> frozenset[Term]:
 def enumerate_order_ideals(n: int, p: int, cap: int | None = None) -> EscalierEnumeration:
     """Every order ideal of cardinality p in n variables, exactly once, with
     the minimal generators of the ideal it is the escalier of."""
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
-    limit = cap if cap is not None else oracle_cap(n)
-    if p > limit:
-        raise ValueError(f"p={p} exceeds the n={n} enumeration cap {limit}")
+    check_size(n, p, cap)
     leaves = _canonical_growth(n, p)
     term_of: dict[tuple[int, ...], Term] = {}
     items = tuple(OrderIdeal(_as_terms(terms, term_of), n) for terms, _ in leaves)
@@ -139,8 +144,7 @@ def enumerate_order_ideals(n: int, p: int, cap: int | None = None) -> EscalierEn
 
 
 def _stability_test(kind: str):
-    if kind not in (STABLE, STRONGLY_STABLE):
-        raise ValueError(f"unknown ideal class {kind!r}")
+    _check_kind(kind)
     return is_stable if kind == STABLE else is_strongly_stable
 
 

@@ -181,14 +181,30 @@ class PlanePartition:
 
     @classmethod
     def from_json(cls, doc: dict) -> PlanePartition:
+        _json_object(doc, "shape", "rows", "c", "d")
         return cls(
-            shape=tuple(doc["shape"]),
-            rows=tuple(tuple(r) for r in doc["rows"]),
-            c=int(doc["c"]),
-            d=int(doc["d"]),
+            shape=_json_ints(doc["shape"], 1),
+            rows=_json_ints(doc["rows"], 2),
+            c=_json_ints(doc["c"], 0),
+            d=_json_ints(doc["d"], 0),
             shifted=bool(doc.get("shifted", False)),
-            inner=tuple(doc.get("inner", ())),
+            inner=_json_ints(doc.get("inner", ()), 1),
         )
+
+
+def _json_object(doc, *keys: str) -> None:
+    """ValueError unless doc is a JSON object holding every key."""
+    if not isinstance(doc, dict) or any(k not in doc for k in keys):
+        raise ValueError(f"expected a JSON object with the keys {', '.join(keys)}")
+
+
+def _json_ints(value, depth: int):
+    """value as tuples of integers nested depth deep; ValueError otherwise."""
+    if depth == 0 and isinstance(value, int):
+        return value
+    if depth > 0 and isinstance(value, (list, tuple)):
+        return tuple(_json_ints(v, depth - 1) for v in value)
+    raise ValueError(f"expected {'lists of ' * depth}integers, got {value!r}")
 
 
 def _checked_inner(shape: tuple[int, ...], inner: tuple[int, ...], shifted: bool) -> tuple[int, ...]:
@@ -366,10 +382,11 @@ class SolidPartition:
 
     @classmethod
     def from_json(cls, doc: dict) -> SolidPartition:
+        _json_object(doc, "kind", "layers")
         return cls(
             kind=doc["kind"],
             layers=_tuplify(doc["layers"]),
-            dimension=int(doc.get("dimension", 3)),
+            dimension=_json_ints(doc.get("dimension", 3), 0),
         )
 
 

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escalier.barcode import bar_list, decode, encode, length
 from escalier.bijections import (
+    _rows_ideal,
     barcode_from_partition_2vars,
     barcode_from_shifted_pp,
     barcode_from_strict_pp,
@@ -341,3 +344,98 @@ class TestListings:
         ):
             assert census(p, 3, kind).total == expect
             assert len(list_ideals(p, 3, kind)) == expect
+
+
+def decode_route(code):
+    """The ideal whose escalier is the decoded Bar Code, rebuilt from its border."""
+    return minimal_generators(OrderIdeal.of(decode(code), 3))
+
+
+@st.composite
+def three_variable_arrays(draw, shifted, max_cells=30):
+    """A random strict (or shifted) array: positive entries, strictly shorter
+    rows going down, rows strictly decreasing and columns strictly (weakly)
+    decreasing.  Filled from the last cell back, each entry at least its bound."""
+    lengths = sorted(
+        draw(st.sets(st.integers(1, 9), min_size=1, max_size=5)), reverse=True
+    )
+    while sum(lengths) > max_cells:
+        lengths.pop()
+    start = [i if shifted else 0 for i in range(len(lengths))]
+    value = {}
+    for i in reversed(range(len(lengths))):
+        for j in reversed(range(start[i], start[i] + lengths[i])):
+            low = value.get((i, j + 1), 0) + 1
+            if (i + 1, j) in value:
+                low = max(low, value[(i + 1, j)] + (0 if shifted else 1))
+            value[(i, j)] = low + draw(st.integers(0, 2))
+    rows = tuple(
+        tuple(value[(i, j)] for j in range(start[i], start[i] + lengths[i]))
+        for i in range(len(lengths))
+    )
+    if shifted:
+        shape = tuple(i + n for i, n in enumerate(lengths))
+        return PlanePartition(shape, rows, c=1, d=0, shifted=True)
+    return PlanePartition(tuple(lengths), rows, c=1, d=1)
+
+
+class TestRowReading:
+    @pytest.mark.parametrize("kind", [STABLE, STRONGLY_STABLE])
+    def test_listing_matches_decode_route(self, kind):
+        for p in range(1, 17):
+            for item in list_ideals(p, 3, kind).items:
+                assert item.ideal == decode_route(item.barcode)
+
+    @settings(deadline=None)
+    @given(st.booleans().flatmap(three_variable_arrays))
+    def test_partition_barcode_ideal_roundtrip(self, pp):
+        shifted = pp.shifted
+        to_code, from_code = (
+            (barcode_from_shifted_pp, shifted_pp_from_barcode) if shifted
+            else (barcode_from_strict_pp, strict_pp_from_barcode)
+        )
+        code = to_code(pp)
+        ideal = _rows_ideal(pp.rows)
+        if not shifted:
+            assert ideal_from_strict_pp(pp) == ideal
+        assert ideal == decode_route(code)
+        assert (is_strongly_stable if shifted else is_stable)(ideal)
+        N = escalier(ideal)
+        assert len(N) == pp.norm
+        assert encode(N.terms) == code
+        assert from_code(code) == pp
+
+
+class TestValidator:
+    # One case per rejection reason.  Shifted rows cannot fail the length
+    # rule: row i ends in column shape[i] and starts in column i, so a weakly
+    # decreasing shape already shortens every row by at least one cell.
+    @pytest.mark.parametrize("pp, reason", [
+        (shifted_pp((2, 2), [(3, 2), (1,)]), "expected a straight unshifted"),
+        (PlanePartition((3, 2), ((3, 1), (1,)), c=1, d=1, inner=(1, 1)),
+         "expected a straight unshifted"),
+        (strict_pp((2, 0), [(2, 1), ()]), "positive"),
+        (strict_pp((2, 1), [(2, 0), (1,)]), "positive"),
+        (strict_pp((2, 2), [(4, 3), (2, 1)]), "row lengths"),
+        (strict_pp((2, 1), [(3, 3), (1,)]), "rows must decrease strictly"),
+        (strict_pp((2, 1), [(3, 1), (3,)]), "columns strictly"),
+    ])
+    def test_strict_rejections(self, pp, reason):
+        with pytest.raises(ValueError, match=reason):
+            barcode_from_strict_pp(pp)
+        with pytest.raises(ValueError, match=reason):
+            ideal_from_strict_pp(pp)
+
+    @pytest.mark.parametrize("pp, reason", [
+        (strict_pp((2, 1), [(3, 1), (2,)]), "expected a shifted"),
+        (shifted_pp((2, 2), [(3, 0), (1,)]), "positive"),
+        (shifted_pp((2, 2), [(2, 2), (1,)]), "rows must decrease strictly"),
+        (shifted_pp((2, 2), [(3, 1), (2,)]), "columns weakly"),
+    ])
+    def test_shifted_rejections(self, pp, reason):
+        with pytest.raises(ValueError, match=reason):
+            barcode_from_shifted_pp(pp)
+
+    def test_shifted_columns_may_repeat(self):
+        pp = shifted_pp((2, 2), [(3, 2), (2,)])
+        assert shifted_pp_from_barcode(barcode_from_shifted_pp(pp)) == pp

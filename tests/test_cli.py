@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -192,6 +193,38 @@ class TestBarcode:
         assert run(["barcode", "check", "--in", str(path)]) == 2
 
 
+class TestMalformedDocuments:
+    # A document of the wrong shape is an error (exit 2), never a "not valid"
+    # or "not admissible" answer (exit 1) or a traceback.
+    @pytest.mark.parametrize("argv, doc", [
+        (["partitions", "validate"], [1, 2]),
+        (["partitions", "validate"], None),
+        (["partitions", "validate"], {"shape": [2]}),
+        (["partitions", "validate"],
+         {"shape": [2], "rows": [["a", "b"]], "c": 1, "d": 1}),
+        (["partitions", "validate"], {"shape": [2], "rows": [2, 1], "c": 1, "d": 1}),
+        (["partitions", "validate"], {"shape": [2], "rows": [[2, 1]], "c": [1], "d": 1}),
+        (["partitions", "validate"], {"kind": "strict", "layers": [[[1]]], "dimension": [3]}),
+        (["barcode", "decode"], [1]),
+        (["barcode", "render"], {"n": 3}),
+        (["barcode", "check"], {"rows": [1]}),
+    ])
+    def test_file_exit_2(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(argv + ["--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_stdin_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('"x"'))
+        assert run(["barcode", "check", "--in", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestTermSets:
     def test_starset_json(self, capsys):
         assert run(["starset", "1", "x1", "x2", "x3", "--vars", "3",
@@ -234,6 +267,18 @@ class TestVerifyAndConjecture:
         doc = json.loads(out_of(capsys))
         assert doc["ok"] is True
         assert len(doc["rows"]) == 6
+
+    @pytest.mark.parametrize("vars_, max_p", [(2, 25), (3, 13), (2, 0)])
+    def test_verify_checks_max_p_first(self, capsys, monkeypatch, vars_, max_p):
+        def no_work(*args):
+            raise AssertionError("counted before checking --max-p")
+        monkeypatch.setattr("escalier.counting.census", no_work)
+        monkeypatch.setattr("escalier.counting.count_2vars", no_work)
+        assert run(["verify", "--vars", str(vars_), "--max-p", str(max_p),
+                    "--class", "stable"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_conjecture_report(self, capsys):
         assert run(["conjecture", "--hilbert", "4", "--class", "stable"]) == 0
