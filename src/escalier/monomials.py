@@ -315,16 +315,20 @@ def escalier(I: MonomialIdeal) -> OrderIdeal:
     return OrderIdeal(frozenset(terms), I.n)
 
 
-def _stability_moves(t: Term, n: int, strongly: bool) -> Iterator[Term]:
-    if t.is_unit():
-        return
-    if strongly:
-        sources = [i for i in range(1, n + 1) if t.deg(i) > 0]
-    else:
-        sources = [min_var(t)]
-    for i in sources:
-        for j in range(i + 1, n + 1):
-            yield t.predecessor(i).times_var(j)
+def _stability_moves(e: tuple[int, ...], strongly: bool) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of the moves tau*x_j/x_i, x_j > x_i, asked of tau = x^e.
+
+    A stable ideal needs them from x_i = min(tau) only, a strongly stable one
+    from every x_i dividing tau.  The unit has none.
+    """
+    n = len(e)
+    for i in range(n):
+        if e[i]:
+            down = e[:i] + (e[i] - 1,) + e[i + 1:]
+            for j in range(i + 1, n):
+                yield down[:j] + (down[j] + 1,) + down[j + 1:]
+            if not strongly:
+                return
 
 
 def is_stable(I: MonomialIdeal) -> bool:
@@ -332,7 +336,9 @@ def is_stable(I: MonomialIdeal) -> bool:
     if not I.generators:
         raise ValueError("empty generator set")
     return all(
-        moved in I for g in I.generators for moved in _stability_moves(g, I.n, False)
+        Term(moved) in I
+        for g in I.generators
+        for moved in _stability_moves(g.exponents, False)
     )
 
 
@@ -341,5 +347,7 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
     if not I.generators:
         raise ValueError("empty generator set")
     return all(
-        moved in I for g in I.generators for moved in _stability_moves(g, I.n, True)
+        Term(moved) in I
+        for g in I.generators
+        for moved in _stability_moves(g.exponents, True)
     )

@@ -12,6 +12,15 @@ growth carries its corner set, updated by a few terms per step, so the
 enumeration hands every order ideal over together with its generators and the
 stability tests need no border rebuilt.
 
+The definitional counts grow only the class they count.  Removing the
+Lex-maximum m of a (strongly) stable order ideal N leaves one: m divides no
+other term of N, and every move tau*x_j/x_i with j > i raises the Lex key, so
+the moves of m lie outside N, in the ideal already.  A child outside the class
+therefore has no descendant inside it and is dropped as soon as it is grown.
+Whether it belongs is a set lookup per stability move of each corner, since a
+move lies in the ideal exactly when it is not one of the node's terms.  Each
+survivor is still counted only after the public stability test accepts it.
+
 The probe compares per-bar-list definitional counts against brute-force counts
 of strict / shifted solid partitions, which `partitions` enumerates layer shape
 by layer shape.  It records evidence about the n = 4 correspondence; it proves
@@ -30,6 +39,7 @@ from .monomials import (
     MonomialIdeal,
     OrderIdeal,
     Term,
+    _stability_moves,
     is_stable,
     is_strongly_stable,
 )
@@ -46,10 +56,16 @@ _CAP_ENV_PREFIX = "ESCALIER_ORACLE_CAP_N"
 
 def oracle_cap(n: int) -> int:
     """Enumeration cap for n variables; override via ESCALIER_ORACLE_CAP_N<n>."""
-    env = os.environ.get(f"{_CAP_ENV_PREFIX}{n}")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAPS.get(n, 6)
+    name = f"{_CAP_ENV_PREFIX}{n}"
+    env = os.environ.get(name)
+    if env is None:
+        return DEFAULT_CAPS.get(n, 6)
+    try:
+        if int(env) >= 1:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a positive integer, not {env!r}")
 
 
 def check_size(n: int, p: int, cap: int | None = None) -> None:
@@ -103,13 +119,28 @@ def _grown_corners(
     return frozenset(grown)
 
 
-def _canonical_growth(n: int, p: int) -> list[tuple[frozenset, frozenset]]:
-    """(terms, corners) of every order ideal of size p as exponent vectors.
+def _in_class(
+    terms: frozenset[tuple[int, ...]], corners: frozenset[tuple[int, ...]], strongly: bool
+) -> bool:
+    """Whether the ideal with these corners as generators is (strongly)
+    stable: every move of a corner lies in it, i.e. outside terms."""
+    return not any(
+        moved in terms for c in corners for moved in _stability_moves(c, strongly)
+    )
+
+
+def _canonical_growth(
+    n: int, p: int, strongly: bool | None = None
+) -> list[tuple[frozenset, frozenset]]:
+    """(terms, corners) of every order ideal of size p as exponent vectors,
+    or with strongly set only of those whose ideal is strongly stable (True)
+    or stable (False).
 
     Level by level, each node (terms, Lex-maximum, corners) gets one child per
     corner Lex-greater than its maximum, in Lex order, so the last level comes
     out in the depth-first order of the growth tree and no recursion depth
-    grows with p.
+    grows with p.  A child outside the class is dropped at once: it has no
+    descendant inside it.
     """
     unit = (0,) * n
     firsts = frozenset(unit[:i] + (1,) + unit[i + 1:] for i in range(n))
@@ -120,7 +151,9 @@ def _canonical_growth(n: int, p: int) -> list[tuple[frozenset, frozenset]]:
             floor = _lex(top)
             for g in sorted((c for c in corners if _lex(c) > floor), key=_lex):
                 grown = terms | {g}
-                nxt.append((grown, g, _grown_corners(corners, grown, g)))
+                grown_corners = _grown_corners(corners, grown, g)
+                if strongly is None or _in_class(grown, grown_corners, strongly):
+                    nxt.append((grown, g, grown_corners))
         level = nxt
     return [(terms, corners) for terms, _, corners in level]
 
@@ -130,11 +163,20 @@ def _as_terms(vectors, term_of: dict) -> frozenset[Term]:
     return frozenset({term_of.get(e) or term_of.setdefault(e, Term(e)) for e in vectors})
 
 
-def enumerate_order_ideals(n: int, p: int, cap: int | None = None) -> EscalierEnumeration:
+def enumerate_order_ideals(
+    n: int, p: int, cap: int | None = None, kind: str | None = None
+) -> EscalierEnumeration:
     """Every order ideal of cardinality p in n variables, exactly once, with
-    the minimal generators of the ideal it is the escalier of."""
+    the minimal generators of the ideal it is the escalier of.
+
+    With kind STABLE or STRONGLY_STABLE only the escaliers of ideals in that
+    class are grown and listed; they come in the order of the full
+    enumeration.
+    """
+    if kind is not None:
+        _check_kind(kind)
     check_size(n, p, cap)
-    leaves = _canonical_growth(n, p)
+    leaves = _canonical_growth(n, p, None if kind is None else kind != STABLE)
     term_of: dict[tuple[int, ...], Term] = {}
     items = tuple(OrderIdeal(_as_terms(terms, term_of), n) for terms, _ in leaves)
     generators = tuple(
@@ -149,9 +191,11 @@ def _stability_test(kind: str):
 
 
 def count_by_definition(n: int, p: int, kind: str, cap: int | None = None) -> int:
-    """Definitional census: filter the full enumeration by the stability test."""
+    """Definitional census: the escaliers grown in the class, each counted
+    once it passes the public stability test."""
     passes = _stability_test(kind)
-    return sum(1 for gens in enumerate_order_ideals(n, p, cap).generators if passes(gens))
+    en = enumerate_order_ideals(n, p, cap, kind)
+    return sum(1 for gens in en.generators if passes(gens))
 
 
 def census_by_definition(
@@ -159,7 +203,7 @@ def census_by_definition(
 ) -> Counter:
     """Counts keyed by the bar list of each surviving escalier's Bar Code."""
     passes = _stability_test(kind)
-    en = enumerate_order_ideals(n, p, cap)
+    en = enumerate_order_ideals(n, p, cap, kind)
     per: Counter = Counter()
     for N, gens in zip(en.items, en.generators):
         if passes(gens):

@@ -280,6 +280,16 @@ class TestVerifyAndConjecture:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_verify_bad_cap_override_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", value)
+        assert run(["verify", "--vars", "3", "--max-p", "3",
+                    "--class", "stable"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "ESCALIER_ORACLE_CAP_N3" in captured.err
+
     def test_conjecture_report(self, capsys):
         assert run(["conjecture", "--hilbert", "4", "--class", "stable"]) == 0
         out = out_of(capsys)

@@ -3,8 +3,15 @@ import gc
 import pytest
 
 from escalier.barcode import bar_list, encode, is_admissible, length
-from escalier.counting import STABLE, STRONGLY_STABLE
-from escalier.monomials import Term, corner_terms, is_stable, minimal_generators, term
+from escalier.counting import STABLE, STRONGLY_STABLE, census, count_2vars
+from escalier.monomials import (
+    Term,
+    corner_terms,
+    is_stable,
+    is_strongly_stable,
+    minimal_generators,
+    term,
+)
 from escalier.oracle import (
     census_by_definition,
     conjecture_probe,
@@ -87,6 +94,8 @@ class TestEnumeration:
             assert gc.collect() == 0
             count_by_definition(3, 8, STABLE)
             assert gc.collect() == 0
+            count_by_definition(3, 12, STRONGLY_STABLE)
+            assert gc.collect() == 0
         finally:
             if enabled:
                 gc.enable()
@@ -106,6 +115,42 @@ class TestEnumeration:
         assert oracle_cap(3) == 5
         with pytest.raises(ValueError):
             enumerate_order_ideals(3, 6)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+    def test_bad_env_override(self, monkeypatch, value):
+        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", value)
+        with pytest.raises(ValueError, match="ESCALIER_ORACLE_CAP_N3 must be a positive"):
+            oracle_cap(3)
+
+
+class TestClassGrowth:
+    """The growth pruned to a class against the full growth filtered by the
+    public stability tests."""
+
+    @pytest.mark.parametrize("n, max_p", [(2, 20), (3, 12), (4, 8)])
+    def test_matches_filtered_full_enumeration(self, n, max_p):
+        for p in range(1, max_p + 1):
+            full = enumerate_order_ideals(n, p, cap=max_p)
+            for kind, test in ((STABLE, is_stable), (STRONGLY_STABLE, is_strongly_stable)):
+                pruned = enumerate_order_ideals(n, p, cap=max_p, kind=kind)
+                expected = [
+                    (N, gens) for N, gens in zip(full.items, full.generators) if test(gens)
+                ]
+                assert list(zip(pruned.items, pruned.generators)) == expected, (p, kind)
+                assert len(pruned) == len(expected)
+
+    @pytest.mark.parametrize("kind", [STABLE, STRONGLY_STABLE])
+    def test_three_vars_match_census_beyond_the_cap(self, kind):
+        for p in range(1, 21):
+            assert count_by_definition(3, p, kind, cap=20) == census(p, 3, kind).total, p
+
+    def test_two_vars_match_count_2vars(self):
+        for p in range(1, 31):
+            assert count_by_definition(2, p, STABLE, cap=30) == count_2vars(p), p
+
+    def test_unknown_class(self):
+        with pytest.raises(ValueError):
+            enumerate_order_ideals(2, 3, kind="borel")
 
 
 class TestDefinitionalCounts:
