@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
-from xml.sax.saxutils import escape
 
 from .monomials import Term, format_term, p_operator
 
@@ -191,6 +190,15 @@ def _render_ascii(B: BarCode, labels: bool) -> str:
 _CELL_W, _ROW_H, _PAD = 30, 24, 10
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, like ``xml.sax.saxutils.escape``.
+
+    Importing ``xml.sax.saxutils`` pulls in ``urllib`` and ``email``, which
+    every CLI request would pay for through the package ``__init__``.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _render_svg(B: BarCode, labels: bool) -> str:
     width = B.width * _CELL_W + 2 * _PAD
     top = _ROW_H if labels else 0
@@ -204,7 +212,7 @@ def _render_svg(B: BarCode, labels: bool) -> str:
             x = _PAD + col * _CELL_W + _CELL_W // 2
             parts.append(
                 f'<text x="{x}" y="{_ROW_H - 8}" font-size="10" '
-                f'text-anchor="middle">{escape(format_term(t))}</text>'
+                f'text-anchor="middle">{_escape(format_term(t))}</text>'
             )
     for i, row in enumerate(B.rows, start=1):
         y = top + i * _ROW_H - _ROW_H // 2

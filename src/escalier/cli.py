@@ -1,7 +1,9 @@
 """Command-line entry point wiring every subsystem together.
 
-One binary, subcommand style.  JSON mode emits a single document on stdout;
-text mode prints tables shaped like the ones people actually diff against.
+One binary, subcommand style.  JSON mode emits a single document on stdout,
+whose bytes are those of ``json.dumps(doc, indent=2)`` plus a newline; it is
+streamed, a top-level list one item at a time.  Text mode prints tables shaped
+like the ones people actually diff against.
 Errors land on stderr with exit code 2; negative check results (a code that is
 not admissible, an ideal that is not stable, a verification mismatch) exit 1.
 """
@@ -10,8 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built; importing
+# it with the module keeps that start-up cost out of run().
+import locale  # noqa: F401
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import barcode as bc
 from . import bijections, counting, oracle, partitions, starset
@@ -41,8 +47,61 @@ def _emit(cfg: Config, text: str) -> None:
         print(text)
 
 
+# ``json.dumps`` with any ``indent`` falls back to the pure-Python encoder,
+# which joins one small chunk per token.  Here ints print by ``int.__repr__``,
+# as in that encoder, and the other scalars go through the C encoder.
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for ``obj`` nested where lines start with ``pad``.
+
+    Dict keys must be ``str``: any other key raises ``TypeError`` (``json``
+    would coerce it, and no CLI document has one).
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        # exact types: a bool, which prints as true/false, is not an int here
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(_encode_str, obj)
+        else:
+            items = [_indented(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + _indented(v, inner) for k, v in obj.items()
+        ]) + pad + "}"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    return _encode_scalar(obj)
+
+
+def _json_chunks(doc):
+    """Yield ``json.dumps(doc, indent=2) + "\\n"``, a top-level list item by item."""
+    if isinstance(doc, (list, tuple)) and doc:
+        sep = "[\n  "
+        for item in doc:
+            yield sep + _indented(item, "\n  ")
+            sep = ",\n  "
+        yield "\n]\n"
+    else:
+        yield _indented(doc, "\n") + "\n"
+
+
 def _emit_json(cfg: Config, doc) -> None:
-    _emit(cfg, json.dumps(doc, indent=2, sort_keys=False))
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.writelines(_json_chunks(doc))
+    else:
+        sys.stdout.writelines(_json_chunks(doc))
 
 
 def _parse_terms(raw: list[str], vars_: int | None) -> list[Term]:

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from escalier import barcode
 from escalier.barcode import (
     BarCode,
     bar_list,
@@ -215,6 +216,16 @@ class TestRender:
             code = random_barcode(rng, rng.randint(1, 3), 8)
             root = ET.fromstring(render(code, "svg", labels=True))
             assert root.tag.endswith("svg")
+
+    def test_svg_label_escaping_matches_saxutils(self, monkeypatch):
+        from xml.sax.saxutils import escape
+
+        label = "a&b<c>d&amp;"
+        monkeypatch.setattr(barcode, "format_term", lambda t: label)
+        svg = render(FIVE_CODE, "svg", labels=True)
+        assert f'text-anchor="middle">{escape(label)}</text>' in svg
+        texts = [el.text for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+        assert texts == [label] * FIVE_CODE.width
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from escalier import cli
 from escalier.cli import run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -295,6 +298,94 @@ class TestVerifyAndConjecture:
         out = out_of(capsys)
         assert "bar list | ideals | partitions | status" in out
         assert out.endswith("all agree")
+
+
+def _json_documents():
+    scalars = (st.none() | st.booleans()
+               | st.integers(min_value=-2**70, max_value=2**70)
+               | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+    return st.recursive(
+        scalars,
+        lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                      | st.dictionaries(st.text(), kids)),
+        max_leaves=30,
+    )
+
+
+class TestIndentedJson:
+    # The CLI's writer must give exactly the bytes of json.dumps(doc, indent=2).
+    @settings(deadline=None, max_examples=300)
+    @given(_json_documents())
+    def test_matches_json_dumps(self, doc):
+        assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        [[True, False], [1, True], [0, 1], ["a", True], [None, 1], [1.5, 2]],
+        ["caf\u00e9", "\x00\n\"\\", "\ud83d\ude00"],
+        {"": [], "k": {}, "nan": [float("nan"), float("-inf")], "big": [2**64, -2**65]},
+        (), [], {}, 7, "x",
+    ])
+    def test_fixed_documents(self, doc):
+        assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [{1: 2}, [{"a": {(1, 2): 3}}], {None: []}])
+    def test_non_str_key_raises(self, doc):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(doc))
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--vars", "3", "--hilbert", "10", "--class", "stable"],
+        ["count", "--vars", "3", "--hilbert", "10", "--class", "strongly-stable",
+         "--breakdown"],
+        ["list", "--vars", "2", "--hilbert", "6", "--class", "stable"],
+        ["list", "--vars", "3", "--hilbert", "6", "--class", "strongly-stable"],
+        ["list", "--vars", "3", "--hilbert", "6", "--class", "stable"],
+        ["verify", "--vars", "3", "--max-p", "5", "--class", "stable"],
+        ["gf", "shifted", "--shape", "3,3,3", "--a", "6,3,1", "--b", "1,1,1",
+         "--c", "1", "--d", "0"],
+        ["conjecture", "--hilbert", "4", "--class", "strongly-stable"],
+        ["partitions", "enumerate", "--shape", "2,1", "--a", "4,3",
+         "--b", "1,1", "--norm", "8"],
+        ["barcode", "encode", "1", "x1", "x2", "x3", "--vars", "3"],
+        ["barcode", "decode", "--in", "CODE"],
+        ["barcode", "check", "--in", "CODE"],
+        ["starset", "1", "x1", "x2", "x3", "--vars", "3"],
+        ["pommaret", "1", "x1", "x2", "--vars", "3"],
+        ["check-stable", "x1^2", "x1*x2", "x2^2", "--vars", "2"],
+        ["check-strongly-stable", "x1^2", "x2", "--vars", "2"],
+    ])
+    def test_cli_output_is_json_dumps_indent_2(self, tmp_path, capsys, argv):
+        code = tmp_path / "code.json"
+        code.write_text(json.dumps(EX_47_CODE))
+        argv = [str(code) if a == "CODE" else a for a in argv]
+        assert run(argv + ["--format", "json"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        argv = ["list", "--vars", "2", "--hilbert", "12", "--class", "stable",
+                "--format", "json"]
+        target = tmp_path / "listing.json"
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert run(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+
+def test_cli_import_skips_network_and_xml_modules():
+    # barcode escapes SVG labels itself: xml.sax.saxutils would pull in
+    # urllib.request, http.client, email and ssl on every CLI start-up.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    heavy = ("xml.sax", "http.client", "email", "ssl")
+    code = ("import sys, escalier.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def run_declared_script(args, cwd):
