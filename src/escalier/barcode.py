@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .monomials import Term, format_term, p_operator
@@ -29,7 +30,7 @@ class BarCode:
         if not self.rows:
             raise ValueError("a Bar Code needs at least one row")
         for row in self.rows:
-            if not row or any(not isinstance(x, int) or x < 1 for x in row):
+            if not row or any(type(x) is not int or x < 1 for x in row):
                 raise ValueError(f"bar lengths must be positive integers: {row}")
         width = sum(self.rows[0])
         if any(sum(row) != width for row in self.rows):
@@ -46,7 +47,7 @@ class BarCode:
 
     @property
     def width(self) -> int:
-        return sum(self.rows[0])
+        return len(self.rows[0])  # row 1 holds unit bars
 
     def mu(self, i: int) -> int:
         """Number of bars in row i."""
@@ -57,8 +58,15 @@ class BarCode:
             raise ValueError(f"row index {i} out of range 1..{self.n}")
         return self.rows[i - 1]
 
+    @cached_property
+    def _offsets(self) -> tuple[tuple[int, ...], ...]:
+        """The start column of every bar, row by row, built on the first query
+        and kept in the instance dict, outside the dataclass fields."""
+        return tuple(map(_starts, self.rows))
+
     def _starts(self, i: int) -> tuple[int, ...]:
-        return _starts(self._row(i))
+        self._row(i)  # range check
+        return self._offsets[i - 1]
 
     def bar_of_column(self, i: int, col: int) -> int:
         """1-based index of the i-bar covering 0-based column col."""
@@ -81,9 +89,9 @@ class BarCode:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("expected a JSON object whose rows are lists of bar lengths")
         bc = cls(tuple(tuple(r) for r in rows))
-        if "n" in doc and doc["n"] != bc.n:
+        if "n" in doc and (type(doc["n"]) is not int or doc["n"] != bc.n):
             raise ValueError("declared row count does not match rows")
-        if "width" in doc and doc["width"] != bc.width:
+        if "width" in doc and (type(doc["width"]) is not int or doc["width"] != bc.width):
             raise ValueError("declared width does not match rows")
         return bc
 

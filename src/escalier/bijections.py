@@ -183,19 +183,25 @@ def _listing_2vars(p: int) -> list[ListedIdeal]:
     return items
 
 
-def _listing_3vars(p: int, kind: str) -> list[ListedIdeal]:
+def _class_arrays(alpha: IntPartition, kind: str, norm: int) -> list[PlanePartition]:
+    """The arrays of the class for the distinct-part shape alpha and this
+    norm, with every last part at least 1: unshifted row- and column-strict
+    for the stable class, shifted row-strict and column-weak otherwise."""
     shifted = kind == STRONGLY_STABLE
-    code_of = barcode_from_shifted_pp if shifted else barcode_from_strict_pp
+    # a shifted row i of length alpha_i ends in column i + alpha_i - 1
+    shape = tuple(i + a for i, a in enumerate(alpha)) if shifted else alpha
+    return enumerate_plane_partitions(
+        shape, shifted=shifted, c=1, d=0 if shifted else 1, first=None,
+        last_min=(1,) * len(alpha), norm=norm,
+    )
+
+
+def _listing_3vars(p: int, kind: str) -> list[ListedIdeal]:
+    code_of = barcode_from_shifted_pp if kind == STRONGLY_STABLE else barcode_from_strict_pp
     items = []
     for (_, h, k) in bar_lists_3vars(p):
         for alpha in enumerate_distinct(h, k):
-            # a shifted row i of length alpha_i ends in column i + alpha_i - 1
-            shape = tuple(i + a for i, a in enumerate(alpha)) if shifted else alpha
-            pps = enumerate_plane_partitions(
-                shape, shifted=shifted, c=1, d=0 if shifted else 1, first=None,
-                last_min=(1,) * k, norm=p,
-            )
-            for pp in pps:
+            for pp in _class_arrays(alpha, kind, p):
                 items.append(ListedIdeal(pp, code_of(pp), _rows_ideal(pp.rows)))
     return items
 

@@ -1,9 +1,12 @@
 """Command-line entry point wiring every subsystem together.
 
-One binary, subcommand style.  JSON mode emits a single document on stdout,
-whose bytes are those of ``json.dumps(doc, indent=2)`` plus a newline; it is
-streamed, a top-level list one item at a time.  Text mode prints tables shaped
-like the ones people actually diff against.
+One binary, subcommand style.  Each subcommand's parser names its handler,
+which reads ``args.format`` and ``args.out`` and hands its answer to one
+writer, ``_write``: to the ``--out`` file, or to stdout.  JSON mode emits a
+single document, whose bytes are those of ``json.dumps(doc, indent=2)`` plus a
+newline; it is streamed, a top-level list one item at a time.  Text mode
+prints tables shaped like the ones people actually diff against, plus a
+newline.
 Errors land on stderr with exit code 2; negative check results (a code that is
 not admissible, an ideal that is not stable, a verification mismatch) exit 1.
 """
@@ -16,7 +19,6 @@ import json
 # it with the module keeps that start-up cost out of run().
 import locale  # noqa: F401
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import barcode as bc
@@ -33,18 +35,16 @@ from .monomials import (
 from .qpolys import gf_shifted, gf_strict
 
 
-@dataclass
-class Config:
-    fmt: str = "text"
-    out: str | None = None
+def _write(args, chunks) -> None:
+    """Write the chunks of an answer to the ``--out`` file, or to stdout.
 
-
-def _emit(cfg: Config, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+    Text goes in as ``(text, "\\n")``, a JSON document as ``_json_chunks(doc)``.
+    """
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
 
 
 # ``json.dumps`` with any ``indent`` falls back to the pure-Python encoder,
@@ -96,14 +96,6 @@ def _json_chunks(doc):
         yield _indented(doc, "\n") + "\n"
 
 
-def _emit_json(cfg: Config, doc) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.writelines(_json_chunks(doc))
-    else:
-        sys.stdout.writelines(_json_chunks(doc))
-
-
 def _parse_terms(raw: list[str], vars_: int | None) -> list[Term]:
     if not raw:
         raise ValueError("no terms given")
@@ -130,41 +122,43 @@ def _read_json(path: str | None):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_count(args, cfg: Config) -> int:
-    kind = _kind(args.klass)
-    census = counting.census(args.hilbert, args.vars, kind)
-    if cfg.fmt == "json":
+def _bar(bar_list) -> str:
+    return "(" + ",".join(str(x) for x in bar_list) + ")"
+
+
+def _cmd_count(args) -> int:
+    census = counting.census(args.hilbert, args.vars, _kind(args.klass))
+    if args.format == "json":
         doc = census.to_json()
         if not args.breakdown:
             doc.pop("rows")
-        _emit_json(cfg, doc)
+        _write(args, _json_chunks(doc))
         return 0
     lines = []
     if args.breakdown:
         lines.append("bar list | ideals")
         for row in census.rows:
-            bar = "(" + ",".join(str(x) for x in row.bar_list) + ")"
-            lines.append(f"{bar} | {row.subtotal}")
+            lines.append(f"{_bar(row.bar_list)} | {row.subtotal}")
     lines.append(f"total: {census.total}")
-    _emit(cfg, "\n".join(lines))
+    _write(args, ("\n".join(lines), "\n"))
     return 0
 
 
-def _cmd_list(args, cfg: Config) -> int:
+def _cmd_list(args) -> int:
     listing = bijections.list_ideals(args.hilbert, args.vars, _kind(args.klass))
-    if cfg.fmt == "json":
-        _emit_json(cfg, listing.to_json())
+    if args.format == "json":
+        _write(args, _json_chunks(listing.to_json()))
         return 0
     lines = []
     for item in listing.items:
         gens = ", ".join(format_term(t) for t in item.ideal.sorted())
         lines.append(f"({gens})")
     lines.append(f"count: {len(listing)}")
-    _emit(cfg, "\n".join(lines))
+    _write(args, ("\n".join(lines), "\n"))
     return 0
 
 
-def _cmd_gf(args, cfg: Config) -> int:
+def _cmd_gf(args) -> int:
     if args.variant == "strict":
         inner = args.inner if args.inner is not None else (0,) * len(args.shape)
         poly = gf_strict(args.shape, inner, args.a, args.b, args.c, args.d,
@@ -172,22 +166,20 @@ def _cmd_gf(args, cfg: Config) -> int:
     else:
         poly = gf_shifted(args.shape, args.a, args.b, args.c, args.d,
                           truncate_at=args.truncate_at)
-    if cfg.fmt == "json":
-        _emit_json(cfg, poly.to_json())
-    else:
-        _emit(cfg, str(poly))
+    _write(args, _json_chunks(poly.to_json()) if args.format == "json" else (str(poly), "\n"))
     return 0
 
 
-def _cmd_partitions(args, cfg: Config) -> int:
+def _cmd_partitions(args) -> int:
+    json_mode = args.format == "json"
     if args.action == "validate":
         doc = _read_json(args.infile)
         if isinstance(doc, dict) and "layers" in doc:
             ok = partitions.validate_solid(partitions.SolidPartition.from_json(doc))
         else:
             ok = partitions.validate(partitions.PlanePartition.from_json(doc))
-        _emit(cfg, json.dumps({"valid": ok}) if cfg.fmt == "json" else
-              ("valid" if ok else "not valid"))
+        text = json.dumps({"valid": ok}) if json_mode else ("valid" if ok else "not valid")
+        _write(args, (text, "\n"))
         return 0 if ok else 1
     if args.shape is None or args.norm is None:
         raise ValueError(f"partitions {args.action} needs --shape and --norm")
@@ -196,41 +188,44 @@ def _cmd_partitions(args, cfg: Config) -> int:
         args.a, args.b if args.b else (1,) * len(args.shape), args.norm,
     )
     if args.action == "count":
-        _emit(cfg, json.dumps({"count": len(found)}) if cfg.fmt == "json"
-              else str(len(found)))
-        return 0
-    if cfg.fmt == "json":
-        _emit_json(cfg, [pp.to_json() for pp in found])
+        text = json.dumps({"count": len(found)}) if json_mode else str(len(found))
+        _write(args, (text, "\n"))
+    elif json_mode:
+        _write(args, _json_chunks([pp.to_json() for pp in found]))
     else:
-        _emit(cfg, "\n".join(str(list(pp.rows)) for pp in found))
+        _write(args, ("\n".join(str(list(pp.rows)) for pp in found), "\n"))
     return 0
 
 
-def _cmd_barcode(args, cfg: Config) -> int:
+def _write_terms(args, terms) -> None:
+    if args.format == "json":
+        _write(args, _json_chunks([list(t.exponents) for t in terms]))
+    else:
+        _write(args, (" ".join(format_term(t) for t in terms), "\n"))
+
+
+def _cmd_barcode(args) -> int:
+    json_mode = args.format == "json"
     if args.action == "encode":
         code = bc.encode(_parse_terms(args.terms, args.vars))
-        if cfg.fmt == "json":
-            _emit_json(cfg, code.to_json())
+        if json_mode:
+            _write(args, _json_chunks(code.to_json()))
         else:
-            _emit(cfg, bc.render(code, "ascii", labels=True))
+            _write(args, (bc.render(code, "ascii", labels=True), "\n"))
         return 0
     code = bc.BarCode.from_json(_read_json(args.infile))
     if args.action == "decode":
-        decoded = bc.decode(code)
-        if cfg.fmt == "json":
-            _emit_json(cfg, [list(t.exponents) for t in decoded])
-        else:
-            _emit(cfg, " ".join(format_term(t) for t in decoded))
+        _write_terms(args, bc.decode(code))
         return 0
     if args.action == "check":
         ok = bc.is_admissible(code)
-        if cfg.fmt == "json":
-            _emit_json(cfg, {"admissible": ok})
+        if json_mode:
+            _write(args, _json_chunks({"admissible": ok}))
         else:
-            _emit(cfg, "admissible" if ok else "not admissible")
+            _write(args, ("admissible" if ok else "not admissible", "\n"))
         return 0 if ok else 1
     # render
-    _emit(cfg, bc.render(code, args.render_format, labels=args.labels))
+    _write(args, (bc.render(code, args.render_format, labels=args.labels), "\n"))
     return 0
 
 
@@ -238,51 +233,39 @@ def _order_ideal_from_args(args) -> OrderIdeal:
     return OrderIdeal.of(_parse_terms(args.terms, args.vars))
 
 
-def _emit_term_set(cfg: Config, terms) -> None:
-    if cfg.fmt == "json":
-        _emit_json(cfg, [list(t.exponents) for t in terms])
-    else:
-        _emit(cfg, " ".join(format_term(t) for t in terms))
-
-
-def _cmd_starset(args, cfg: Config) -> int:
-    _emit_term_set(cfg, starset.star_set_direct(_order_ideal_from_args(args)).terms)
+def _cmd_starset(args) -> int:
+    _write_terms(args, starset.star_set_direct(_order_ideal_from_args(args)).terms)
     return 0
 
 
-def _cmd_pommaret(args, cfg: Config) -> int:
-    _emit_term_set(cfg, starset.pommaret_basis(_order_ideal_from_args(args)).terms)
+def _cmd_pommaret(args) -> int:
+    _write_terms(args, starset.pommaret_basis(_order_ideal_from_args(args)).terms)
     return 0
 
 
-def _cmd_check_stability(args, cfg: Config) -> int:
+def _cmd_check_stability(args) -> int:
     strongly = args.command == "check-strongly-stable"
     ideal = MonomialIdeal.of(_parse_terms(args.terms, args.vars))
     ok = is_strongly_stable(ideal) if strongly else is_stable(ideal)
     name = "strongly-stable" if strongly else "stable"
-    if cfg.fmt == "json":
-        _emit_json(cfg, {name.replace("-", "_"): ok})
+    if args.format == "json":
+        _write(args, _json_chunks({name.replace("-", "_"): ok}))
     else:
-        _emit(cfg, name if ok else f"not {name}")
+        _write(args, (name if ok else f"not {name}", "\n"))
     return 0 if ok else 1
 
 
-def _cmd_verify(args, cfg: Config) -> int:
+def _cmd_verify(args) -> int:
     kind = _kind(args.klass)
     oracle.check_size(args.vars, args.max_p)
     rows = []
-    ok = True
     for p in range(1, args.max_p + 1):
-        if args.vars == 2:
-            pipeline = counting.count_2vars(p)
-        else:
-            pipeline = counting.census(p, args.vars, kind).total
+        pipeline = counting.census(p, args.vars, kind).total
         brute = oracle.count_by_definition(args.vars, p, kind)
-        match = pipeline == brute
-        ok = ok and match
-        rows.append((p, pipeline, brute, match))
-    if cfg.fmt == "json":
-        _emit_json(cfg, {
+        rows.append((p, pipeline, brute, pipeline == brute))
+    ok = all(match for *_, match in rows)
+    if args.format == "json":
+        _write(args, _json_chunks({
             "vars": args.vars,
             "class": args.klass,
             "rows": [
@@ -290,47 +273,30 @@ def _cmd_verify(args, cfg: Config) -> int:
                 for p, a, b, m in rows
             ],
             "ok": ok,
-        })
+        }))
     else:
         lines = ["p | pipeline | oracle | status"]
         for p, a, b, m in rows:
             lines.append(f"{p} | {a} | {b} | {'pass' if m else 'FAIL'}")
         lines.append("ok" if ok else "MISMATCH")
-        _emit(cfg, "\n".join(lines))
+        _write(args, ("\n".join(lines), "\n"))
     return 0 if ok else 1
 
 
-def _cmd_conjecture(args, cfg: Config) -> int:
+def _cmd_conjecture(args) -> int:
     report = oracle.conjecture_probe(args.hilbert, _kind(args.klass))
-    if cfg.fmt == "json":
-        _emit_json(cfg, report.to_json())
-    else:
-        lines = ["bar list | ideals | partitions | status"]
-        for row in report.rows:
-            bar = "(" + ",".join(str(x) for x in row.bar_list) + ")"
-            lines.append(
-                f"{bar} | {row.ideal_count} | {row.partition_count} | "
-                f"{'agree' if row.agree else 'DISAGREE'}"
-            )
-        lines.append("all agree" if report.all_agree else "evidence of disagreement")
-        _emit(cfg, "\n".join(lines))
+    if args.format == "json":
+        _write(args, _json_chunks(report.to_json()))
+        return 0
+    lines = ["bar list | ideals | partitions | status"]
+    for row in report.rows:
+        lines.append(
+            f"{_bar(row.bar_list)} | {row.ideal_count} | {row.partition_count} | "
+            f"{'agree' if row.agree else 'DISAGREE'}"
+        )
+    lines.append("all agree" if report.all_agree else "evidence of disagreement")
+    _write(args, ("\n".join(lines), "\n"))
     return 0
-
-
-_HANDLERS = {
-    "count": _cmd_count,
-    "list": _cmd_list,
-    "gf": _cmd_gf,
-    "partitions": _cmd_partitions,
-    "barcode": _cmd_barcode,
-    "render": _cmd_barcode,
-    "starset": _cmd_starset,
-    "pommaret": _cmd_pommaret,
-    "check-stable": _cmd_check_stability,
-    "check-strongly-stable": _cmd_check_stability,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-}
 
 
 # -- parser ------------------------------------------------------------------
@@ -341,6 +307,16 @@ def _add_common(sp):
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
 
+def _add_class(sp):
+    sp.add_argument("--class", dest="klass", required=True,
+                    choices=("stable", "strongly-stable"))
+
+
+def _add_render(sp):
+    sp.add_argument("--render-format", choices=("ascii", "svg"), default="ascii")
+    sp.add_argument("--labels", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="escalier",
@@ -348,22 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("count", help="count (strongly) stable ideals")
-    sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
-    sp.add_argument("--hilbert", type=int, required=True, metavar="P")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("stable", "strongly-stable"))
-    sp.add_argument("--breakdown", action="store_true")
-    _add_common(sp)
-
-    sp = sub.add_parser("list", help="list the ideals explicitly")
-    sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
-    sp.add_argument("--hilbert", type=int, required=True, metavar="P")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("stable", "strongly-stable"))
-    _add_common(sp)
+    for name, handler, text in (("count", _cmd_count, "count (strongly) stable ideals"),
+                                ("list", _cmd_list, "list the ideals explicitly")):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
+        sp.add_argument("--hilbert", type=int, required=True, metavar="P")
+        _add_class(sp)
+        if name == "count":
+            sp.add_argument("--breakdown", action="store_true")
+        _add_common(sp)
 
     sp = sub.add_parser("gf", help="norm generating functions")
+    sp.set_defaults(handler=_cmd_gf)
     sp.add_argument("variant", choices=("strict", "shifted"))
     sp.add_argument("--shape", type=_ints, required=True)
     sp.add_argument("--inner", type=_ints, default=None,
@@ -376,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("partitions", help="enumerate, count, or validate")
+    sp.set_defaults(handler=_cmd_partitions)
     sp.add_argument("action", choices=("enumerate", "count", "validate"))
     sp.add_argument("--shape", type=_ints)
     sp.add_argument("--shifted", action="store_true")
@@ -391,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("barcode", help="encode, decode, check, render")
+    sp.set_defaults(handler=_cmd_barcode)
     barsub = sp.add_subparsers(dest="action", required=True)
     bsp = barsub.add_parser("encode", help="Bar Code of a term set")
     bsp.add_argument("terms", nargs="+", help="terms like x1^2*x3")
@@ -403,40 +378,38 @@ def build_parser() -> argparse.ArgumentParser:
         bsp.add_argument("--in", dest="infile", default=None,
                          help="Bar Code JSON ('-' for stdin)")
         if action == "render":
-            bsp.add_argument("--render-format", choices=("ascii", "svg"),
-                             default="ascii")
-            bsp.add_argument("--labels", action="store_true")
+            _add_render(bsp)
         _add_common(bsp)
 
     sp = sub.add_parser("render", help="shorthand for barcode render")
+    sp.set_defaults(handler=_cmd_barcode, action="render")
     sp.add_argument("--in", dest="infile", default=None)
-    sp.add_argument("--render-format", choices=("ascii", "svg"), default="ascii")
-    sp.add_argument("--labels", action="store_true")
+    _add_render(sp)
     _add_common(sp)
 
-    for name in ("starset", "pommaret"):
-        sp = sub.add_parser(name, help=f"{name} of an order ideal")
-        sp.add_argument("terms", nargs="+")
-        sp.add_argument("--vars", type=int, default=None)
-        _add_common(sp)
-
-    for name in ("check-stable", "check-strongly-stable"):
-        sp = sub.add_parser(name, help=f"{name.replace('-', ' ')} on generators")
+    for name, handler, text in (
+        ("starset", _cmd_starset, "starset of an order ideal"),
+        ("pommaret", _cmd_pommaret, "pommaret of an order ideal"),
+        ("check-stable", _cmd_check_stability, "check stable on generators"),
+        ("check-strongly-stable", _cmd_check_stability, "check strongly stable on generators"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(handler=handler)
         sp.add_argument("terms", nargs="+")
         sp.add_argument("--vars", type=int, default=None)
         _add_common(sp)
 
     sp = sub.add_parser("verify", help="pipeline counts against brute force")
+    sp.set_defaults(handler=_cmd_verify)
     sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
     sp.add_argument("--max-p", type=int, required=True)
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("stable", "strongly-stable"))
+    _add_class(sp)
     _add_common(sp)
 
     sp = sub.add_parser("conjecture", help="four-variable evidence report")
+    sp.set_defaults(handler=_cmd_conjecture)
     sp.add_argument("--hilbert", type=int, required=True, metavar="P")
-    sp.add_argument("--class", dest="klass", required=True,
-                    choices=("stable", "strongly-stable"))
+    _add_class(sp)
     _add_common(sp)
 
     return ap
@@ -444,14 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = Config(
-        fmt=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-    )
-    if args.command == "render":
-        args.action = "render"
     try:
-        return _HANDLERS[args.command](args, cfg)
+        return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,9 @@ have a prescribed constant affine Hilbert value p.
 Two variables reduce to sums of distinct-part partition counts.  Three
 variables run over bar lists (p, h, k), and the k = 1 column is again the
 two-variable count.  For k > 1 each shape of h into k distinct parts
-contributes a count of plane partitions of norm p.  The stable class reads it
+contributes a count of plane partitions of norm p.  One loop over the bar
+lists, with the feasibility check and the k = 1 column, serves both classes;
+each class supplies only the count of one shape.  The stable class reads it
 as the x^p coefficient of a determinantal norm generating function, with a
 first-part bound vector chosen so the bound never cuts into the norm-p slice.
 The strongly stable class counts its shifted row-strict, column-weak arrays
@@ -94,11 +96,11 @@ def count_2vars(p: int) -> int:
 
 def census_2vars(p: int, kind: str = STABLE) -> BarListCensus:
     _check_kind(kind)
-    rows = tuple(
-        CensusRow((p, h), (ShapeCount((h,), count_Q(p, h)),), count_Q(p, h))
-        for h in range(1, max_h_2vars(p) + 1)
-    )
-    return BarListCensus(p, 2, kind, rows)
+    rows = []
+    for h in range(1, max_h_2vars(p) + 1):
+        q = count_Q(p, h)
+        rows.append(CensusRow((p, h), (ShapeCount((h,), q),), q))
+    return BarListCensus(p, 2, kind, tuple(rows))
 
 
 def bar_lists_3vars(p: int) -> list[tuple[int, int, int]]:
@@ -133,6 +135,29 @@ def _is_bar_list(p: int, h: int, k: int) -> bool:
     return h <= p and any(minimal_sum(s) <= p for s in enumerate_distinct(h, k))
 
 
+def _barlist_counts(p: int, h: int, k: int, shape_count) -> tuple[int, tuple[ShapeCount, ...]]:
+    """The total and per-shape split of a bar list, given the count of one
+    shape of h into k distinct parts.  The k = 1 column is the two-variable
+    count Q(p, h) for both classes."""
+    if not _is_bar_list(p, h, k):
+        raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
+    if k == 1:
+        q = count_Q(p, h)
+        return q, (ShapeCount((h,), q),)
+    shapes = tuple(ShapeCount(beta, shape_count(beta)) for beta in enumerate_distinct(h, k))
+    return sum(sc.count for sc in shapes), shapes
+
+
+def _census_3vars(p: int, kind: str, count_barlist) -> BarListCensus:
+    """One row per feasible bar list, from count_barlist(p, h, k).  The
+    callers pass the module-level name as it is bound when they run."""
+    rows = []
+    for (pp, h, k) in bar_lists_3vars(p):
+        subtotal, shapes = count_barlist(pp, h, k)
+        rows.append(CensusRow((pp, h, k), shapes, subtotal))
+    return BarListCensus(p, 3, kind, tuple(rows))
+
+
 def a_vector_stable(beta: IntPartition, p: int) -> tuple[int, ...]:
     """First-part bounds for unshifted shapes: the largest top-left entry a
     norm-p partition of this shape can carry, then consecutive descents."""
@@ -144,38 +169,22 @@ def a_vector_stable(beta: IntPartition, p: int) -> tuple[int, ...]:
     return tuple(a1 - i for i in range(len(beta)))
 
 
+def _stable_shape_count(beta: IntPartition, p: int) -> int:
+    a = a_vector_stable(beta, p)
+    if a[-1] < 1:
+        return 0
+    k = len(beta)
+    poly = gf_strict(beta, (0,) * k, a, (1,) * k, c=1, d=1, truncate_at=p)
+    return poly.coefficient(p)
+
+
 def count_stable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
     """Stable ideals with bar list (p, h, k), plus the per-shape split."""
-    if not _is_bar_list(p, h, k):
-        raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
-    if k == 1:
-        q = count_Q(p, h)
-        return q, (ShapeCount((h,), q),)
-    shapes = []
-    for beta in enumerate_distinct(h, k):
-        a = a_vector_stable(beta, p)
-        if a[-1] < 1:
-            shapes.append(ShapeCount(beta, 0))
-            continue
-        poly = gf_strict(
-            beta,
-            (0,) * k,
-            a,
-            (1,) * k,
-            c=1,
-            d=1,
-            truncate_at=p,
-        )
-        shapes.append(ShapeCount(beta, poly.coefficient(p)))
-    return sum(sc.count for sc in shapes), tuple(shapes)
+    return _barlist_counts(p, h, k, lambda beta: _stable_shape_count(beta, p))
 
 
 def count_stable_3vars(p: int) -> BarListCensus:
-    rows = []
-    for (pp, h, k) in bar_lists_3vars(p):
-        subtotal, shapes = count_stable_barlist(pp, h, k)
-        rows.append(CensusRow((pp, h, k), shapes, subtotal))
-    return BarListCensus(p, 3, STABLE, tuple(rows))
+    return _census_3vars(p, STABLE, count_stable_barlist)
 
 
 def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
@@ -204,17 +213,8 @@ def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount
     entry dropped.  _shifted_arrays fills the rows top-down from that bound;
     its memo is shared by the shapes of this bar list and dropped on return.
     """
-    if not _is_bar_list(p, h, k):
-        raise ValueError(f"({p}, {h}, {k}) is not a feasible bar list")
-    if k == 1:
-        q = count_Q(p, h)
-        return q, (ShapeCount((h,), q),)
     memo: dict = {}
-    shapes = tuple(
-        ShapeCount(alpha, _shifted_arrays(alpha, None, p, memo))
-        for alpha in enumerate_distinct(h, k)
-    )
-    return sum(sc.count for sc in shapes), shapes
+    return _barlist_counts(p, h, k, lambda alpha: _shifted_arrays(alpha, None, p, memo))
 
 
 def _shifted_arrays(
@@ -241,11 +241,7 @@ def _shifted_arrays(
 
 
 def count_sstable_3vars(p: int) -> BarListCensus:
-    rows = []
-    for (pp, h, k) in bar_lists_3vars(p):
-        subtotal, shapes = count_sstable_barlist(pp, h, k)
-        rows.append(CensusRow((pp, h, k), shapes, subtotal))
-    return BarListCensus(p, 3, STRONGLY_STABLE, tuple(rows))
+    return _census_3vars(p, STRONGLY_STABLE, count_sstable_barlist)
 
 
 def closed_form_shape22(p: int) -> int:
@@ -261,7 +257,5 @@ def census(p: int, n: int, kind: str) -> BarListCensus:
     if n == 2:
         return census_2vars(p, kind)
     if n == 3:
-        if kind == STABLE:
-            return count_stable_3vars(p)
-        return count_sstable_3vars(p)
+        return count_stable_3vars(p) if kind == STABLE else count_sstable_3vars(p)
     raise ValueError("censuses are implemented for 2 and 3 variables")

@@ -23,8 +23,10 @@ survivor is still counted only after the public stability test accepts it.
 
 The probe compares per-bar-list definitional counts against brute-force counts
 of strict / shifted solid partitions, which `partitions` enumerates layer shape
-by layer shape.  It records evidence about the n = 4 correspondence; it proves
-nothing and is deliberately not wired into any acceptance gate.
+by layer shape; the layer shapes are the three-variable arrays of the class,
+as `bijections` lists them.  It records evidence about the n = 4
+correspondence; it proves nothing and is deliberately not wired into any
+acceptance gate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .barcode import bar_list, encode
+from .bijections import _class_arrays
 from .counting import STABLE, _check_kind
 from .monomials import (
     MonomialIdeal,
@@ -43,12 +46,7 @@ from .monomials import (
     is_stable,
     is_strongly_stable,
 )
-from .partitions import (
-    enumerate_distinct,
-    enumerate_plane_partitions,
-    enumerate_solid_partitions,
-    validate_solid,
-)
+from .partitions import enumerate_distinct, enumerate_solid_partitions, validate_solid
 
 DEFAULT_CAPS = {1: 2000, 2: 24, 3: 12, 4: 8}
 _CAP_ENV_PREFIX = "ESCALIER_ORACLE_CAP_N"
@@ -68,11 +66,11 @@ def oracle_cap(n: int) -> int:
     raise ValueError(f"{name} must be a positive integer, not {env!r}")
 
 
-def check_size(n: int, p: int, cap: int | None = None) -> None:
+def check_size(n: int, p: int) -> None:
     """ValueError unless 1 <= p <= the enumeration cap for n >= 1 variables."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
-    limit = cap if cap is not None else oracle_cap(n)
+    limit = oracle_cap(n)
     if p > limit:
         raise ValueError(f"p={p} exceeds the n={n} enumeration cap {limit}")
 
@@ -163,9 +161,7 @@ def _as_terms(vectors, term_of: dict) -> frozenset[Term]:
     return frozenset({term_of.get(e) or term_of.setdefault(e, Term(e)) for e in vectors})
 
 
-def enumerate_order_ideals(
-    n: int, p: int, cap: int | None = None, kind: str | None = None
-) -> EscalierEnumeration:
+def enumerate_order_ideals(n: int, p: int, kind: str | None = None) -> EscalierEnumeration:
     """Every order ideal of cardinality p in n variables, exactly once, with
     the minimal generators of the ideal it is the escalier of.
 
@@ -175,7 +171,7 @@ def enumerate_order_ideals(
     """
     if kind is not None:
         _check_kind(kind)
-    check_size(n, p, cap)
+    check_size(n, p)
     leaves = _canonical_growth(n, p, None if kind is None else kind != STABLE)
     term_of: dict[tuple[int, ...], Term] = {}
     items = tuple(OrderIdeal(_as_terms(terms, term_of), n) for terms, _ in leaves)
@@ -190,20 +186,18 @@ def _stability_test(kind: str):
     return is_stable if kind == STABLE else is_strongly_stable
 
 
-def count_by_definition(n: int, p: int, kind: str, cap: int | None = None) -> int:
+def count_by_definition(n: int, p: int, kind: str) -> int:
     """Definitional census: the escaliers grown in the class, each counted
     once it passes the public stability test."""
     passes = _stability_test(kind)
-    en = enumerate_order_ideals(n, p, cap, kind)
+    en = enumerate_order_ideals(n, p, kind)
     return sum(1 for gens in en.generators if passes(gens))
 
 
-def census_by_definition(
-    n: int, p: int, kind: str, cap: int | None = None
-) -> Counter:
+def census_by_definition(n: int, p: int, kind: str) -> Counter:
     """Counts keyed by the bar list of each surviving escalier's Bar Code."""
     passes = _stability_test(kind)
-    en = enumerate_order_ideals(n, p, cap, kind)
+    en = enumerate_order_ideals(n, p, kind)
     per: Counter = Counter()
     for N, gens in zip(en.items, en.generators):
         if passes(gens):
@@ -216,18 +210,7 @@ def _partition_side_count(bar: tuple[int, int, int, int], kind: str) -> int:
     solid_kind = "strict" if kind == STABLE else "shifted"
     total = 0
     for shape in enumerate_distinct(k, l):
-        if kind == STABLE:
-            layer_shapes = enumerate_plane_partitions(
-                shape, shifted=False, c=1, d=1, first=None,
-                last_min=(1,) * len(shape), norm=h,
-            )
-        else:
-            lam = tuple(i + part for i, part in enumerate(shape))
-            layer_shapes = enumerate_plane_partitions(
-                lam, shifted=True, c=1, d=0, first=None,
-                last_min=(1,) * len(lam), norm=h,
-            )
-        for pp in layer_shapes:
+        for pp in _class_arrays(shape, kind, h):
             for solid in enumerate_solid_partitions(solid_kind, pp.rows, p):
                 if not validate_solid(solid):
                     raise AssertionError(f"enumerated invalid solid {solid}")
@@ -274,7 +257,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_probe(p: int, kind: str, cap: int | None = None) -> ConjectureReport:
+def conjecture_probe(p: int, kind: str) -> ConjectureReport:
     """Evidence table for the four-variable correspondence at one value of p.
 
     Each row compares the definitional ideal count for a bar list against the
@@ -282,7 +265,7 @@ def conjecture_probe(p: int, kind: str, cap: int | None = None) -> ConjectureRep
     n >= 4 the correspondence is conjectural and the array definitions leave
     the index ranges open to interpretation.
     """
-    ideal_side = census_by_definition(4, p, kind, cap)
+    ideal_side = census_by_definition(4, p, kind)
     bars = set(ideal_side)
     partition_side = {}
     for h in range(1, p + 1):

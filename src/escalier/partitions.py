@@ -155,11 +155,6 @@ class PlanePartition:
             return None
         return self.rows[i - 1][j - self.row_start(i)]
 
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        for i in range(1, len(self.shape) + 1):
-            for j, v in enumerate(self.rows[i - 1], start=self.row_start(i)):
-                yield i, j, v
-
     @property
     def norm(self) -> int:
         return sum(v for row in self.rows for v in row)
@@ -199,8 +194,9 @@ def _json_object(doc, *keys: str) -> None:
 
 
 def _json_ints(value, depth: int):
-    """value as tuples of integers nested depth deep; ValueError otherwise."""
-    if depth == 0 and isinstance(value, int):
+    """value as tuples of integers nested depth deep; ValueError otherwise.
+    A JSON boolean is not an integer here."""
+    if depth == 0 and type(value) is int:
         return value
     if depth > 0 and isinstance(value, (list, tuple)):
         return tuple(_json_ints(v, depth - 1) for v in value)
@@ -444,7 +440,7 @@ def _entries(
         raise ValueError("partition levels must be sequences")
     if dim == 1:
         for k, v in enumerate(arr):
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError("partition entries must be integers")
             yield (base + k,), v
         return
@@ -468,7 +464,7 @@ def _valid_nested(arr, dim: int, base: int, strict: bool) -> bool:
     offsets = not strict
     sub_base = (lambda k: base + k) if offsets else (lambda k: 1)
     if dim == 1:
-        if any(not isinstance(v, int) or v < 1 for v in arr):
+        if any(type(v) is not int or v < 1 for v in arr):
             return False
         return all(a > b for a, b in zip(arr, arr[1:]))
     for k, sub in enumerate(arr):

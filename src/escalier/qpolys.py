@@ -60,12 +60,6 @@ class IntPoly:
     def const(cls, v: int, trunc: int | None = None) -> IntPoly:
         return cls((v,), trunc)
 
-    @classmethod
-    def x_power(cls, k: int, trunc: int | None = None) -> IntPoly:
-        if k < 0:
-            raise ValueError("monomials have non-negative degree")
-        return cls((0,) * k + (1,), trunc)
-
     # -- basic structure -------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -80,13 +74,6 @@ class IntPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def low_degree(self) -> int:
-        """Smallest exponent with a nonzero coefficient (zero polynomial: -1)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return -1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -136,9 +123,6 @@ class IntPoly:
                     break
                 cs[i + j] += a * b
         return IntPoly(cs, trunc)
-
-    def scale(self, v: int) -> IntPoly:
-        return IntPoly([v * c for c in self.coeffs], self.trunc)
 
     def shift(self, k: int) -> IntPoly:
         """Multiply by x^k; negative k divides and requires divisibility."""
@@ -193,12 +177,6 @@ class IntPoly:
                 acc -= other.coefficient(j) * q[k - j]
             q[k] = acc * unit  # divide by +-1
         return IntPoly(q, trunc)
-
-    def __call__(self, v: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
 
     # -- io ----------------------------------------------------------------
 

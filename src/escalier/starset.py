@@ -14,7 +14,6 @@ from typing import Iterable
 
 from .barcode import BarCode, decode, is_admissible
 from .monomials import (
-    MonomialIdeal,
     OrderIdeal,
     Term,
     min_var,
@@ -33,9 +32,6 @@ class StarSet:
 
     def __len__(self):
         return len(self.terms)
-
-    def as_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal.of(self.terms, self.source.n)
 
 
 def star_set_from_barcode(B: BarCode) -> StarSet:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -15,7 +16,9 @@ from escalier.barcode import (
     length,
     render,
 )
-from escalier.monomials import is_order_ideal, parse_term, term
+from escalier.bijections import barcode_from_partition_2vars
+from escalier.monomials import OrderIdeal, is_order_ideal, parse_term, term
+from escalier.starset import star_set_direct, star_set_from_barcode
 from randgen import random_barcode, random_order_ideal
 
 # the five-term set whose code returns in several places (rows (5,4,2) shape)
@@ -193,6 +196,31 @@ class TestValidation:
     def test_json_width_mismatch(self):
         with pytest.raises(ValueError):
             BarCode.from_json({"n": 2, "width": 3, "rows": [[1, 1], [2]]})
+
+
+class TestWideCode:
+    def test_staircase_queries_in_time_linear_in_the_width(self):
+        # the two-variable staircase with parts 100..1 has width 5050; a code
+        # that rebuilt a row's offsets on every bar query took about 19 s here
+        parts = tuple(range(100, 0, -1))
+        code = barcode_from_partition_2vars(parts)
+        staircase = tuple(term(a, j) for j, part in enumerate(parts) for a in range(part))
+        start = time.perf_counter()
+        decoded = decode(code)
+        admissible = is_admissible(code)
+        star = star_set_from_barcode(code)
+        spent = time.perf_counter() - start
+        assert decoded == staircase
+        assert admissible
+        assert star.terms == star_set_direct(OrderIdeal.of(staircase)).terms
+        assert spent < 5.0
+
+    def test_queries_leave_the_fields_alone(self):
+        code = BarCode(FIVE_CODE.rows)
+        assert length(code, 3, 2, 1) == 3
+        assert code == FIVE_CODE and hash(code) == hash(FIVE_CODE)
+        assert repr(code) == repr(FIVE_CODE)
+        assert code.to_json() == FIVE_CODE.to_json()
 
 
 class TestRender:

@@ -140,6 +140,13 @@ class TestPartitions:
         assert run(["partitions", "validate", "--in", str(path)]) == 1
         assert out_of(capsys) == "not valid"
 
+    def test_validate_solid_boolean_entry_invalid(self, tmp_path, capsys):
+        doc = {"kind": "strict", "dimension": 3, "layers": [[[2, True], [1]], [[1]]]}
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps(doc))
+        assert run(["partitions", "validate", "--in", str(path)]) == 1
+        assert out_of(capsys) == "not valid"
+
     def test_missing_shape_is_an_error(self, capsys):
         assert run(["partitions", "enumerate", "--norm", "4"]) == 2
 
@@ -211,6 +218,13 @@ class TestMalformedDocuments:
         (["barcode", "decode"], [1]),
         (["barcode", "render"], {"n": 3}),
         (["barcode", "check"], {"rows": [1]}),
+        # a JSON boolean is not an integer
+        (["partitions", "validate"],
+         {"shape": [2, 1], "rows": [[True, 1], [1]], "c": False, "d": 0}),
+        (["barcode", "decode"], {"rows": [[True, True], [2]]}),
+        (["barcode", "check"], {"rows": [[True, True], [2]]}),
+        (["barcode", "render"], {"rows": [[1]], "n": True}),
+        (["barcode", "render"], {"rows": [[1], [1]], "width": True}),
     ])
     def test_file_exit_2(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "doc.json"
@@ -363,14 +377,15 @@ class TestIndentedJson:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
-        argv = ["list", "--vars", "2", "--hilbert", "12", "--class", "stable",
-                "--format", "json"]
-        target = tmp_path / "listing.json"
-        assert run(argv) == 0
-        stdout = capsys.readouterr().out
-        assert run(argv + ["--out", str(target)]) == 0
-        assert capsys.readouterr().out == ""
-        assert target.read_bytes() == stdout.encode("utf-8")
+        for fmt in ("json", "text"):
+            argv = ["list", "--vars", "2", "--hilbert", "12", "--class", "stable",
+                    "--format", fmt]
+            target = tmp_path / f"listing.{fmt}"
+            assert run(argv) == 0
+            stdout = capsys.readouterr().out
+            assert run(argv + ["--out", str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == stdout.encode("utf-8")
 
 
 def test_cli_import_skips_network_and_xml_modules():

@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+from escalier import counting
 from escalier.counting import (
     STABLE,
     STRONGLY_STABLE,
@@ -265,6 +266,22 @@ class TestDispatch:
             census(5, 4, STABLE)
         with pytest.raises(ValueError):
             census(5, 3, "borel")
+
+    @pytest.mark.parametrize("p", [10, 20])
+    @pytest.mark.parametrize("kind", [STABLE, STRONGLY_STABLE])
+    def test_census_calls_the_barlist_counts_by_name(self, monkeypatch, p, kind):
+        # the shared bar-list loop must look the per-class counts up when it
+        # runs, so that a rebinding (as the benchmark's tracer does) sees
+        # every bar list
+        calls = {}
+        for name in ("count_stable_barlist", "count_sstable_barlist"):
+            def counted(*args, name=name, original=getattr(counting, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(counting, name, counted)
+        census(p, 3, kind)
+        used = "count_stable_barlist" if kind == STABLE else "count_sstable_barlist"
+        assert calls == {used: len(bar_lists_3vars(p))}
 
     def test_json_document(self):
         doc = census(10, 3, STABLE).to_json()

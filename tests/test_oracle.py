@@ -104,11 +104,12 @@ class TestEnumeration:
         items = enumerate_order_ideals(3, 8).items
         assert len({frozenset(N.terms) for N in items}) == len(items)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(ValueError):
             enumerate_order_ideals(3, oracle_cap(3) + 1)
-        # explicit cap overrides the default
-        assert len(enumerate_order_ideals(3, 13, cap=13)) == 2485
+        # the environment overrides the default
+        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", "13")
+        assert len(enumerate_order_ideals(3, 13)) == 2485
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", "5")
@@ -128,11 +129,12 @@ class TestClassGrowth:
     public stability tests."""
 
     @pytest.mark.parametrize("n, max_p", [(2, 20), (3, 12), (4, 8)])
-    def test_matches_filtered_full_enumeration(self, n, max_p):
+    def test_matches_filtered_full_enumeration(self, monkeypatch, n, max_p):
+        monkeypatch.setenv(f"ESCALIER_ORACLE_CAP_N{n}", str(max_p))
         for p in range(1, max_p + 1):
-            full = enumerate_order_ideals(n, p, cap=max_p)
+            full = enumerate_order_ideals(n, p)
             for kind, test in ((STABLE, is_stable), (STRONGLY_STABLE, is_strongly_stable)):
-                pruned = enumerate_order_ideals(n, p, cap=max_p, kind=kind)
+                pruned = enumerate_order_ideals(n, p, kind=kind)
                 expected = [
                     (N, gens) for N, gens in zip(full.items, full.generators) if test(gens)
                 ]
@@ -140,13 +142,15 @@ class TestClassGrowth:
                 assert len(pruned) == len(expected)
 
     @pytest.mark.parametrize("kind", [STABLE, STRONGLY_STABLE])
-    def test_three_vars_match_census_beyond_the_cap(self, kind):
+    def test_three_vars_match_census_beyond_the_cap(self, monkeypatch, kind):
+        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", "20")
         for p in range(1, 21):
-            assert count_by_definition(3, p, kind, cap=20) == census(p, 3, kind).total, p
+            assert count_by_definition(3, p, kind) == census(p, 3, kind).total, p
 
-    def test_two_vars_match_count_2vars(self):
+    def test_two_vars_match_count_2vars(self, monkeypatch):
+        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N2", "30")
         for p in range(1, 31):
-            assert count_by_definition(2, p, STABLE, cap=30) == count_2vars(p), p
+            assert count_by_definition(2, p, STABLE) == count_2vars(p), p
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):

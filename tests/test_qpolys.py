@@ -57,7 +57,7 @@ def gauss_by_recurrence(n, k, cache={}):
         return IntPoly.zero()
     if (n, k) not in cache:
         cache[(n, k)] = gauss_by_recurrence(n - 1, k - 1) + (
-            IntPoly.x_power(k) * gauss_by_recurrence(n - 1, k)
+            IntPoly((0,) * k + (1,)) * gauss_by_recurrence(n - 1, k)
         )
     return cache[(n, k)]
 
@@ -80,10 +80,6 @@ class TestIntPoly:
         assert num.exact_div(poly(1, -1)).coeffs == (1, 1)
         with pytest.raises(ValueError):
             poly(1, 1, 1).exact_div(poly(1, -1))
-
-    def test_evaluation(self):
-        assert poly(1, 2, 3)(2) == 1 + 4 + 12
-        assert IntPoly.zero()(5) == 0
 
     def test_shift(self):
         assert poly(1, 2).shift(2).coeffs == (0, 0, 1, 2)
@@ -131,7 +127,7 @@ class TestGaussBinomial:
     def test_evaluates_to_binomial_at_one(self):
         for n in range(0, 31):
             for k in range(0, n + 1):
-                assert gauss_binomial(n, k)(1) == math.comb(n, k)
+                assert sum(gauss_binomial(n, k).coeffs) == math.comb(n, k)
 
     def test_truncation_matches(self):
         for n in range(0, 41):
@@ -211,16 +207,16 @@ class TestDet:
             assert det([[IntPoly.const(2**k)]]) == IntPoly.const(2**k)
             capped = det([[IntPoly((0, 2**k), trunc=1)]])
             assert capped == poly(0, 2**k) and capped.trunc == 1
-        diagonal = [[IntPoly.x_power(i).scale(3 + i) if i == j else IntPoly.zero()
+        diagonal = [[IntPoly((0,) * i + (3 + i,)) if i == j else IntPoly.zero()
                      for j in range(4)] for i in range(4)]
-        assert det(diagonal) == IntPoly.x_power(6).scale(3 * 4 * 5 * 6)
+        assert det(diagonal) == IntPoly((0,) * 6 + (3 * 4 * 5 * 6,))
         # the odd permutation and the negative entry cancel signs: +15x^3
         assert det([[IntPoly.zero(), poly(0, 3)], [poly(0, 0, -5), IntPoly.zero()]]) == (
-            IntPoly.x_power(3).scale(15)
+            IntPoly((0, 0, 0, 15))
         )
         # several rows at the largest width, one of them untruncated
         big = [[IntPoly.const(2**64, trunc=2), IntPoly.zero()],
-               [IntPoly.zero(), IntPoly.x_power(2).scale(2**64 - 1)]]
+               [IntPoly.zero(), IntPoly((0, 0, 2**64 - 1))]]
         assert det(big).coefficient(2) == 2**64 * (2**64 - 1)
 
     def test_leaves_no_reference_cycles(self):
@@ -306,7 +302,6 @@ class TestGfShifted:
         got = gf_shifted((3, 3, 3), (6, 3, 1), (1, 1, 1), 1, 0)
         assert got.coeffs == (0,) * 15 + (1, 2, 3, 3, 3, 2, 1)
         assert got.coefficient(17) == 3
-        assert got.low_degree() == 15
 
     def test_monomial_factor_matches_det(self):
         # same instance, wiring the determinant by hand: x^14 * det(M)
