@@ -9,9 +9,11 @@ lists, with the feasibility check and the k = 1 column, serves both classes;
 each class supplies only the count of one shape.  The stable class reads it
 as the x^p coefficient of a determinantal norm generating function, with a
 first-part bound vector chosen so the bound never cuts into the norm-p slice.
-The strongly stable class counts its shifted row-strict, column-weak arrays
-directly with a row-transfer DP, filling one row at a time.  Counts are plain
-Python integers, so there is no overflow anywhere.
+The strongly stable class sums the determinantal generating functions of its
+shifted row-strict, column-weak arrays over every admissible first-part
+vector; these vectors are the r-subsets of one window, so the minor summation
+formula turns the sum into one Pfaffian per shape.  Counts are plain Python
+integers, so there is no overflow anywhere.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .partitions import (
     count_Q,
     enumerate_distinct,
     minimal_sum,
-    strict_rows,
 )
-from .qpolys import gf_strict
+from .qpolys import gf_shifted_sum, gf_strict
 
 STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
@@ -187,57 +188,45 @@ def count_stable_3vars(p: int) -> BarListCensus:
     return _census_3vars(p, STABLE, count_stable_barlist)
 
 
-def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
-    """All admissible exact first-part vectors for a shifted shape.
-
-    The budget M = p - sum of staircase minima caps every entry; parts then
-    strictly increase from a_r >= lam[r-1] - r + 1 up to a_1 <= M, so the
-    vectors are the r-subsets of that window, listed with a_r varying slowest.
-    Summing gf_shifted over them is the determinantal route to the strongly
-    stable counts, which the tests keep as an oracle for the DP.
-    """
+def _first_part_window(lam: tuple[int, ...], p: int) -> range:
+    """The values a first part of a norm-p array of shifted shape lam can
+    take.  The budget M = p - sum of staircase minima caps a_1; the last row
+    holds lam[r-1] - r + 1 strictly decreasing positive entries, so
+    a_r >= lam[r-1] - r + 1."""
     r = len(lam)
     staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
     M = p - sum(c * (c + 1) // 2 for c in staircases)
-    window = range(lam[r - 1] - r + 1, M + 1)
-    return [tuple(reversed(c)) for c in combinations(window, r)]
+    return range(lam[r - 1] - r + 1, M + 1)
+
+
+def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """All admissible exact first-part vectors for a shifted shape.
+
+    The parts strictly increase from a_r up to a_1 within _first_part_window,
+    so the vectors are the r-subsets of that window, listed with a_r varying
+    slowest.  One gf_shifted per vector, summed, is the per-vector route to a
+    strongly stable shape count; the census takes the same sum as a single
+    Pfaffian (gf_shifted_sum), and the tests keep this route as a check of
+    that identity.
+    """
+    return [tuple(reversed(c)) for c in combinations(_first_part_window(lam, p), len(lam))]
+
+
+def _sstable_shape_count(alpha: IntPartition, p: int) -> int:
+    lam = tuple(i + part for i, part in enumerate(alpha))
+    return gf_shifted_sum(lam, _first_part_window(lam, p), p).coefficient(p)
 
 
 def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
-    """Strongly stable ideals with bar list (p, h, k), per-shape split.
+    """Strongly stable ideals with bar list (p, h, k), plus the per-shape split.
 
     The ideals of shape alpha are the shifted arrays of norm p whose row i
     holds alpha[i] positive entries, strictly decreasing, with each column
-    weakly decreasing downwards.  Row i+1 starts one column to the right of
-    row i, so the column condition bounds it entrywise by row i with its first
-    entry dropped.  _shifted_arrays fills the rows top-down from that bound;
-    its memo is shared by the shapes of this bar list and dropped on return.
+    weakly decreasing downwards: the shifted (1, 0)-plane partitions of shape
+    lam = (alpha[i] + i).  Each shape's count is the x^p coefficient of one
+    Pfaffian, gf_shifted_sum over every first-part vector of the window.
     """
-    memo: dict = {}
-    return _barlist_counts(p, h, k, lambda alpha: _shifted_arrays(alpha, None, p, memo))
-
-
-def _shifted_arrays(
-    lengths: tuple[int, ...], bounds: tuple[int, ...] | None, norm: int, memo: dict
-) -> int:
-    """Arrays of the kind count_sstable_barlist counts, with these row
-    lengths and norm, whose first row is at most bounds entrywise (None: no
-    bound).  Each first row leaves at least the staircase minimum of the rows
-    below it; the last row is counted at exact sum."""
-    key = (lengths, bounds, norm)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    rest = lengths[1:]
-    if not rest:
-        got = len(strict_rows(lengths[0], bounds, norm, norm))
-    else:
-        below = sum(m * (m + 1) // 2 for m in rest)
-        got = 0
-        for row in strict_rows(lengths[0], bounds, 0, norm - below):
-            got += _shifted_arrays(rest, row[1:rest[0] + 1], norm - sum(row), memo)
-    memo[key] = got
-    return got
+    return _barlist_counts(p, h, k, lambda alpha: _sstable_shape_count(alpha, p))
 
 
 def count_sstable_3vars(p: int) -> BarListCensus:

@@ -182,7 +182,7 @@ class PlanePartition:
             rows=_json_ints(doc["rows"], 2),
             c=_json_ints(doc["c"], 0),
             d=_json_ints(doc["d"], 0),
-            shifted=bool(doc.get("shifted", False)),
+            shifted=_json_bool(doc.get("shifted", False)),
             inner=_json_ints(doc.get("inner", ()), 1),
         )
 
@@ -201,6 +201,14 @@ def _json_ints(value, depth: int):
     if depth > 0 and isinstance(value, (list, tuple)):
         return tuple(_json_ints(v, depth - 1) for v in value)
     raise ValueError(f"expected {'lists of ' * depth}integers, got {value!r}")
+
+
+def _json_bool(value) -> bool:
+    """value if it is a JSON boolean; ValueError otherwise, so that the
+    string "false" or the number 0 is not read as a flag."""
+    if type(value) is bool:
+        return value
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _checked_inner(shape: tuple[int, ...], inner: tuple[int, ...], shifted: bool) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Exact integer-coefficient polynomials, Gaussian binomials, polynomial
-determinants, and the two determinantal norm generating functions.
+determinants and Pfaffians, and the two determinantal norm generating
+functions.
 
 Polynomials are dense coefficient lists over Python integers (index = degree,
 trailing zeros stripped).  A polynomial may carry a truncation degree T, in
@@ -20,7 +21,9 @@ substitution), so the memoised cofactor expansion runs on plain integers,
 reduced mod 2^((T+1)B), and CPython's Karatsuba does the products.  B is one
 bit more than the bit length of the product over rows of each row's summed
 coefficient norms, which bounds every coefficient of the determinant, so the
-result decodes exactly as digits in balanced base 2^B.
+result decodes exactly as digits in balanced base 2^B.  gf_shifted_sum takes
+a whole sum of shifted determinants, one per first-part vector, as a single
+Pfaffian (the minor summation formula) on the same packed integers.
 
 The generating-function entries can involve monomial prefactors x^N with N
 negative; determinants are therefore computed after factoring the minimal
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class IntPoly:
@@ -321,6 +324,38 @@ def _minor(packed: list[list[int]], colmask: int, cache: dict[int, int], mask: i
     return acc
 
 
+def _pfaffian(packed: list[list[int]], rowmask: int, cache: dict[int, int], mask: int) -> int:
+    """Packed Pfaffian, reduced by mask, of the skew matrix packed restricted
+    to the rows and columns in rowmask, expanded along its lowest row i:
+    the sum over the other rows j in rowmask, the n-th of them with sign
+    (-1)^(n-1), of packed[i][j] times the Pfaffian without i and j.  Only
+    entries above the diagonal are read.  An odd rowmask gives 0.
+    Module-level, like _minor, so that no reference cycle keeps the cache
+    alive."""
+    if rowmask == 0:
+        return 1
+    got = cache.get(rowmask)
+    if got is not None:
+        return got
+    low = rowmask & -rowmask
+    rest = rowmask ^ low
+    entries = packed[low.bit_length() - 1]
+    acc = 0
+    sign = 1
+    left = rest
+    while left:
+        bit = left & -left
+        left ^= bit
+        entry = entries[bit.bit_length() - 1]
+        if entry:
+            term = entry * _pfaffian(packed, rest ^ bit, cache, mask)
+            acc = acc + term if sign > 0 else acc - term
+        sign = -sign
+    acc &= mask
+    cache[rowmask] = acc
+    return acc
+
+
 def _choose2(m: int) -> int:
     # binomial(m, 2) extended to all integers: m(m-1)/2
     return m * (m - 1) // 2
@@ -446,3 +481,77 @@ def gf_shifted(
             if not poly.is_zero():
                 entries[(s - 1, t - 1)] = (0, poly)
     return _laurent_det(entries, r, truncate_at, extra_shift=power)
+
+
+def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) -> IntPoly:
+    """The sum of gf_shifted(lam, a, (1,)*r, 1, 0, truncate_at) over every
+    strictly decreasing first-part vector a drawn from firsts: the norm
+    generating function, up to x^truncate_at, of the shifted row-strict,
+    column-weak arrays of shape lam with positive entries whose first parts
+    lie in firsts.
+
+    With c = 1, d = 0 and b = 1, gf_shifted is x^(C + sum a) det[G(a_t - 1, m_s)],
+    where G is the Gaussian binomial, m_s = lam_s - s and C = sum of
+    m_s + binomial(m_s, 2).  So the sum runs over all r x r minors of the
+    r x W matrix T[s][w] = x^w G(w - 1, m_s), its columns w the W firsts in
+    descending order, modulo x^(N+1) with N = truncate_at - C.  By the minor
+    summation formula (Ishikawa and Wakayama, Linear Multilinear Algebra 39,
+    1995; Stembridge, Adv. Math. 83, 1990) that sum is the Pfaffian of
+    T A T^t, with A_ij = 1 above the diagonal and -1 below.  For odd r the
+    matrix takes one more row and column, holding the row sums of T, which
+    is T extended by a column (0, ..., 0, 1) and a row holding only that 1.
+    With P_s(j) the sum of the first j entries of row s and R_s its total,
+    (T A T^t)_su = sum_j T_uj (P_s(j) + P_s(j+1)) - R_s R_u, so the matrix
+    takes r(r-1)/2 W products.
+
+    Everything runs on integers packed by x -> 2^B with B = truncate_at + 1,
+    reduced mod 2^((N+1)B), as in det.  The width is exact: the coefficient
+    of x^n counts arrays of norm n <= truncate_at, and reading an array row
+    by row gives distinct compositions of n, so it lies in [0, 2^(n-1)).
+    The entries request gauss_binomial(w - 1, m_s, truncate_at - w), whose
+    cache key does not depend on C, so the shapes of one census share them.
+    """
+    lam = tuple(lam)
+    r = len(lam)
+    if r == 0:
+        raise ValueError("lam must have a positive length")
+    _check_monotone("shape", lam)
+    if lam[r - 1] < r:
+        raise ValueError(f"shifted shape needs lam[{r}] >= {r}")
+    columns = sorted(set(firsts), reverse=True)
+    if columns and columns[-1] < 1:
+        raise ValueError("first parts must be positive")
+    ms = [lam[s] - s - 1 for s in range(r)]
+    shift = sum(m + _choose2(m) for m in ms)
+    top = truncate_at - shift
+    if top < 0:
+        return IntPoly.zero(truncate_at)
+    width = truncate_at + 1
+    mask = (1 << (top + 1) * width) - 1
+    rows = [
+        [
+            _pack(gauss_binomial(w - 1, m, truncate_at - w).coeffs[: top - w + 1], width)
+            << w * width
+            if w <= top else 0
+            for w in columns
+        ]
+        for m in ms
+    ]
+    doubled, totals = [], []
+    for row in rows:
+        prefix, twice = 0, []
+        for entry in row:
+            twice.append(prefix + prefix + entry)
+            prefix += entry
+        doubled.append(twice)
+        totals.append(prefix)
+    size = r + r % 2
+    skew = [[0] * size for _ in range(size)]
+    for s in range(r):
+        for u in range(s + 1, r):
+            acc = sum(e * d for e, d in zip(rows[u], doubled[s]))
+            skew[s][u] = (acc - totals[s] * totals[u]) & mask
+        if size > r:
+            skew[s][r] = totals[s] & mask
+    value = _pfaffian(skew, (1 << size) - 1, {}, mask)
+    return IntPoly([0] * shift + _unpack(value, top + 1, width), truncate_at)

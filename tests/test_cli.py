@@ -225,6 +225,9 @@ class TestMalformedDocuments:
         (["barcode", "check"], {"rows": [[True, True], [2]]}),
         (["barcode", "render"], {"rows": [[1]], "n": True}),
         (["barcode", "render"], {"rows": [[1], [1]], "width": True}),
+        # and a string is not a boolean
+        (["partitions", "validate"],
+         {"shape": [3, 3], "shifted": "false", "rows": [[3, 2, 1], [2, 1]], "c": 1, "d": 0}),
     ])
     def test_file_exit_2(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "doc.json"

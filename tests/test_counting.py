@@ -20,7 +20,12 @@ from escalier.counting import (
     count_stable_barlist,
     max_h_2vars,
 )
-from escalier.partitions import enumerate_plane_partitions, minimal_sum, enumerate_distinct
+from escalier.partitions import (
+    enumerate_distinct,
+    enumerate_plane_partitions,
+    minimal_sum,
+    strict_rows,
+)
 from escalier.qpolys import gf_shifted, gf_strict
 
 
@@ -44,6 +49,40 @@ def determinant_split(p, h, k):
         )
         shapes.append(ShapeCount(alpha, count))
     return tuple(shapes)
+
+
+def shifted_arrays(lengths, bounds, norm, memo):
+    """Row-transfer DP: the shifted arrays of norm `norm` whose row i holds
+    lengths[i] strictly decreasing positive entries, with weakly decreasing
+    columns, and whose first row is at most bounds entrywise (None: no
+    bound).  Row i+1 starts one column to the right of row i, so the column
+    condition bounds it by row i with its first entry dropped.  Each first
+    row leaves at least the staircase minimum of the rows below it; the last
+    row is counted at exact sum."""
+    key = (lengths, bounds, norm)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    rest = lengths[1:]
+    if not rest:
+        got = len(strict_rows(lengths[0], bounds, norm, norm))
+    else:
+        below = sum(m * (m + 1) // 2 for m in rest)
+        got = 0
+        for row in strict_rows(lengths[0], bounds, 0, norm - below):
+            got += shifted_arrays(rest, row[1:rest[0] + 1], norm - sum(row), memo)
+    memo[key] = got
+    return got
+
+
+def dp_split(p, h, k):
+    """Per-shape strongly stable counts by the row-transfer DP, an oracle
+    that shares no code with the Pfaffian route."""
+    memo = {}
+    return tuple(
+        ShapeCount(alpha, shifted_arrays(alpha, None, p, memo))
+        for alpha in enumerate_distinct(h, k)
+    )
 
 
 class TestTwoVars:
@@ -190,13 +229,43 @@ class TestStronglyStableCensus:
         # the determinant route's totals, also in the benchmark's reference
         assert [count_sstable_3vars(p).total for p in (20, 30, 40)] == [425, 5127, 48545]
 
+    def test_large_totals(self):
+        # the row-transfer DP's totals; the DP itself needs seconds for them
+        assert [count_sstable_3vars(p).total for p in (50, 60)] == [388172, 2732870]
+
+    def test_matches_row_transfer_dp(self):
+        # shape by shape on every bar list, well past the brute-force
+        # oracle's p <= 12, against a route that builds no determinant
+        for p in range(1, 31):
+            for (_, h, k) in bar_lists_3vars(p):
+                if k > 1:
+                    assert count_sstable_barlist(p, h, k)[1] == dp_split(p, h, k), (p, h, k)
+
+    @pytest.mark.parametrize("alpha, counts", [
+        # k = 3: odd order, so the Pfaffian reads 0 without its border row,
+        # and a flipped skew form A negates it
+        ((3, 2, 1), {10: 1, 20: 49, 30: 445}),
+        ((4, 3, 1), {20: 6, 30: 342}),
+        # k = 2: a flipped A negates the count
+        ((2, 1), {10: 7, 20: 30, 30: 70}),
+        ((3, 1), {12: 11, 30: 286}),
+        # k = 4: the most rows a shape has at p = 30
+        ((4, 3, 2, 1), {20: 1, 30: 87}),
+    ])
+    def test_pinned_shape_counts(self, alpha, counts):
+        # the pinned values are the row-transfer DP's
+        for p, count in counts.items():
+            _, shapes = count_sstable_barlist(p, sum(alpha), len(alpha))
+            by_shape = {sc.shape: sc.count for sc in shapes}
+            assert by_shape[alpha] == count == shifted_arrays(alpha, None, p, {}), (alpha, p)
+
     def test_never_exceeds_stable(self):
         for p in range(1, 14):
             assert count_sstable_3vars(p).total <= count_stable_3vars(p).total
 
     def test_matches_determinant_route(self):
-        # the per-shape split equals the determinantal generating functions
-        # on every bar list, well past the brute-force oracle's p <= 12
+        # the Pfaffian equals the sum of the determinants it stands for,
+        # one gf_shifted per first-part vector, on every bar list
         for p in range(1, 25):
             for (_, h, k) in bar_lists_3vars(p):
                 if k > 1:

@@ -147,6 +147,14 @@ class TestValidate:
         doc = json.loads(json.dumps(pp.to_json()))
         assert PlanePartition.from_json(doc) == pp
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+    def test_json_shifted_flag_must_be_boolean(self, flag):
+        doc = {"shape": [3, 3], "shifted": flag, "rows": [[3, 2, 1], [2, 1]], "c": 1, "d": 0}
+        with pytest.raises(ValueError):
+            PlanePartition.from_json(doc)
+        doc["shifted"] = True
+        assert PlanePartition.from_json(doc).shifted is True
+
 
 class TestEnumeratePlanePartitions:
     def test_strict_norm_eight(self):

@@ -1,14 +1,24 @@
 import gc
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escalier.partitions import enumerate_plane_partitions
-from escalier.qpolys import IntPoly, det, gauss_binomial, gf_shifted, gf_strict
+from escalier.qpolys import (
+    IntPoly,
+    _pack,
+    _pfaffian,
+    _unpack,
+    det,
+    gauss_binomial,
+    gf_shifted,
+    gf_shifted_sum,
+    gf_strict,
+)
 
 
 def poly(*coeffs):
@@ -341,3 +351,85 @@ class TestGfShifted:
         for p in (15, 17, 21):
             capped = gf_shifted((3, 3, 3), (6, 3, 1), (1, 1, 1), 1, 0, truncate_at=p)
             assert capped.coefficient(p) == full.coefficient(p)
+
+
+def skew(upper, size):
+    """The skew-symmetric matrix with these entries above the diagonal."""
+    m = [[0] * size for _ in range(size)]
+    for (i, j), v in upper.items():
+        m[i][j], m[j][i] = v, -v
+    return m
+
+
+class TestPfaffian:
+    MASK = (1 << 64) - 1
+
+    def test_two_by_two(self):
+        for a12 in (0, 1, 7, -3):
+            assert _pfaffian(skew({(0, 1): a12}, 2), 0b11, {}, self.MASK) == a12 & self.MASK
+
+    def test_four_by_four(self):
+        for a12, a13, a14, a23, a24, a34 in ((2, 3, 5, 7, 11, 13), (1, 5, 0, 0, 5, 1),
+                                             (-1, 4, -2, 3, 6, -5)):
+            m = skew({(0, 1): a12, (0, 2): a13, (0, 3): a14,
+                      (1, 2): a23, (1, 3): a24, (2, 3): a34}, 4)
+            want = a12 * a34 - a13 * a24 + a14 * a23
+            assert _pfaffian(m, 0b1111, {}, self.MASK) == want & self.MASK
+            # a sub-Pfaffian on rows and columns 2 and 4 is their one entry
+            assert _pfaffian(m, 0b1010, {}, self.MASK) == a24 & self.MASK
+            # odd order: no perfect matching
+            assert _pfaffian(m, 0b0111, {}, self.MASK) == 0
+
+    def test_six_by_six_squares_to_det(self):
+        # polynomial entries, packed as det packs them; Pf^2 = det
+        width, top = 64, 9
+        mask = (1 << (top + 1) * width) - 1
+        for seed in range(5):
+            rng = random.Random(seed)
+            upper = {(i, j): rand_poly(rng, 3) for i in range(6) for j in range(i + 1, 6)}
+            m = [[IntPoly.zero()] * 6 for _ in range(6)]
+            for (i, j), e in upper.items():
+                m[i][j], m[j][i] = e, -e
+            packed = [[_pack(e.coeffs, width) & mask for e in row] for row in m]
+            pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, mask), top + 1, width))
+            assert pf * pf == det(m), seed
+
+
+def vector_sum(lam, firsts, top):
+    """gf_shifted summed over every first-part vector drawn from firsts."""
+    r = len(lam)
+    acc = IntPoly.zero(top)
+    for a in combinations(sorted(firsts, reverse=True), r):
+        acc = acc + gf_shifted(lam, a, (1,) * r, 1, 0, truncate_at=top)
+    return acc
+
+
+class TestGfShiftedSum:
+    @pytest.mark.parametrize("lam", [(1,), (3,), (2, 2), (3, 2), (4, 4), (3, 3, 3), (5, 4, 3),
+                                     (4, 4, 4, 4), (6, 5, 5, 4)])
+    def test_matches_the_vector_sum(self, lam):
+        # whole truncated polynomials, even and odd order, for windows that
+        # start above the least first part and stop short of the truncation
+        for firsts in (range(1, 12), range(3, 9), range(lam[-1] - len(lam) + 1, 16)):
+            for top in (0, 10, 20, 28):
+                assert gf_shifted_sum(lam, firsts, top) == vector_sum(lam, firsts, top), (
+                    lam, firsts, top)
+
+    @pytest.mark.parametrize("lam", [(3,), (2, 2), (4, 3), (3, 3, 3), (5, 4, 3)])
+    def test_coefficients_count_arrays(self, lam):
+        top = 20
+        got = gf_shifted_sum(lam, range(1, top + 1), top)
+        assert got.trunc == top
+        for p in range(top + 1):
+            brute = enumerate_plane_partitions(lam, True, 1, 0, None, (1,) * len(lam), p)
+            assert got.coefficient(p) == len(brute), (lam, p)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            gf_shifted_sum((), range(1, 5), 10)
+        with pytest.raises(ValueError):
+            gf_shifted_sum((2, 1), range(1, 5), 10)  # shape[r] < r
+        with pytest.raises(ValueError):
+            gf_shifted_sum((3, 2), range(0, 5), 10)
+        with pytest.raises(ValueError):
+            gf_shifted_sum((2, 3), range(1, 5), 10)
