@@ -12,8 +12,9 @@ first-part bound vector chosen so the bound never cuts into the norm-p slice.
 The strongly stable class sums the determinantal generating functions of its
 shifted row-strict, column-weak arrays over every admissible first-part
 vector; these vectors are the r-subsets of one window, so the minor summation
-formula turns the sum into one Pfaffian per shape.  Counts are plain Python
-integers, so there is no overflow anywhere.
+formula turns the sum into one Pfaffian per shape.  Both classes take their
+Gaussian-binomial entries from one packed table per p (qpolys.gauss_table).
+Counts are plain Python integers, so there is no overflow anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .partitions import (
     enumerate_distinct,
     minimal_sum,
 )
-from .qpolys import gf_shifted_sum, gf_strict
+from .qpolys import gf_shifted_sum, gf_strict_coefficient
 
 STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
@@ -174,9 +175,7 @@ def _stable_shape_count(beta: IntPartition, p: int) -> int:
     a = a_vector_stable(beta, p)
     if a[-1] < 1:
         return 0
-    k = len(beta)
-    poly = gf_strict(beta, (0,) * k, a, (1,) * k, c=1, d=1, truncate_at=p)
-    return poly.coefficient(p)
+    return gf_strict_coefficient(beta, a, p)
 
 
 def count_stable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:

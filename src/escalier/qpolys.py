@@ -11,7 +11,14 @@ agree with full arithmetic up to degree T.
 Gaussian binomials are built in place on one coefficient list by additions
 alone, one factor (1-x^m)/(1-x^i) at a time: each partial product is itself a
 Gaussian binomial, a polynomial of degree at most the final one, so the
-power-series division by 1-x^i is exact on the kept coefficients.
+power-series division by 1-x^i is exact on the kept coefficients.  The
+censuses instead read theirs from gauss_table, one table per p of every
+G(n, k) mod x^(p+1), built by q-Pascal and packed at one width for both
+classes: one bit more than the bit length of the number of plane partitions
+of p, which bounds every coefficient up to x^p of either class's generating
+functions.  gf_strict_coefficient takes a stable shape's count as one digit
+of one packed determinant on that table, and gf_shifted_sum takes a strongly
+stable shape's as one packed Pfaffian.
 
 Determinants do not use IntPoly arithmetic.  They work modulo x^(T+1), with
 T the smallest truncation degree among the entries or, untruncated, the sum
@@ -23,7 +30,7 @@ bit more than the bit length of the product over rows of each row's summed
 coefficient norms, which bounds every coefficient of the determinant, so the
 result decodes exactly as digits in balanced base 2^B.  gf_shifted_sum takes
 a whole sum of shifted determinants, one per first-part vector, as a single
-Pfaffian (the minor summation formula) on the same packed integers.
+Pfaffian (the minor summation formula) on the same kind of packed integers.
 
 The generating-function entries can involve monomial prefactors x^N with N
 negative; determinants are therefore computed after factoring the minimal
@@ -218,9 +225,9 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
     """The Gaussian polynomial [n]! / ([k]! [n-k]!) in the variable x.
 
     Total by convention: 1 for k = 0 (any n), 0 whenever k < 0 or n < k.
-    Cached: the counting pipelines request the same handful of entries over
-    and over while sweeping first-part vectors.  IntPoly is immutable, so
-    sharing results is safe.
+    Cached: a gf_strict or gf_shifted determinant requests the same entries
+    as its neighbours.  IntPoly is immutable, so sharing results is safe.
+    The censuses read their entries from gauss_table instead.
     """
     if k == 0:
         return IntPoly.const(1, trunc)
@@ -236,6 +243,56 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
         for j in range(i, top + 1):  # divided by 1 - x^i
             c[j] += c[j - i]
     return IntPoly(c, trunc)
+
+
+def _plane_partition_count(n: int) -> int:
+    """The number of plane partitions of n, by MacMahon's recurrence
+    n pp(n) = sum over k of sigma_2(k) pp(n - k), with sigma_2(k) the sum of
+    the squares of the divisors of k."""
+    sigma2 = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            sigma2[m] += d * d
+    pp = [1]
+    for m in range(1, n + 1):
+        pp.append(sum(sigma2[k] * pp[m - k] for k in range(1, m + 1)) // m)
+    return pp[n]
+
+
+@lru_cache(maxsize=1)
+def gauss_table(p: int) -> tuple[int, list[list[int]]]:
+    """Every Gaussian binomial G(n, k) mod x^(p+1) with 0 <= k <= n/2 <= p/2,
+    packed at x = 2^width, as (width, rows) with rows[n][k] = G(n, k).
+
+    Built bottom-up by q-Pascal, G(n, k) = G(n-1, k-1) + x^k G(n-1, k), with
+    G(n-1, k) = G(n-1, n-1-k): one shift, one add and one mask per entry.
+    The width is one bit more than the bit length of the number of plane
+    partitions of p.  It is exact for every packed determinant or Pfaffian
+    the censuses take at p: each digit they read is a coefficient, at a norm
+    n <= p, of a generating function of arrays with positive entries whose
+    rows and columns decrease (a shifted array read left-justified), so each
+    array is a distinct plane partition of n, and there are at most as many
+    as plane partitions of p.
+    """
+    width = _plane_partition_count(p).bit_length() + 1
+    mask = (1 << (p + 1) * width) - 1
+    rows = [[1]]
+    for n in range(1, p + 1):
+        prev = rows[-1]
+        rows.append([1] + [
+            (prev[k - 1] + (prev[min(k, n - 1 - k)] << k * width)) & mask
+            for k in range(1, n // 2 + 1)
+        ])
+    return width, rows
+
+
+def _table_entry(rows: list[list[int]], n: int, k: int) -> int:
+    """G(n, k) from gauss_table's rows, total like gauss_binomial."""
+    if k == 0:
+        return 1
+    if k < 0 or n < k:
+        return 0
+    return rows[n][min(k, n - k)]
 
 
 def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
@@ -295,6 +352,16 @@ def _unpack(value: int, count: int, width: int) -> list[int]:
         out.append(digit)
         value = (value - digit) >> width
     return out
+
+
+def _digit(value: int, index: int, width: int) -> int:
+    """Digit index of value in balanced base 2^width, as _unpack reads it.
+    Adding 2^(width-1) to each digit below it makes those digits
+    nonnegative, so they no longer borrow from it."""
+    shift = index * width
+    ones = ((1 << shift) - 1) // ((1 << width) - 1)  # sum of 2^(j*width), j < index
+    digit = ((value + (ones << (width - 1))) >> shift) & ((1 << width) - 1)
+    return digit - (1 << width) if digit >> (width - 1) else digit
 
 
 def _minor(packed: list[list[int]], colmask: int, cache: dict[int, int], mask: int) -> int:
@@ -443,6 +510,46 @@ def gf_strict(
     return _laurent_det(entries, r, truncate_at)
 
 
+def gf_strict_coefficient(lam: Sequence[int], a: Sequence[int], p: int) -> int:
+    """The coefficient of x^p in gf_strict(lam, (0,)*r, a, (1,)*r, 1, 1, p):
+    the row- and column-strict arrays of shape lam and norm p with positive
+    entries whose first part in row i is at most a[i-1].
+
+    Entry (s, t) is x^e G(a_t - s + t, m) with m = lam_s - s + t and
+    e = binomial(m + 1, 2) - binomial(s - t, 2), as in gf_strict.  The
+    entries come from gauss_table(p), so a_t + t - 1 must not exceed p, as
+    it does not for a_vector_stable.  They are shifted into place after
+    factoring each row's least power out, as _laurent_det does, and the
+    determinant is taken by _minor.  Only its digit at x^p, less the powers
+    factored out, is read.  On the census's shapes every permutation's
+    product of entries carries a nonnegative power, so the digits up to that
+    one are coefficients at norms <= p and the table's width holds them.
+    """
+    r = len(lam)
+    if any(a[t] + t > p for t in range(r)):
+        raise ValueError("first-part bounds reach past x^p")
+    width, table = gauss_table(p)
+    rows = [
+        [
+            (_choose2(lam[s] - s + t + 1) - _choose2(s - t),
+             _table_entry(table, a[t] - s + t, lam[s] - s + t))
+            for t in range(r)
+        ]
+        for s in range(r)
+    ]
+    bases = [min((power for power, entry in row if entry), default=0) for row in rows]
+    top = p - sum(bases)
+    if top < 0:
+        return 0
+    mask = (1 << (top + 1) * width) - 1
+    packed = [
+        [(entry << (power - base) * width) & mask if entry and power - base <= top else 0
+         for power, entry in row]
+        for row, base in zip(rows, bases)
+    ]
+    return _digit(_minor(packed, (1 << r) - 1, {}, mask), top, width)
+
+
 def gf_shifted(
     lam: Sequence[int],
     a: Sequence[int],
@@ -504,12 +611,11 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     (T A T^t)_su = sum_j T_uj (P_s(j) + P_s(j+1)) - R_s R_u, so the matrix
     takes r(r-1)/2 W products.
 
-    Everything runs on integers packed by x -> 2^B with B = truncate_at + 1,
-    reduced mod 2^((N+1)B), as in det.  The width is exact: the coefficient
-    of x^n counts arrays of norm n <= truncate_at, and reading an array row
-    by row gives distinct compositions of n, so it lies in [0, 2^(n-1)).
-    The entries request gauss_binomial(w - 1, m_s, truncate_at - w), whose
-    cache key does not depend on C, so the shapes of one census share them.
+    Everything runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B),
+    as in det, with the entries and the width B of gauss_table(truncate_at),
+    which the shapes of one census share.  The width is exact: the
+    coefficient of x^n counts arrays of norm n <= truncate_at, and each
+    array, read left-justified, is a distinct plane partition of n.
     """
     lam = tuple(lam)
     r = len(lam)
@@ -526,15 +632,11 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     top = truncate_at - shift
     if top < 0:
         return IntPoly.zero(truncate_at)
-    width = truncate_at + 1
+    width, table = gauss_table(truncate_at)
     mask = (1 << (top + 1) * width) - 1
     rows = [
-        [
-            _pack(gauss_binomial(w - 1, m, truncate_at - w).coeffs[: top - w + 1], width)
-            << w * width
-            if w <= top else 0
-            for w in columns
-        ]
+        [(_table_entry(table, w - 1, m) << w * width) & mask if w <= top else 0
+         for w in columns]
         for m in ms
     ]
     doubled, totals = [], []

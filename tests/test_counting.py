@@ -26,7 +26,7 @@ from escalier.partitions import (
     minimal_sum,
     strict_rows,
 )
-from escalier.qpolys import gf_shifted, gf_strict
+from escalier.qpolys import _plane_partition_count, gf_shifted, gf_strict
 
 
 def untruncated_shape_count(shape, p):
@@ -35,6 +35,16 @@ def untruncated_shape_count(shape, p):
     k = len(shape)
     full = gf_strict(shape, (0,) * k, a_vector_stable(shape, p), (1,) * k, 1, 1)
     return full.coefficient(p)
+
+
+def truncated_shape_count(shape, p):
+    """Stable count of one shape at norm p, read off the generating function
+    truncated after x^p: the route through gf_strict and det."""
+    k = len(shape)
+    a = a_vector_stable(shape, p)
+    if a[-1] < 1:
+        return 0
+    return gf_strict(shape, (0,) * k, a, (1,) * k, 1, 1, truncate_at=p).coefficient(p)
 
 
 def determinant_split(p, h, k):
@@ -213,6 +223,23 @@ class TestStableCensus:
                 for sc in row.shapes:
                     assert sc.count == untruncated_shape_count(sc.shape, p), (p, sc.shape)
 
+    def test_matches_truncated_determinant(self):
+        # every shape, against the IntPoly determinant route the packed
+        # table replaced, where its width is widest
+        for p in list(range(1, 41)) + [60, 80, 100]:
+            for row in census(p, 3, STABLE).rows:
+                if row.bar_list[2] < 2:
+                    continue
+                for sc in row.shapes:
+                    assert sc.count == truncated_shape_count(sc.shape, p), (p, sc.shape)
+
+    def test_shape_counts_stay_below_the_plane_partition_count(self):
+        # the bound the packed table's width is sized from
+        bound = _plane_partition_count(60)
+        for kind in (STABLE, STRONGLY_STABLE):
+            for row in census(60, 3, kind).rows:
+                assert all(0 <= sc.count <= bound for sc in row.shapes), (kind, row.bar_list)
+
 
 class TestStronglyStableCensus:
     def test_per_barlist(self):
@@ -231,7 +258,8 @@ class TestStronglyStableCensus:
 
     def test_large_totals(self):
         # the row-transfer DP's totals; the DP itself needs seconds for them
-        assert [count_sstable_3vars(p).total for p in (50, 60)] == [388172, 2732870]
+        assert [count_sstable_3vars(p).total for p in (50, 60, 70)] == [
+            388172, 2732870, 17391860]
 
     def test_matches_row_transfer_dp(self):
         # shape by shape on every bar list, well past the brute-force

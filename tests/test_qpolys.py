@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from escalier.partitions import enumerate_plane_partitions
 from escalier.qpolys import (
     IntPoly,
+    _digit,
     _pack,
     _pfaffian,
+    _plane_partition_count,
+    _table_entry,
     _unpack,
     det,
     gauss_binomial,
+    gauss_table,
     gf_shifted,
     gf_shifted_sum,
     gf_strict,
+    gf_strict_coefficient,
 )
 
 
@@ -148,6 +153,86 @@ class TestGaussBinomial:
                     assert capped.trunc == T and capped.degree <= T
                     for d in range(T + 1):
                         assert capped.coefficient(d) == full.coefficient(d)
+
+
+class TestGaussTable:
+    @pytest.mark.parametrize("top", [0, 1, 2, 7, 30])
+    def test_digits_match_gauss_binomial(self, top):
+        width, rows = gauss_table(top)
+        for n in range(top + 1):
+            for k in range(n + 1):
+                want = gauss_binomial(n, k, top)
+                got = _unpack(_table_entry(rows, n, k), top + 1, width)
+                assert got == [want.coefficient(d) for d in range(top + 1)], (n, k)
+
+    def test_total_conventions(self):
+        _, rows = gauss_table(7)
+        assert _table_entry(rows, -3, 0) == 1
+        assert _table_entry(rows, -1, 2) == _table_entry(rows, 3, -1) == 0
+        assert _table_entry(rows, 2, 3) == 0
+
+    def test_plane_partition_counts(self):
+        # OEIS A000219, and the series prod 1/(1 - x^k)^k up to x^100
+        assert [_plane_partition_count(n) for n in range(13)] == [
+            1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479]
+        top = 100
+        series = [1] + [0] * top
+        for k in range(1, top + 1):
+            for _ in range(k):  # times 1/(1 - x^k)
+                for j in range(k, top + 1):
+                    series[j] += series[j - k]
+        assert _plane_partition_count(top) == series[top] == 59206066030052023
+        assert [_plane_partition_count(n) for n in (20, 50, 99)] == [
+            series[20], series[50], series[99]]
+
+    def test_width_holds_the_plane_partition_count(self):
+        for p in (0, 1, 10, 60, 100):
+            width, _ = gauss_table(p)
+            assert _plane_partition_count(p) < 1 << (width - 1) <= 2 * _plane_partition_count(p)
+
+
+class TestDigit:
+    def test_matches_unpack(self):
+        rng = random.Random(307)
+        for width in (2, 3, 8, 57):
+            half = 1 << (width - 1)
+            for _ in range(50):
+                digits = [rng.randrange(-half, half) for _ in range(6)]
+                value = _pack(digits, width) & ((1 << 6 * width) - 1)
+                assert _unpack(value, 6, width) == digits
+                for index in range(6):
+                    assert _digit(value, index, width) == digits[index], (digits, index)
+
+    def test_borrows_and_signs(self):
+        width = 8
+        mask = (1 << 3 * width) - 1
+        # negative lower digits borrow from the digit read
+        assert _digit(_pack([-1, -128, 5], width) & mask, 2, width) == 5
+        assert _digit(_pack([-1, 0, 5], width) & mask, 1, width) == 0
+        # index 0 reads the lowest digit, negative or not
+        assert _digit(_pack([-128, 3], width) & mask, 0, width) == -128
+        assert _digit(_pack([127, 3], width) & mask, 0, width) == 127
+        # a negative digit read, above negative and positive lower digits
+        assert _digit(_pack([-7, 1, -3], width) & mask, 2, width) == -3
+        assert _digit(_pack([7, -1, -128], width) & mask, 2, width) == -128
+        # every lower digit at its least: together below -2^(index*width - 1)
+        assert _digit(_pack([-2, -2, -2, -2, 1], 2) & 1023, 4, 2) == 1
+
+
+class TestGfStrictCoefficient:
+    @pytest.mark.parametrize("shape,first", [
+        ((2, 1), (4, 3)), ((2, 2), (5, 4)), ((3, 1), (6, 5)), ((3, 2, 1), (5, 4, 3)),
+        ((4, 3, 2), (7, 6, 5)), ((5, 3, 2, 1), (9, 8, 7, 6)),
+    ])
+    def test_matches_the_truncated_generating_function(self, shape, first):
+        r = len(shape)
+        for p in range(max(first[t] + t for t in range(r)), 40):
+            want = gf_strict(shape, (0,) * r, first, (1,) * r, 1, 1, truncate_at=p)
+            assert gf_strict_coefficient(shape, first, p) == want.coefficient(p), (shape, p)
+
+    def test_rejects_bounds_past_the_table(self):
+        with pytest.raises(ValueError):
+            gf_strict_coefficient((2, 1), (4, 3), 3)
 
 
 class TestDet:
