@@ -20,21 +20,19 @@ functions.  gf_strict_coefficient takes a stable shape's count as one digit
 of one packed determinant on that table, and gf_shifted_sum takes a strongly
 stable shape's as one packed Pfaffian.
 
-Determinants do not use IntPoly arithmetic.  They work modulo x^(T+1), with
-T the smallest truncation degree among the entries or, untruncated, the sum
-of the rows' largest entry degrees (a bound on the determinant's degree).
-Each entry is packed into one Python integer by x -> 2^B (Kronecker
-substitution), so the memoised cofactor expansion runs on plain integers,
-reduced mod 2^((T+1)B), and CPython's Karatsuba does the products.  B is one
-bit more than the bit length of the product over rows of each row's summed
-coefficient norms, which bounds every coefficient of the determinant, so the
-result decodes exactly as digits in balanced base 2^B.  gf_shifted_sum takes
-a whole sum of shifted determinants, one per first-part vector, as a single
-Pfaffian (the minor summation formula) on the same kind of packed integers.
-
-The generating-function entries can involve monomial prefactors x^N with N
-negative; determinants are therefore computed after factoring the minimal
-power out of each row, and the global power is reapplied at the end.
+Every determinant takes one route.  Its entries are named (power, n, k),
+meaning x^power G(n, k), where the power may be negative.  Each row's least
+power over its nonzero entries (_row_bases) is factored out of it, and the
+collected power t is reapplied at the end.  gf_strict and gf_shifted
+work modulo x^(T+1-t), T their truncation degree, and ask each Gaussian
+binomial only for the degree its place reaches; _packed_det packs the
+entries into Python integers by x -> 2^B (Kronecker substitution), so the
+memoised cofactor expansion runs on plain integers and CPython's Karatsuba
+does the products.  det is the same route with every power 0.  The stable
+census factors the same matrix (_strict_entries) but packs its entries from
+gauss_table.  gf_shifted_sum takes a whole sum of shifted determinants, one
+per first-part vector, as a single Pfaffian (the minor summation formula)
+on the same kind of packed integers.
 """
 
 from __future__ import annotations
@@ -42,6 +40,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
+
+_Entries = list[list[tuple[int, int, int]]]
 
 
 class IntPoly:
@@ -296,38 +296,42 @@ def _table_entry(rows: list[list[int]], n: int, k: int) -> int:
 
 
 def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant of a square polynomial matrix.
-
-    Works modulo x^(T+1), where T is the smallest truncation degree among the
-    entries or, if none is truncated, the sum over rows of the row's largest
-    entry degree, which bounds the degree of the determinant.  The result
-    carries truncation degree T in the first case and none in the second.
-
-    Each entry is packed once into an integer by the ring map x -> 2^B,
-    which takes Z[x]/(x^(T+1)) onto Z/2^((T+1)B) (Kronecker substitution),
-    and the determinant is taken on those integers by cofactor expansion
-    along the rows, memoised over the subsets of columns left: 2^r minors,
-    each a sum of products reduced mod 2^((T+1)B), with no division.  Each
-    coefficient of the determinant is at most the permanent of the entries'
-    norms (sums of |c| over degrees <= T), hence at most the product over
-    rows of each row's summed norms.  B is one bit more than that product's
-    bit length, so every coefficient lies in [-2^(B-1), 2^(B-1)), is one
-    digit of the result in balanced base 2^B, and decodes exactly.
-    """
+    """Exact determinant of a square polynomial matrix, modulo x^(T+1) with T
+    the least truncation degree among the entries, which the result carries;
+    whole if no entry is truncated."""
     r = len(matrix)
     if r == 0 or any(len(row) != r for row in matrix):
         raise ValueError("determinant needs a non-empty square matrix")
     truncs = [e.trunc for row in matrix for e in row if e.trunc is not None]
     trunc = min(truncs) if truncs else None
-    top = trunc if trunc is not None else sum(
-        max(max(e.degree for e in row), 0) for row in matrix
-    )
-    bound = prod(sum(sum(map(abs, e.coeffs[: top + 1])) for e in row) for row in matrix)
+    return IntPoly(_packed_det([[(0, e) for e in row] for row in matrix], trunc), trunc)
+
+
+def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[int]:
+    """The coefficients up to x^top of the determinant of the matrix of
+    entries x^e poly, given as rows of (e, poly) with 0 <= e <= top + 1 where
+    poly is nonzero.  Untruncated, top is None and stands for the sum over
+    rows of the row's largest entry degree, a bound on the degree.
+
+    The ring map x -> 2^B takes Z[x]/(x^(top+1)) onto Z/2^((top+1)B), so
+    each entry is packed once into an integer and _minor takes the
+    determinant on those, with no division.  Each coefficient of the
+    determinant is at most the permanent of the entries' norms (sums of |c|
+    over degrees <= top), hence at most the product over rows of each row's
+    summed norms.  B is one bit more than that product's bit length, so each
+    coefficient is one digit of the result in balanced base 2^B.
+    """
+    if top is None:
+        top = sum(max((e + poly.degree for e, poly in row if poly), default=0) for row in rows)
+    bound = prod(sum(sum(map(abs, poly.coeffs[: top + 1 - e])) for e, poly in row) for row in rows)
     width = bound.bit_length() + 1
     mask = (1 << (top + 1) * width) - 1
-    packed = [[_pack(e.coeffs[: top + 1], width) & mask for e in row] for row in matrix]
-    value = _minor(packed, (1 << r) - 1, {}, mask)
-    return IntPoly(_unpack(value, top + 1, width), trunc)
+    packed = [
+        [(_pack(poly.coeffs[: top + 1 - e], width) << e * width) & mask if poly else 0
+         for e, poly in row]
+        for row in rows
+    ]
+    return _unpack(_minor(packed, (1 << len(rows)) - 1, {}, mask), top + 1, width)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -428,32 +432,38 @@ def _choose2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def _laurent_det(
-    entries: dict, r: int, trunc: int | None, extra_shift: int = 0
-) -> IntPoly:
-    """Determinant of a matrix whose (s,t) entry is x^shift * poly, times a
-    global x^extra_shift.  Shifts may be negative; the minimal one is factored
-    out of each row, the determinant is taken over plain polynomials, and the
-    collected power is reapplied at the end (with a divisibility check when it
-    is negative).  Truncation is widened so the final cut stays exact."""
-    bases = []
-    for s in range(r):
-        shifts = [entries[(s, t)][0] for t in range(r) if (s, t) in entries]
-        bases.append(min(shifts) if shifts else 0)
+def _row_bases(rows: _Entries) -> list[int]:
+    """Each row's least power over its nonzero entries (0 for a row of
+    zeros): the power factored out of that row.  Only zero entries can lie
+    below it."""
+    return [
+        min((power for power, n, k in row if k == 0 or 0 < k <= n), default=0)
+        for row in rows
+    ]
+
+
+def _laurent_det(rows: _Entries, trunc: int | None, extra_shift: int = 0) -> IntPoly:
+    """The determinant of rows, times x^extra_shift, up to x^trunc (None: all
+    of it).  The rows' bases and the extra shift make up a power t that is
+    reapplied at the end, with a divisibility check when negative; the rest
+    goes to _packed_det up to x^(trunc - t), each Gaussian binomial asked
+    only for the degree its place reaches."""
+    bases = _row_bases(rows)
     total = sum(bases) + extra_shift
-    inner_trunc = None if trunc is None else max(trunc - total, 0)
-    matrix = []
-    for s in range(r):
-        row = []
-        for t in range(r):
-            e = entries.get((s, t))
-            if e is None:
-                row.append(IntPoly.zero(inner_trunc))
-            else:
-                sh, poly = e
-                row.append(poly.shift(sh - bases[s]).truncated(inner_trunc))
-        matrix.append(row)
-    return det(matrix).truncated(None).shift(total).truncated(trunc)
+    if trunc is None:
+        matrix = [[(power - base, gauss_binomial(n, k)) for power, n, k in row]
+                  for row, base in zip(rows, bases)]
+        top = None
+    else:
+        top = trunc - total
+        if top < 0:
+            return IntPoly.zero(trunc)
+        matrix = [
+            [(power - base, gauss_binomial(n, k, top + base - power))
+             if power - base <= top else (0, IntPoly.zero()) for power, n, k in row]
+            for row, base in zip(rows, bases)
+        ]
+    return IntPoly(_packed_det(matrix, top)).shift(total).truncated(trunc)
 
 
 def _check_monotone(name: str, values: Sequence[int]):
@@ -489,25 +499,27 @@ def gf_strict(
             raise ValueError(f"first-part bounds fail the chain at row {i + 1}")
         if b[i] + c * (lam[i] - lam[i + 1]) + (1 - d) < b[i + 1]:
             raise ValueError(f"last-part bounds fail the chain at row {i + 1}")
-    entries = {}
-    for s in range(1, r + 1):
-        for t in range(1, r + 1):
-            low = lam[s - 1] - s - mu[t - 1] + t
-            poly = gauss_binomial(
-                (1 - c) * (lam[s - 1] - mu[t - 1]) - d * (s - t)
-                + a[t - 1] - b[s - 1] + c,
-                low,
-                truncate_at,
-            )
-            if poly.is_zero():
-                continue
-            power = (
-                b[s - 1] * low
-                + (1 - c - d) * (_choose2(mu[t - 1] + s - t) - _choose2(mu[t - 1]))
-                + c * _choose2(low)
-            )
-            entries[(s - 1, t - 1)] = (power, poly)
-    return _laurent_det(entries, r, truncate_at)
+    return _laurent_det(_strict_entries(lam, mu, a, b, c, d), truncate_at)
+
+
+def _strict_entries(
+    lam: Sequence[int], mu: Sequence[int], a: Sequence[int], b: Sequence[int], c: int, d: int
+) -> _Entries:
+    """gf_strict's matrix, entry (s, t) as (power, n, k) for x^power G(n, k):
+    k = lam_s - s - mu_t + t,
+    n = (1 - c)(lam_s - mu_t) - d(s - t) + a_t - b_s + c and
+    power = b_s k + (1 - c - d)(binomial(mu_t + s - t, 2) - binomial(mu_t, 2))
+    + c binomial(k, 2)."""
+    rows = []
+    for s in range(len(lam)):
+        rows.append([])
+        for t in range(len(lam)):
+            k = lam[s] - s - mu[t] + t
+            n = (1 - c) * (lam[s] - mu[t]) - d * (s - t) + a[t] - b[s] + c
+            power = b[s] * k + c * _choose2(k)
+            power += (1 - c - d) * (_choose2(mu[t] + s - t) - _choose2(mu[t]))
+            rows[-1].append((power, n, k))
+    return rows
 
 
 def gf_strict_coefficient(lam: Sequence[int], a: Sequence[int], p: int) -> int:
@@ -515,36 +527,30 @@ def gf_strict_coefficient(lam: Sequence[int], a: Sequence[int], p: int) -> int:
     the row- and column-strict arrays of shape lam and norm p with positive
     entries whose first part in row i is at most a[i-1].
 
-    Entry (s, t) is x^e G(a_t - s + t, m) with m = lam_s - s + t and
-    e = binomial(m + 1, 2) - binomial(s - t, 2), as in gf_strict.  The
-    entries come from gauss_table(p), so a_t + t - 1 must not exceed p, as
-    it does not for a_vector_stable.  They are shifted into place after
-    factoring each row's least power out, as _laurent_det does, and the
-    determinant is taken by _minor.  Only its digit at x^p, less the powers
-    factored out, is read.  On the census's shapes every permutation's
-    product of entries carries a nonnegative power, so the digits up to that
-    one are coefficients at norms <= p and the table's width holds them.
+    The matrix is gf_strict's (mu = 0, b = 1, c = d = 1), factored by
+    _row_bases, with entries from gauss_table(p), so a_t + t - 1 must not
+    exceed p, as it does not for a_vector_stable.  Only the determinant's
+    digit at x^p, less the powers factored out, is read.  That digit can lie
+    above x^p, as the least powers can sum below zero (first at p = 31, for
+    shape (6, 4, 2)).  The table still holds enough: on the census's shapes
+    the entries along each permutation, where all are nonzero, carry powers
+    with a nonnegative sum, so each product reaches x^p only through
+    coefficients of degree <= p, and the digits up to the one read are
+    coefficients at norms <= p, which the table's width holds.
     """
     r = len(lam)
     if any(a[t] + t > p for t in range(r)):
         raise ValueError("first-part bounds reach past x^p")
     width, table = gauss_table(p)
-    rows = [
-        [
-            (_choose2(lam[s] - s + t + 1) - _choose2(s - t),
-             _table_entry(table, a[t] - s + t, lam[s] - s + t))
-            for t in range(r)
-        ]
-        for s in range(r)
-    ]
-    bases = [min((power for power, entry in row if entry), default=0) for row in rows]
+    rows = _strict_entries(lam, (0,) * r, a, (1,) * r, 1, 1)
+    bases = _row_bases(rows)
     top = p - sum(bases)
     if top < 0:
         return 0
     mask = (1 << (top + 1) * width) - 1
-    packed = [
-        [(entry << (power - base) * width) & mask if entry and power - base <= top else 0
-         for power, entry in row]
+    packed = [  # a zero entry may lie below its row's base
+        [(_table_entry(table, n, k) << (power - base) * width) & mask
+         if 0 <= power - base <= top else 0 for power, n, k in row]
         for row, base in zip(rows, bases)
     ]
     return _digit(_minor(packed, (1 << r) - 1, {}, mask), top, width)
@@ -576,18 +582,11 @@ def gf_shifted(
         b[i] * (lam[i] - (i + 1)) + a[i] + c * _choose2(lam[i] - (i + 1))
         for i in range(r)
     )
-    entries = {}
-    for s in range(1, r + 1):
-        for t in range(1, r + 1):
-            poly = gauss_binomial(
-                (lam[s - 1] - s) * (1 - c) + (1 - c - d) * (s - t)
-                + a[t - 1] - b[s - 1],
-                lam[s - 1] - s,
-                truncate_at,
-            )
-            if not poly.is_zero():
-                entries[(s - 1, t - 1)] = (0, poly)
-    return _laurent_det(entries, r, truncate_at, extra_shift=power)
+    rows = []
+    for s in range(r):
+        m = lam[s] - s - 1
+        rows.append([(0, m * (1 - c) + (1 - c - d) * (s - t) + a[t] - b[s], m) for t in range(r)])
+    return _laurent_det(rows, truncate_at, extra_shift=power)
 
 
 def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) -> IntPoly:

@@ -108,6 +108,13 @@ class TestGf:
         assert doc["coeffs"][10] == "11"
         assert len(doc["coeffs"]) == 11
 
+    def test_truncated_gf_keeps_every_coefficient(self, capsys):
+        # the rows' least powers sum below zero; one array has norm 3 and
+        # none has norm 4
+        assert run(["gf", "strict", "--shape", "3,3", "--inner", "2,2", "--a", "2,2",
+                    "--b", "1,1", "--c", "1", "--d", "1", "--truncate-at", "4"]) == 0
+        assert out_of(capsys) == "x^3"
+
 
 class TestPartitions:
     def test_enumerate(self, capsys):

@@ -26,7 +26,13 @@ from escalier.partitions import (
     minimal_sum,
     strict_rows,
 )
-from escalier.qpolys import _plane_partition_count, gf_shifted, gf_strict
+from escalier.qpolys import (
+    _plane_partition_count,
+    _row_bases,
+    _strict_entries,
+    gf_shifted,
+    gf_strict,
+)
 
 
 def untruncated_shape_count(shape, p):
@@ -61,15 +67,17 @@ def determinant_split(p, h, k):
     return tuple(shapes)
 
 
-def shifted_arrays(lengths, bounds, norm, memo):
-    """Row-transfer DP: the shifted arrays of norm `norm` whose row i holds
-    lengths[i] strictly decreasing positive entries, with weakly decreasing
-    columns, and whose first row is at most bounds entrywise (None: no
-    bound).  Row i+1 starts one column to the right of row i, so the column
-    condition bounds it by row i with its first entry dropped.  Each first
-    row leaves at least the staircase minimum of the rows below it; the last
-    row is counted at exact sum."""
-    key = (lengths, bounds, norm)
+def _arrays(lengths, bounds, norm, memo, shifted):
+    """Row-transfer DP: the arrays of norm `norm` whose row i holds
+    lengths[i] strictly decreasing positive entries, and whose first row is
+    at most bounds entrywise (None: no bound).  Shifted, row i+1 starts one
+    column to the right of row i and the columns weakly decrease, so row i
+    with its first entry dropped bounds row i+1.  Unshifted, the rows are
+    left-justified and the columns strictly decrease, so row i minus one, on
+    its first lengths[i+1] cells, bounds row i+1; a row whose bound reaches 0
+    leaves no room below it.  Each first row leaves at least the staircase
+    minimum of the rows below it; the last row is counted at exact sum."""
+    key = (lengths, bounds, norm, shifted)
     got = memo.get(key)
     if got is not None:
         return got
@@ -80,9 +88,27 @@ def shifted_arrays(lengths, bounds, norm, memo):
         below = sum(m * (m + 1) // 2 for m in rest)
         got = 0
         for row in strict_rows(lengths[0], bounds, 0, norm - below):
-            got += shifted_arrays(rest, row[1:rest[0] + 1], norm - sum(row), memo)
+            if shifted:
+                under = row[1:rest[0] + 1]
+            elif row[rest[0] - 1] > 1:
+                under = tuple(v - 1 for v in row[:rest[0]])
+            else:
+                continue
+            got += _arrays(rest, under, norm - sum(row), memo, shifted)
     memo[key] = got
     return got
+
+
+def permutation_powers(rows, s=0, used=0, acc=0):
+    """The power sums, over rows s onward, of the entries x^power G(n, k),
+    given as (power, n, k), along every permutation whose entries are all
+    nonzero."""
+    if s == len(rows):
+        yield acc
+        return
+    for t, (power, n, k) in enumerate(rows[s]):
+        if not used >> t & 1 and (k == 0 or 0 < k <= n):
+            yield from permutation_powers(rows, s + 1, used | 1 << t, acc + power)
 
 
 def dp_split(p, h, k):
@@ -90,7 +116,7 @@ def dp_split(p, h, k):
     that shares no code with the Pfaffian route."""
     memo = {}
     return tuple(
-        ShapeCount(alpha, shifted_arrays(alpha, None, p, memo))
+        ShapeCount(alpha, _arrays(alpha, None, p, memo, True))
         for alpha in enumerate_distinct(h, k)
     )
 
@@ -233,6 +259,39 @@ class TestStableCensus:
                 for sc in row.shapes:
                     assert sc.count == truncated_shape_count(sc.shape, p), (p, sc.shape)
 
+    def test_matches_unshifted_row_transfer_dp(self):
+        # every shape, against a route that builds no determinant and shares
+        # no entry formula with the census; p <= 43 keeps it near two seconds
+        memo = {}
+        for p in range(1, 44):
+            for row in census(p, 3, STABLE).rows:
+                if row.bar_list[2] < 2:
+                    continue
+                for sc in row.shapes:
+                    assert sc.count == _arrays(sc.shape, None, p, memo, False), (p, sc.shape)
+
+    def test_every_permutation_carries_a_nonnegative_power(self):
+        # gf_strict_coefficient reads its entries mod x^(p+1) even where the
+        # rows' least powers sum below zero, so that the digit it reads lies
+        # above x^p.  That is exact because the entries along each
+        # permutation, where all are nonzero, carry a nonnegative power sum.
+        shapes, sums, below_zero = 0, [], []
+        for p in range(1, 61):
+            for (_, h, k) in bar_lists_3vars(p):
+                if k < 2:
+                    continue
+                for beta in enumerate_distinct(h, k):
+                    a = a_vector_stable(beta, p)
+                    if a[-1] < 1:
+                        continue
+                    rows = _strict_entries(beta, (0,) * k, a, (1,) * k, 1, 1)
+                    if sum(_row_bases(rows)) < 0:
+                        below_zero.append((p, beta))
+                    shapes += 1
+                    sums.extend(permutation_powers(rows))
+        assert below_zero[0] == (31, (6, 4, 2))
+        assert (shapes, len(sums), min(sums)) == (3062, 17318, 4)
+
     def test_shape_counts_stay_below_the_plane_partition_count(self):
         # the bound the packed table's width is sized from
         bound = _plane_partition_count(60)
@@ -285,7 +344,7 @@ class TestStronglyStableCensus:
         for p, count in counts.items():
             _, shapes = count_sstable_barlist(p, sum(alpha), len(alpha))
             by_shape = {sc.shape: sc.count for sc in shapes}
-            assert by_shape[alpha] == count == shifted_arrays(alpha, None, p, {}), (alpha, p)
+            assert by_shape[alpha] == count == _arrays(alpha, None, p, {}, True), (alpha, p)
 
     def test_never_exceeds_stable(self):
         for p in range(1, 14):

@@ -339,6 +339,63 @@ def brute_counts(shape, shifted, c, d, first, last, top):
     return counts
 
 
+def assert_truncation_exact(gf, args, tops):
+    """gf(*args, truncate_at=T) holds every coefficient of gf(*args) up to
+    x^T, for each T in tops."""
+    full = gf(*args)
+    for top in tops:
+        capped = gf(*args, truncate_at=top)
+        assert capped.trunc == top and capped.coeffs == full.truncated(top).coeffs, (args, top)
+
+
+def truncation_sweep(gf, draw, seed, count):
+    """Checks assert_truncation_exact at T = 0, 3, 10, 25 on count seeded
+    inputs from draw(rng) that gf accepts and whose generating function is
+    a polynomial; returns how many were checked."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(count):
+        args = draw(rng)
+        try:
+            gf(*args)
+        except ValueError:  # a bound chain fails, or negative norms occur
+            continue
+        assert_truncation_exact(gf, args, (0, 3, 10, 25))
+        checked += 1
+    return checked
+
+
+def weakly_decreasing(rng, r, lo, hi):
+    return tuple(sorted((rng.randint(lo, hi) for _ in range(r)), reverse=True))
+
+
+def draw_strict(rng):
+    """A skew shape of up to 3 rows, c, d in {0, 1, 2} and b down to -2,
+    with bound vectors built to meet both chains."""
+    r = rng.randint(1, 3)
+    lam = weakly_decreasing(rng, r, 1, 5)
+    mu = tuple(min(m, l) for m, l in zip(weakly_decreasing(rng, r, 0, 4), lam))
+    c, d = rng.randint(0, 2), rng.randint(0, 2)
+    a, b = [rng.randint(0, 6)], [rng.randint(-2, 2)]
+    for i in range(r - 1):
+        a.append(a[-1] - c * (mu[i] - mu[i + 1]) + (1 - d) - rng.randint(0, 2))
+        b.append(b[-1] + c * (lam[i] - lam[i + 1]) + (1 - d) - rng.randint(0, 2))
+    return lam, mu, tuple(a), tuple(b), c, d
+
+
+def draw_shifted(rng):
+    """A shifted shape of up to 3 rows, c, d in {0, 1, 2} and b down to -2,
+    with bound vectors built to meet both chains."""
+    r = rng.randint(1, 3)
+    lam = weakly_decreasing(rng, r, r, 7)
+    c, d = rng.randint(0, 2), rng.randint(0, 2)
+    a, b = [rng.randint(0, 12)], [rng.randint(-2, 2)]
+    for i in range(r - 1):
+        a.append(a[-1] - c - d - rng.randint(0, 2))
+        b.append(b[-1] + c * (lam[i] - lam[i + 1]) + (1 - d) - rng.randint(0, 2))
+    return lam, tuple(a), tuple(b), c, d
+
+
 class TestGfStrict:
     def test_worked_example(self):
         got = gf_strict((2, 1), (0, 0), (4, 3), (1, 1), 1, 1)
@@ -384,12 +441,17 @@ class TestGfStrict:
             assert gf.coefficient(p) == counts[p], (p, shape)
 
     def test_truncation_preserves_target_coefficient(self):
-        full = gf_strict((3, 2, 1), (0, 0, 0), (5, 4, 3), (1, 1, 1), 1, 1)
-        for p in (5, 10, 14):
-            capped = gf_strict(
-                (3, 2, 1), (0, 0, 0), (5, 4, 3), (1, 1, 1), 1, 1, truncate_at=p
-            )
-            assert capped.coefficient(p) == full.coefficient(p)
+        assert_truncation_exact(
+            gf_strict, ((3, 2, 1), (0, 0, 0), (5, 4, 3), (1, 1, 1), 1, 1), (5, 10, 14))
+        # the rows' least powers sum below zero, so the determinant is taken
+        # past x^T before that power is reapplied
+        assert str(gf_strict((3, 3), (2, 2), (2, 2), (1, 1), 1, 1, truncate_at=4)) == "x^3"
+        assert str(gf_strict((4, 4), (3, 3), (2, 1), (1, 1), 1, 1, truncate_at=3)) == "x^3"
+        assert_truncation_exact(gf_strict, ((3, 3), (2, 2), (2, 2), (1, 1), 1, 1), range(8))
+        assert_truncation_exact(gf_strict, ((4, 4), (3, 3), (2, 1), (1, 1), 1, 1), range(8))
+
+    def test_truncation_sweep(self):
+        assert truncation_sweep(gf_strict, draw_strict, 241, 1500) > 1000
 
 
 class TestGfShifted:
@@ -432,10 +494,14 @@ class TestGfShifted:
             assert gf.coefficient(p) == counts[p], (p, shape)
 
     def test_truncation_preserves_target_coefficient(self):
-        full = gf_shifted((3, 3, 3), (6, 3, 1), (1, 1, 1), 1, 0)
-        for p in (15, 17, 21):
-            capped = gf_shifted((3, 3, 3), (6, 3, 1), (1, 1, 1), 1, 0, truncate_at=p)
-            assert capped.coefficient(p) == full.coefficient(p)
+        assert_truncation_exact(gf_shifted, ((3, 3, 3), (6, 3, 1), (1, 1, 1), 1, 0), (15, 17, 21))
+        # negative last-part bounds make the collected power negative
+        capped = gf_shifted((6, 6), (9, 7), (-2, -2), 0, 0, truncate_at=10)
+        assert str(capped) == "x^7 + 2*x^8 + 5*x^9 + 9*x^10"
+        assert_truncation_exact(gf_shifted, ((6, 6), (9, 7), (-2, -2), 0, 0), range(16))
+
+    def test_truncation_sweep(self):
+        assert truncation_sweep(gf_shifted, draw_shifted, 251, 1500) > 1000
 
 
 def skew(upper, size):
