@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 from .monomials import Term, format_term, p_operator
@@ -27,18 +28,22 @@ class BarCode:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.rows:
+        rows = self.rows
+        if not rows:
             raise ValueError("a Bar Code needs at least one row")
-        for row in self.rows:
-            if not row or any(type(x) is not int or x < 1 for x in row):
+        for row in rows:
+            # exact types: a bool is not a bar length; an empty row fails here too
+            if set(map(type, row)) != {int} or min(row) < 1:
                 raise ValueError(f"bar lengths must be positive integers: {row}")
-        width = sum(self.rows[0])
-        if any(sum(row) != width for row in self.rows):
+        width = sum(rows[0])
+        if set(map(sum, rows)) != {width}:
             raise ValueError("all rows must cover the same number of columns")
-        if any(x != 1 for x in self.rows[0]):
+        # the entries are positive, so they are all 1 exactly when there are width of them
+        if len(rows[0]) != width:
             raise ValueError("row 1 must consist of unit bars")
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            if not set(_starts(lower)) <= set(_starts(upper)):
+        # row 1 starts a bar at every column, so nesting is checked from row 2 on
+        for upper, lower in zip(rows[1:], rows[2:]):
+            if not set(accumulate(upper, initial=0)).issuperset(accumulate(lower)):
                 raise ValueError("each bar must lie under exactly one bar below")
 
     @property
@@ -62,7 +67,7 @@ class BarCode:
     def _offsets(self) -> tuple[tuple[int, ...], ...]:
         """The start column of every bar, row by row, built on the first query
         and kept in the instance dict, outside the dataclass fields."""
-        return tuple(map(_starts, self.rows))
+        return tuple(tuple(accumulate(row[:-1], initial=0)) for row in self.rows)
 
     def _starts(self, i: int) -> tuple[int, ...]:
         self._row(i)  # range check
@@ -94,14 +99,6 @@ class BarCode:
         if "width" in doc and (type(doc["width"]) is not int or doc["width"] != bc.width):
             raise ValueError("declared width does not match rows")
         return bc
-
-
-def _starts(row: tuple[int, ...]) -> tuple[int, ...]:
-    out, acc = [], 0
-    for length in row:
-        out.append(acc)
-        acc += length
-    return tuple(out)
 
 
 def encode(terms: Iterable[Term]) -> BarCode:

@@ -13,7 +13,9 @@ variables the staircase construction is direct.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
+from typing import Iterator
 
 from .barcode import BarCode, length
 from .counting import STRONGLY_STABLE, _check_kind, bar_lists_3vars, max_h_2vars
@@ -33,33 +35,50 @@ class ListedIdeal:
     barcode: BarCode
     ideal: MonomialIdeal
 
+    def to_json(self) -> dict:
+        part = self.partition
+        return {
+            "partition": list(part) if isinstance(part, tuple) else part.to_json(),
+            "barcode": self.barcode.to_json(),
+            "generators": [list(t.exponents) for t in self.ideal.sorted()],
+        }
+
 
 @dataclass(frozen=True)
 class IdealListing:
+    """The ideals of one census, in census order.  Iterating builds them one
+    at a time and holds none; ``items`` and ``len`` build and keep them all."""
+
     p: int
     n: int
     kind: str
-    items: tuple[ListedIdeal, ...]
+
+    @cached_property
+    def items(self) -> tuple[ListedIdeal, ...]:
+        return tuple(iter(self))
+
+    def __iter__(self) -> Iterator[ListedIdeal]:
+        if "items" in self.__dict__:
+            return iter(self.items)
+        p = self.p
+        if self.n == 2:
+            return (
+                ListedIdeal(parts, barcode_from_partition_2vars(parts),
+                            ideal_from_partition_2vars(parts))
+                for h in range(1, max_h_2vars(p) + 1) for parts in enumerate_distinct(p, h)
+            )
+        # the enumerated arrays are of the class already: their rows need no _pp_rows check
+        return (
+            ListedIdeal(pp, _rows_barcode(pp.rows), _rows_ideal(pp.rows))
+            for _, h, k in bar_lists_3vars(p) for alpha in enumerate_distinct(h, k)
+            for pp in _class_arrays(alpha, self.kind, p)
+        )
 
     def __len__(self) -> int:
         return len(self.items)
 
     def to_json(self) -> list:
-        out = []
-        for item in self.items:
-            part = (
-                list(item.partition)
-                if isinstance(item.partition, tuple)
-                else item.partition.to_json()
-            )
-            out.append(
-                {
-                    "partition": part,
-                    "barcode": item.barcode.to_json(),
-                    "generators": [list(t.exponents) for t in item.ideal.sorted()],
-                }
-            )
-        return out
+        return [item.to_json() for item in self]
 
 
 def _pp_rows(pp: PlanePartition, shifted: bool) -> tuple[tuple[int, ...], ...]:
@@ -169,20 +188,6 @@ def ideal_from_partition_2vars(parts: IntPartition) -> MonomialIdeal:
     return MonomialIdeal(frozenset(gens), 2)
 
 
-def _listing_2vars(p: int) -> list[ListedIdeal]:
-    items = []
-    for h in range(1, max_h_2vars(p) + 1):
-        for parts in enumerate_distinct(p, h):
-            items.append(
-                ListedIdeal(
-                    parts,
-                    barcode_from_partition_2vars(parts),
-                    ideal_from_partition_2vars(parts),
-                )
-            )
-    return items
-
-
 def _class_arrays(alpha: IntPartition, kind: str, norm: int) -> list[PlanePartition]:
     """The arrays of the class for the distinct-part shape alpha and this
     norm, with every last part at least 1: unshifted row- and column-strict
@@ -196,26 +201,12 @@ def _class_arrays(alpha: IntPartition, kind: str, norm: int) -> list[PlanePartit
     )
 
 
-def _listing_3vars(p: int, kind: str) -> list[ListedIdeal]:
-    code_of = barcode_from_shifted_pp if kind == STRONGLY_STABLE else barcode_from_strict_pp
-    items = []
-    for (_, h, k) in bar_lists_3vars(p):
-        for alpha in enumerate_distinct(h, k):
-            for pp in _class_arrays(alpha, kind, p):
-                items.append(ListedIdeal(pp, code_of(pp), _rows_ideal(pp.rows)))
-    return items
-
-
 def list_ideals(p: int, n: int, kind: str) -> IdealListing:
     """Every stable / strongly stable ideal with Hilbert constant p, with the
-    partition and Bar Code that produce it.  Deterministic census order."""
+    partition and Bar Code that produce it; the arguments are checked here."""
     _check_kind(kind)
     if p < 1:
         raise ValueError("p must be positive")
-    if n == 2:
-        items = _listing_2vars(p)
-    elif n == 3:
-        items = _listing_3vars(p, kind)
-    else:
+    if n not in (2, 3):
         raise ValueError("listings are implemented for 2 and 3 variables")
-    return IdealListing(p, n, kind, tuple(items))
+    return IdealListing(p, n, kind)

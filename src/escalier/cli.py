@@ -4,9 +4,9 @@ One binary, subcommand style.  Each subcommand's parser names its handler,
 which reads ``args.format`` and ``args.out`` and hands its answer to one
 writer, ``_write``: to the ``--out`` file, or to stdout.  JSON mode emits a
 single document, whose bytes are those of ``json.dumps(doc, indent=2)`` plus a
-newline; it is streamed, a top-level list one item at a time.  Text mode
-prints tables shaped like the ones people actually diff against, plus a
-newline.
+newline; it is streamed, a top-level list one item at a time, and a listing's
+items are built as they are written.  Text mode prints tables shaped like the
+ones people actually diff against, plus a newline.
 Errors land on stderr with exit code 2; negative check results (a code that is
 not admissible, an ideal that is not stable, a verification mismatch) exit 1.
 """
@@ -19,6 +19,7 @@ import json
 # it with the module keeps that start-up cost out of run().
 import locale  # noqa: F401
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import barcode as bc
@@ -38,7 +39,8 @@ from .qpolys import gf_shifted, gf_strict
 def _write(args, chunks) -> None:
     """Write the chunks of an answer to the ``--out`` file, or to stdout.
 
-    Text goes in as ``(text, "\\n")``, a JSON document as ``_json_chunks(doc)``.
+    Text goes in as ``(text, "\\n")`` or by lines, JSON as ``_json_chunks(doc)``.
+    Handlers check their request first, so a rejected one leaves no ``--out`` file.
     """
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -51,11 +53,14 @@ def _write(args, chunks) -> None:
 # which joins one small chunk per token.  Here ints print by ``int.__repr__``,
 # as in that encoder, and the other scalars go through the C encoder.
 _encode_scalar = json.JSONEncoder().encode
+_MEMO_SIZE = 4096
 
 
-def _indented(obj, pad: str) -> str:
+def _indented(obj, pad: str, memo: dict) -> str:
     """``json.dumps(obj, indent=2)`` for ``obj`` nested where lines start with ``pad``.
 
+    ``memo`` holds the text of the integer-only lists rendered so far, keyed
+    by ``(pad, *values)``; it is emptied when full, so memory stays flat.
     Dict keys must be ``str``: any other key raises ``TypeError`` (``json``
     would coerce it, and no CLI document has one).
     """
@@ -66,18 +71,25 @@ def _indented(obj, pad: str) -> str:
         # exact types: a bool, which prints as true/false, is not an int here
         kinds = set(map(type, obj))
         if kinds == {int}:
-            items = map(int.__repr__, obj)
-        elif kinds == {str}:
+            key = (pad, *obj)
+            text = memo.get(key)
+            if text is None:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                text = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+                memo[key] = text
+            return text
+        if kinds == {str}:
             items = map(_encode_str, obj)
         else:
-            items = [_indented(x, inner) for x in obj]
+            items = [_indented(x, inner, memo) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
         return "{" + inner + ("," + inner).join([
-            _encode_str(k) + ": " + _indented(v, inner) for k, v in obj.items()
+            _encode_str(k) + ": " + _indented(v, inner, memo) for k, v in obj.items()
         ]) + pad + "}"
     if type(obj) is int:
         return int.__repr__(obj)
@@ -85,15 +97,17 @@ def _indented(obj, pad: str) -> str:
 
 
 def _json_chunks(doc):
-    """Yield ``json.dumps(doc, indent=2) + "\\n"``, a top-level list item by item."""
-    if isinstance(doc, (list, tuple)) and doc:
+    """Yield ``json.dumps(doc, indent=2) + "\\n"``, a top-level list item by item;
+    an iterator stands for the list of its items, each rendered as it comes."""
+    memo: dict = {}
+    if isinstance(doc, (list, tuple, Iterator)):
         sep = "[\n  "
         for item in doc:
-            yield sep + _indented(item, "\n  ")
+            yield sep + _indented(item, "\n  ", memo)
             sep = ",\n  "
-        yield "\n]\n"
+        yield "[]\n" if sep == "[\n  " else "\n]\n"
     else:
-        yield _indented(doc, "\n") + "\n"
+        yield _indented(doc, "\n", memo) + "\n"
 
 
 def _parse_terms(raw: list[str], vars_: int | None) -> list[Term]:
@@ -146,16 +160,17 @@ def _cmd_count(args) -> int:
 
 def _cmd_list(args) -> int:
     listing = bijections.list_ideals(args.hilbert, args.vars, _kind(args.klass))
-    if args.format == "json":
-        _write(args, _json_chunks(listing.to_json()))
-        return 0
-    lines = []
-    for item in listing.items:
-        gens = ", ".join(format_term(t) for t in item.ideal.sorted())
-        lines.append(f"({gens})")
-    lines.append(f"count: {len(listing)}")
-    _write(args, ("\n".join(lines), "\n"))
+    _write(args, _json_chunks(map(bijections.ListedIdeal.to_json, listing))
+           if args.format == "json" else _listing_lines(listing))
     return 0
+
+
+def _listing_lines(items):
+    """One line per ideal, its minimal generators in Lex order, then the count."""
+    count = 0
+    for count, item in enumerate(items, 1):
+        yield "(" + ", ".join(map(format_term, item.ideal.sorted())) + ")\n"
+    yield f"count: {count}\n"
 
 
 def _cmd_gf(args) -> int:

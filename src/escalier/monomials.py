@@ -32,7 +32,7 @@ class Term:
     def __post_init__(self):
         if not self.exponents:
             raise ValueError("term needs at least one variable")
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents) < 0:
             raise ValueError(f"negative exponent in {self.exponents}")
 
     @property

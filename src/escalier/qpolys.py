@@ -442,12 +442,15 @@ def _row_bases(rows: _Entries) -> list[int]:
     ]
 
 
-def _laurent_det(rows: _Entries, trunc: int | None, extra_shift: int = 0) -> IntPoly:
+def _laurent_det(
+    rows: _Entries, trunc: int | None, bounds: tuple, extra_shift: int = 0
+) -> IntPoly:
     """The determinant of rows, times x^extra_shift, up to x^trunc (None: all
     of it).  The rows' bases and the extra shift make up a power t that is
-    reapplied at the end, with a divisibility check when negative; the rest
-    goes to _packed_det up to x^(trunc - t), each Gaussian binomial asked
-    only for the degree its place reaches."""
+    reapplied at the end; the rest goes to _packed_det up to x^(trunc - t),
+    each Gaussian binomial asked only for the degree its place reaches.
+    A term below x^0 raises ValueError naming the bound vectors bounds =
+    (a, b): they admit arrays of negative norm."""
     bases = _row_bases(rows)
     total = sum(bases) + extra_shift
     if trunc is None:
@@ -463,7 +466,13 @@ def _laurent_det(rows: _Entries, trunc: int | None, extra_shift: int = 0) -> Int
              if power - base <= top else (0, IntPoly.zero()) for power, n, k in row]
             for row, base in zip(rows, bases)
         ]
-    return IntPoly(_packed_det(matrix, top)).shift(total).truncated(trunc)
+    poly = IntPoly(_packed_det(matrix, top))
+    if total < 0 and any(poly.coeffs[:-total]):
+        raise ValueError(
+            f"bounds a={bounds[0]}, b={bounds[1]} give terms below x^0: they admit "
+            "arrays of negative norm"
+        )
+    return poly.shift(total).truncated(trunc)
 
 
 def _check_monotone(name: str, values: Sequence[int]):
@@ -499,7 +508,7 @@ def gf_strict(
             raise ValueError(f"first-part bounds fail the chain at row {i + 1}")
         if b[i] + c * (lam[i] - lam[i + 1]) + (1 - d) < b[i + 1]:
             raise ValueError(f"last-part bounds fail the chain at row {i + 1}")
-    return _laurent_det(_strict_entries(lam, mu, a, b, c, d), truncate_at)
+    return _laurent_det(_strict_entries(lam, mu, a, b, c, d), truncate_at, (a, b))
 
 
 def _strict_entries(
@@ -578,6 +587,11 @@ def gf_shifted(
             raise ValueError(f"first parts fail the chain at row {i + 1}")
         if b[i] + c * (lam[i] - lam[i + 1]) + (1 - d) < b[i + 1]:
             raise ValueError(f"last-part bounds fail the chain at row {i + 1}")
+    # Row i + 1 falls by at least c per entry over its lam[i] - i entries.  If
+    # its first part cannot reach the last-part bound, no array exists, and the
+    # determinant is not the (zero) answer: it can be any polynomial.
+    if any(a[i] - c * (lam[i] - i - 1) < b[i] for i in range(r)):
+        return IntPoly.zero(truncate_at)
     power = sum(
         b[i] * (lam[i] - (i + 1)) + a[i] + c * _choose2(lam[i] - (i + 1))
         for i in range(r)
@@ -586,7 +600,7 @@ def gf_shifted(
     for s in range(r):
         m = lam[s] - s - 1
         rows.append([(0, m * (1 - c) + (1 - c - d) * (s - t) + a[t] - b[s], m) for t in range(r)])
-    return _laurent_det(rows, truncate_at, extra_shift=power)
+    return _laurent_det(rows, truncate_at, (a, b), extra_shift=power)
 
 
 def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) -> IntPoly:

@@ -2,8 +2,11 @@ import json
 import random
 import time
 import xml.etree.ElementTree as ET
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escalier import barcode
 from escalier.barcode import (
@@ -17,7 +20,7 @@ from escalier.barcode import (
     render,
 )
 from escalier.bijections import barcode_from_partition_2vars
-from escalier.monomials import OrderIdeal, is_order_ideal, parse_term, term
+from escalier.monomials import OrderIdeal, Term, is_order_ideal, parse_term, term
 from escalier.starset import star_set_direct, star_set_from_barcode
 from randgen import random_barcode, random_order_ideal
 
@@ -173,7 +176,40 @@ class TestRoundtrips:
             assert set(decode(encode(N.terms))) == set(N.terms)
 
 
+@st.composite
+def order_ideals(draw):
+    """Every divisor of a few random terms in up to four variables."""
+    n = draw(st.integers(1, 4))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))
+    return {Term(e) for top in tops for e in product(*(range(a + 1) for a in top))}
+
+
+class TestRoundtripProperty:
+    @settings(deadline=None)
+    @given(order_ideals())
+    def test_decode_encode_gives_the_sorted_terms(self, terms):
+        assert decode(encode(terms)) == tuple(sorted(terms, key=Term.lex_key))
+
+
 class TestValidation:
+    @pytest.mark.parametrize("rows, message", [
+        ((), "a Bar Code needs at least one row"),
+        (((1, 1), ()), "bar lengths must be positive integers: ()"),
+        (((1, True),), "bar lengths must be positive integers: (1, True)"),
+        (((1, 1), (1.0, 1)), "bar lengths must be positive integers: (1.0, 1)"),
+        (((1, 1), (2, 0)), "bar lengths must be positive integers: (2, 0)"),
+        (((1, 1, 1), (4, -1)), "bar lengths must be positive integers: (4, -1)"),
+        (((1, 1, 1), (2,)), "all rows must cover the same number of columns"),
+        (((1, 1), (1, 1), (3,)), "all rows must cover the same number of columns"),
+        (((1, 2), (3,)), "row 1 must consist of unit bars"),
+        (((1, 1, 1, 1), (1, 2, 1), (2, 2)), "each bar must lie under exactly one bar below"),
+        (((1, 1, 1, 1), (1, 3), (2, 2), (4,)), "each bar must lie under exactly one bar below"),
+    ])
+    def test_constructor_rejections_keep_their_messages(self, rows, message):
+        with pytest.raises(ValueError) as caught:
+            BarCode(rows)
+        assert str(caught.value) == message
+
     def test_row_sums_must_agree(self):
         with pytest.raises(ValueError):
             BarCode(((1, 1), (3,)))

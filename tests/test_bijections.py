@@ -326,12 +326,23 @@ class TestListings:
                 assert all(a > b for a, b in zip(ls, ls[1:]))
 
     def test_rejects_bad_requests(self):
+        # checked on the call, before any item is built
         with pytest.raises(ValueError):
             list_ideals(5, 4, STABLE)
         with pytest.raises(ValueError):
             list_ideals(0, 2, STABLE)
         with pytest.raises(ValueError):
+            list_ideals(0, 3, STRONGLY_STABLE)
+        with pytest.raises(ValueError):
             list_ideals(5, 2, "borel")
+
+    def test_iterating_holds_no_items(self):
+        for n in (2, 3):
+            listing = list_ideals(12, n, STABLE)
+            streamed = tuple(item for item in listing)
+            assert "items" not in vars(listing)
+            assert streamed == listing.items and tuple(listing) == listing.items
+            assert len(listing) == len(streamed)
 
     def test_agrees_with_determinants_beyond_oracle_sizes(self):
         # the listing never touches a determinant, so this is an independent

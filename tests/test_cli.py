@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escalier import cli
+from escalier.bijections import list_ideals
 from escalier.cli import run
+from escalier.monomials import format_term
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -80,6 +82,55 @@ class TestList:
         assert lines == ["(x1, x2, x3)", "count: 1"]
 
 
+def whole_text_listing(listing):
+    """The text form of a listing as whole-document code wrote it."""
+    lines = [f"({', '.join(format_term(t) for t in item.ideal.sorted())})"
+             for item in listing.items]
+    return "\n".join(lines + [f"count: {len(listing)}"]) + "\n"
+
+
+def exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        return exc.code
+
+
+class TestStreamedList:
+    # The listing is written item by item as it is built; its bytes must stay
+    # those of the whole document, on stdout and in the --out file.
+    @pytest.mark.parametrize("vars_, klass, top", [
+        (2, "stable", 30), (3, "stable", 20), (3, "strongly-stable", 20),
+    ])
+    def test_bytes_match_the_whole_document(self, tmp_path, capsys, vars_, klass, top):
+        for p in range(1, top + 1):
+            listing = list_ideals(p, vars_, klass.replace("-", "_"))
+            want = {"json": json.dumps(listing.to_json(), indent=2) + "\n",
+                    "text": whole_text_listing(listing)}
+            for fmt, text in want.items():
+                argv = ["list", "--vars", str(vars_), "--hilbert", str(p),
+                        "--class", klass, "--format", fmt]
+                assert run(argv) == 0
+                assert capsys.readouterr().out == text, (p, fmt)
+                target = tmp_path / f"{p}.{fmt}"
+                assert run(argv + ["--out", str(target)]) == 0
+                assert capsys.readouterr().out == ""
+                assert target.read_bytes() == text.encode("utf-8"), (p, fmt)
+
+    @pytest.mark.parametrize("args", [
+        ["--vars", "4", "--hilbert", "5"],
+        ["--vars", "2", "--hilbert", "0"],
+        ["--vars", "3", "--hilbert", "0"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_invalid_request_writes_nothing(self, tmp_path, capsys, args, fmt):
+        target = tmp_path / "listing"
+        for out in ([], ["--out", str(target)]):
+            assert exit_code(["list", *args, "--class", "stable", "--format", fmt, *out]) == 2
+            assert capsys.readouterr().out == ""
+            assert not target.exists()
+
+
 class TestGf:
     def test_strict_text(self, capsys):
         assert run(["gf", "strict", "--shape", "2,1", "--a", "4,3",
@@ -107,6 +158,19 @@ class TestGf:
         doc = json.loads(out_of(capsys))
         assert doc["coeffs"][10] == "11"
         assert len(doc["coeffs"]) == 11
+
+    @pytest.mark.parametrize("args, bounds", [
+        (["strict", "--shape", "1", "--a", "8", "--b=-2"], "a=(8,), b=(-2,)"),
+        (["shifted", "--shape", "1", "--a=-2", "--b=-2"], "a=(-2,), b=(-2,)"),
+    ])
+    @pytest.mark.parametrize("truncate", [[], ["--truncate-at", "3"]])
+    def test_negative_norms_exit_2_naming_the_bounds(self, capsys, args, bounds, truncate):
+        # both bound chains hold, but an array of norm -2 exists
+        assert run(["gf", *args, "--c", "0", "--d", "0", *truncate]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bounds {bounds} give terms below x^0")
+        assert "negative norm" in captured.err
 
     def test_truncated_gf_keeps_every_coefficient(self, capsys):
         # the rows' least powers sum below zero; one array has norm 3 and
@@ -351,6 +415,14 @@ class TestIndentedJson:
     ])
     def test_fixed_documents(self, doc):
         assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        [], [7], [[1, 2], [True, 2], [1.0, 2], [1, 2], {"k": [1, 2]}, [[1, 2]]],
+        # more distinct integer leaves than the writer's memo holds, each twice
+        [[i % 5000, 1] for i in range(10000)],
+    ])
+    def test_iterator_stands_for_a_list(self, doc):
+        assert "".join(cli._json_chunks(iter(doc))) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc", [{1: 2}, [{"a": {(1, 2): 3}}], {None: []}])
     def test_non_str_key_raises(self, doc):

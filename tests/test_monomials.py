@@ -266,3 +266,13 @@ class TestParsing:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Term((1, -1))
+
+    @pytest.mark.parametrize("exponents, message", [
+        ((), "term needs at least one variable"),
+        ((1, -1), "negative exponent in (1, -1)"),
+        ((-3,), "negative exponent in (-3,)"),
+    ])
+    def test_constructor_rejections_keep_their_messages(self, exponents, message):
+        with pytest.raises(ValueError) as caught:
+            Term(exponents)
+        assert str(caught.value) == message

@@ -409,6 +409,10 @@ class TestGfStrict:
             gf_strict((2, 1), (0, 0), (4, 3), (1, 4), 1, 1)
         with pytest.raises(ValueError):
             gf_strict((), (), (), (), 1, 1)
+        # both chains hold, but the one entry may be -2, an array of norm -2
+        for top in (None, 3):
+            with pytest.raises(ValueError, match=r"a=\(8,\), b=\(-2,\) give terms below x\^0"):
+                gf_strict((1,), (0,), (8,), (-2,), 0, 0, truncate_at=top)
 
     @pytest.mark.parametrize(
         "shape,inner,first,last,c,d",
@@ -475,6 +479,27 @@ class TestGfShifted:
             gf_shifted((3, 3, 3), (6, 6, 1), (1, 1, 1), 1, 0)
         with pytest.raises(ValueError):
             gf_shifted((2, 1), (4, 2), (1, 1), 1, 0)  # shape[r] < r
+        for top in (None, 3):  # the one entry is -2
+            with pytest.raises(ValueError, match=r"a=\(-2,\), b=\(-2,\) give terms below x\^0"):
+                gf_shifted((1,), (-2,), (-2,), 0, 0, truncate_at=top)
+
+    @pytest.mark.parametrize("args", [
+        # row 2's one entry is exactly 7 but must be at least 8; the
+        # determinant is a nonzero polynomial with every term at x^0 or above
+        ((6, 2), (12, 7), (2, 8), 2, 2),
+        # row 2's one entry is exactly -3 but must be at least -1; the
+        # determinant has terms below x^0
+        ((4, 2), (2, -3), (-2, -1), 1, 2),
+        # row 1's five entries fall by at least 1 each from 3, to at most -1 < 1
+        ((5,), (3,), (1,), 1, 0),
+    ])
+    def test_a_row_that_admits_no_entries_gives_zero(self, args):
+        lam, first, last, c, d = args
+        for top in (None, 0, 5, 40):
+            got = gf_shifted(*args, truncate_at=top)
+            assert got.coeffs == () and got.trunc == top
+        assert not any(enumerate_plane_partitions(lam, True, c, d, first, last, p)
+                       for p in range(-10, 41))
 
     @pytest.mark.parametrize(
         "shape,first,last,c,d",
