@@ -2,7 +2,8 @@
 
 One binary, subcommand style.  Each subcommand's parser names its handler,
 which reads ``args.format`` and ``args.out`` and hands its answer to one
-writer, ``_write``: to the ``--out`` file, or to stdout.  JSON mode emits a
+writer, ``_write``: to the ``--out`` file, or to stdout.  ``run`` builds only
+the parser of the subcommand that its first argument names.  JSON mode emits a
 single document, whose bytes are those of ``json.dumps(doc, indent=2)`` plus a
 newline; it is streamed, a top-level list one item at a time, and a listing's
 items are built as they are written.  Text mode prints tables shaped like the
@@ -332,25 +333,17 @@ def _add_render(sp):
     sp.add_argument("--labels", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="escalier",
-        description="Bar Codes, star sets, and censuses of stable monomial ideals",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _add_census(sp, handler, breakdown=False):
+    sp.set_defaults(handler=handler)
+    sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
+    sp.add_argument("--hilbert", type=int, required=True, metavar="P")
+    _add_class(sp)
+    if breakdown:
+        sp.add_argument("--breakdown", action="store_true")
+    _add_common(sp)
 
-    for name, handler, text in (("count", _cmd_count, "count (strongly) stable ideals"),
-                                ("list", _cmd_list, "list the ideals explicitly")):
-        sp = sub.add_parser(name, help=text)
-        sp.set_defaults(handler=handler)
-        sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
-        sp.add_argument("--hilbert", type=int, required=True, metavar="P")
-        _add_class(sp)
-        if name == "count":
-            sp.add_argument("--breakdown", action="store_true")
-        _add_common(sp)
 
-    sp = sub.add_parser("gf", help="norm generating functions")
+def _add_gf(sp):
     sp.set_defaults(handler=_cmd_gf)
     sp.add_argument("variant", choices=("strict", "shifted"))
     sp.add_argument("--shape", type=_ints, required=True)
@@ -363,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truncate-at", type=int, default=None, metavar="T")
     _add_common(sp)
 
-    sp = sub.add_parser("partitions", help="enumerate, count, or validate")
+
+def _add_partitions(sp):
     sp.set_defaults(handler=_cmd_partitions)
     sp.add_argument("action", choices=("enumerate", "count", "validate"))
     sp.add_argument("--shape", type=_ints)
@@ -379,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON document for validate ('-' for stdin)")
     _add_common(sp)
 
-    sp = sub.add_parser("barcode", help="encode, decode, check, render")
+
+def _add_barcode(sp):
     sp.set_defaults(handler=_cmd_barcode)
     barsub = sp.add_subparsers(dest="action", required=True)
     bsp = barsub.add_parser("encode", help="Bar Code of a term set")
@@ -396,42 +391,77 @@ def build_parser() -> argparse.ArgumentParser:
             _add_render(bsp)
         _add_common(bsp)
 
-    sp = sub.add_parser("render", help="shorthand for barcode render")
+
+def _add_render_alias(sp):
     sp.set_defaults(handler=_cmd_barcode, action="render")
     sp.add_argument("--in", dest="infile", default=None)
     _add_render(sp)
     _add_common(sp)
 
-    for name, handler, text in (
-        ("starset", _cmd_starset, "starset of an order ideal"),
-        ("pommaret", _cmd_pommaret, "pommaret of an order ideal"),
-        ("check-stable", _cmd_check_stability, "check stable on generators"),
-        ("check-strongly-stable", _cmd_check_stability, "check strongly stable on generators"),
-    ):
-        sp = sub.add_parser(name, help=text)
-        sp.set_defaults(handler=handler)
-        sp.add_argument("terms", nargs="+")
-        sp.add_argument("--vars", type=int, default=None)
-        _add_common(sp)
 
-    sp = sub.add_parser("verify", help="pipeline counts against brute force")
+def _add_terms(sp, handler):
+    sp.set_defaults(handler=handler)
+    sp.add_argument("terms", nargs="+")
+    sp.add_argument("--vars", type=int, default=None)
+    _add_common(sp)
+
+
+def _add_verify(sp):
     sp.set_defaults(handler=_cmd_verify)
     sp.add_argument("--vars", type=int, choices=(2, 3), required=True)
     sp.add_argument("--max-p", type=int, required=True)
     _add_class(sp)
     _add_common(sp)
 
-    sp = sub.add_parser("conjecture", help="four-variable evidence report")
+
+def _add_conjecture(sp):
     sp.set_defaults(handler=_cmd_conjecture)
     sp.add_argument("--hilbert", type=int, required=True, metavar="P")
     _add_class(sp)
     _add_common(sp)
 
+
+# Each subcommand in help order: its help text and the function that fills in
+# its parser.
+_COMMANDS = {
+    "count": ("count (strongly) stable ideals", lambda sp: _add_census(sp, _cmd_count, True)),
+    "list": ("list the ideals explicitly", lambda sp: _add_census(sp, _cmd_list)),
+    "gf": ("norm generating functions", _add_gf),
+    "partitions": ("enumerate, count, or validate", _add_partitions),
+    "barcode": ("encode, decode, check, render", _add_barcode),
+    "render": ("shorthand for barcode render", _add_render_alias),
+    "starset": ("starset of an order ideal", lambda sp: _add_terms(sp, _cmd_starset)),
+    "pommaret": ("pommaret of an order ideal", lambda sp: _add_terms(sp, _cmd_pommaret)),
+    "check-stable": ("check stable on generators",
+                     lambda sp: _add_terms(sp, _cmd_check_stability)),
+    "check-strongly-stable": ("check strongly stable on generators",
+                              lambda sp: _add_terms(sp, _cmd_check_stability)),
+    "verify": ("pipeline counts against brute force", _add_verify),
+    "conjecture": ("four-variable evidence report", _add_conjecture),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or, for a name in ``_COMMANDS``, one that builds only
+    that subcommand's parser.  The subcommand choices are then spelled out as
+    the metavar, so every usage line and error message that the one
+    subcommand can reach reads as the whole parser's."""
+    ap = argparse.ArgumentParser(
+        prog="escalier",
+        description="Bar Codes, star sets, and censuses of stable monomial ideals",
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, fill) in _COMMANDS.items():
+        if command is None or name == command:
+            fill(sub.add_parser(name, help=text))
     return ap
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -29,7 +29,7 @@ from .partitions import (
     enumerate_distinct,
     minimal_sum,
 )
-from .qpolys import gf_shifted_sum, gf_strict_coefficient
+from .qpolys import gf_shifted_sum_coefficient, gf_strict_coefficient
 
 STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
@@ -213,7 +213,7 @@ def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
 
 def _sstable_shape_count(alpha: IntPartition, p: int) -> int:
     lam = tuple(i + part for i, part in enumerate(alpha))
-    return gf_shifted_sum(lam, _first_part_window(lam, p), p).coefficient(p)
+    return gf_shifted_sum_coefficient(lam, _first_part_window(lam, p), p)
 
 
 def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
@@ -223,7 +223,8 @@ def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount
     holds alpha[i] positive entries, strictly decreasing, with each column
     weakly decreasing downwards: the shifted (1, 0)-plane partitions of shape
     lam = (alpha[i] + i).  Each shape's count is the x^p coefficient of one
-    Pfaffian, gf_shifted_sum over every first-part vector of the window.
+    Pfaffian, gf_shifted_sum over every first-part vector of the window, read
+    as one digit (gf_shifted_sum_coefficient).
     """
     return _barlist_counts(p, h, k, lambda alpha: _sstable_shape_count(alpha, p))
 

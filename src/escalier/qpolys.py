@@ -17,8 +17,9 @@ G(n, k) mod x^(p+1), built by q-Pascal and packed at one width for both
 classes: one bit more than the bit length of the number of plane partitions
 of p, which bounds every coefficient up to x^p of either class's generating
 functions.  gf_strict_coefficient takes a stable shape's count as one digit
-of one packed determinant on that table, and gf_shifted_sum takes a strongly
-stable shape's as one packed Pfaffian.
+of one packed determinant on that table, and gf_shifted_sum_coefficient takes
+a strongly stable shape's as one digit of one packed Pfaffian, whose entries
+come from hockey-stick sums kept per p beside the table.
 
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
@@ -608,7 +609,7 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     strictly decreasing first-part vector a drawn from firsts: the norm
     generating function, up to x^truncate_at, of the shifted row-strict,
     column-weak arrays of shape lam with positive entries whose first parts
-    lie in firsts.
+    lie in firsts.  firsts must be a window of consecutive integers.
 
     With c = 1, d = 0 and b = 1, gf_shifted is x^(C + sum a) det[G(a_t - 1, m_s)],
     where G is the Gaussian binomial, m_s = lam_s - s and C = sum of
@@ -620,9 +621,7 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     T A T^t, with A_ij = 1 above the diagonal and -1 below.  For odd r the
     matrix takes one more row and column, holding the row sums of T, which
     is T extended by a column (0, ..., 0, 1) and a row holding only that 1.
-    With P_s(j) the sum of the first j entries of row s and R_s its total,
-    (T A T^t)_su = sum_j T_uj (P_s(j) + P_s(j+1)) - R_s R_u, so the matrix
-    takes r(r-1)/2 W products.
+    _shifted_skew builds T A T^t from sums that a whole census shares.
 
     Everything runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B),
     as in det, with the entries and the width B of gauss_table(truncate_at),
@@ -630,6 +629,25 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     coefficient of x^n counts arrays of norm n <= truncate_at, and each
     array, read left-justified, is a distinct plane partition of n.
     """
+    value, top, width = _shifted_pfaffian(lam, firsts, truncate_at)
+    if top < 0:
+        return IntPoly.zero(truncate_at)
+    return IntPoly([0] * (truncate_at - top) + _unpack(value, top + 1, width), truncate_at)
+
+
+def gf_shifted_sum_coefficient(lam: Sequence[int], firsts: Iterable[int], p: int) -> int:
+    """The coefficient of x^p in gf_shifted_sum(lam, firsts, p), read as one
+    digit of the packed Pfaffian."""
+    value, top, width = _shifted_pfaffian(lam, firsts, p)
+    return _digit(value, top, width) if top >= 0 else 0
+
+
+def _shifted_pfaffian(
+    lam: Sequence[int], firsts: Iterable[int], truncate_at: int
+) -> tuple[int, int, int]:
+    """gf_shifted_sum's Pfaffian as (value, top, width): digit n <= top of
+    value in balanced base 2^width is the coefficient of
+    x^(truncate_at - top + n).  A negative top leaves nothing to read."""
     lam = tuple(lam)
     r = len(lam)
     if r == 0:
@@ -637,36 +655,126 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     _check_monotone("shape", lam)
     if lam[r - 1] < r:
         raise ValueError(f"shifted shape needs lam[{r}] >= {r}")
-    columns = sorted(set(firsts), reverse=True)
-    if columns and columns[-1] < 1:
-        raise ValueError("first parts must be positive")
+    low, high = _window(firsts)
     ms = [lam[s] - s - 1 for s in range(r)]
-    shift = sum(m + _choose2(m) for m in ms)
-    top = truncate_at - shift
+    top = truncate_at - sum(m + _choose2(m) for m in ms)
     if top < 0:
-        return IntPoly.zero(truncate_at)
-    width, table = gauss_table(truncate_at)
+        return 0, top, 0
+    width, _ = gauss_table(truncate_at)
+    skew = _shifted_skew(ms, low, high, truncate_at, top)
     mask = (1 << (top + 1) * width) - 1
-    rows = [
-        [(_table_entry(table, w - 1, m) << w * width) & mask if w <= top else 0
-         for w in columns]
-        for m in ms
-    ]
-    doubled, totals = [], []
-    for row in rows:
-        prefix, twice = 0, []
-        for entry in row:
-            twice.append(prefix + prefix + entry)
-            prefix += entry
-        doubled.append(twice)
-        totals.append(prefix)
+    return _pfaffian(skew, (1 << len(skew)) - 1, {}, mask), top, width
+
+
+def _window(firsts: Iterable[int]) -> tuple[int, int]:
+    """The least and the largest value of firsts, which must be consecutive
+    integers; low > high for an empty window."""
+    if isinstance(firsts, range) and firsts.step == 1:
+        low, high = firsts.start, firsts.stop - 1
+    else:
+        values = sorted(set(firsts))
+        low, high = (values[0], values[-1]) if values else (1, 0)
+        if len(values) != high + 1 - low:
+            raise ValueError(f"first parts must be consecutive integers: {values}")
+    if low <= high and low < 1:
+        raise ValueError("first parts must be positive")
+    return low, high
+
+
+# gf_shifted_sum's hockey-stick sums keep one checkpoint per this many w.
+_HOCKEY_STEP = 8
+
+
+@lru_cache(maxsize=1)
+def _hockey_points(p: int) -> dict[tuple[int, int], list[int]]:
+    """The checkpoints of _hockey_sum on gauss_table(p), per row pair (a, b),
+    filled as they are read: item i holds F_ab(b + i * _HOCKEY_STEP)
+    mod x^(p + 1 - c(a) - c(b)), with c(m) = m(m+1)/2."""
+    return {}
+
+
+def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
+    """x^power f g mod x^(top+1), for f and g packed at width: the product
+    runs on the top + 1 - power digits that survive the shift."""
+    digits = top + 1 - power
+    if digits <= 0:
+        return 0
+    keep = (1 << digits * width) - 1
+    return ((f & keep) * (g & keep) & keep) << power * width
+
+
+def _hockey_sum(p: int, a: int, b: int, w: int, top: int) -> int:
+    """A value congruent to F_ab(w) mod x^(top+1), packed as gauss_table(p),
+    for a > b >= 0 and top <= p - c(a) - c(b):
+
+        F_ab(w) = sum over v <= w of T_b(v) (C_a(v) + C_a(v-1)),
+
+    with T_m(v) = x^v G(v-1, m) and C_m(w) = x^(m+1) G(w, m+1) the sum of
+    T_m(v) over 1 <= v <= w (the q-hockey-stick: q-Pascal telescopes).
+    T_b(v) vanishes for v <= b, and every term mod x^(top+1) for v + a + 1 > top.
+    F depends only on (a, b, p), so a census shares it between its shapes:
+    the sum is read from the nearest checkpoint below w and finished with
+    at most _HOCKEY_STEP - 1 products."""
+    width, table = gauss_table(p)
+
+    def term(v: int, cut: int) -> int:
+        pair = _table_entry(table, v, a + 1) + _table_entry(table, v - 1, a + 1)
+        return _low_product(_table_entry(table, v - 1, b), pair, v + a + 1, cut, width)
+
+    w = min(w, top - a - 1)
+    if w <= b:
+        return 0
+    points = _hockey_points(p).setdefault((a, b), [0])
+    index = (w - b) // _HOCKEY_STEP
+    if index >= len(points):
+        prec = p - (a * a + a + b * b + b) // 2
+        mask = (1 << (prec + 1) * width) - 1
+        acc = points[-1]
+        for v in range(b + (len(points) - 1) * _HOCKEY_STEP + 1, b + index * _HOCKEY_STEP + 1):
+            acc += term(v, prec)
+            if (v - b) % _HOCKEY_STEP == 0:
+                acc &= mask
+                points.append(acc)
+    acc = points[index]
+    for v in range(b + index * _HOCKEY_STEP + 1, w + 1):
+        acc += term(v, top)
+    return acc
+
+
+def _shifted_skew(ms: Sequence[int], low: int, high: int, p: int, top: int) -> list[list[int]]:
+    """T A T^t of gf_shifted_sum for rows m_s = ms[s] and the window
+    [low, high], packed as gauss_table(p) and reduced mod x^(top+1), with
+    top <= p - sum of c(m_s) (only entries above the diagonal are filled).
+
+    Columns past x^top vanish, so the window is clipped to top.  With
+    R_s = C_s(high) - C_s(low - 1) the row sums of T and F the census-wide
+    sums of _hockey_sum, entry (s, u) is
+
+        sum over w of T_u(w) (2 (C_s(high) - C_s(w)) + T_s(w)) - R_s R_u
+            = (C_s(high) + C_s(low - 1)) R_u - (F_su(high) - F_su(low - 1)),
+
+    one product and two reads of F, where summing over w takes one product
+    per window column.  On a census window low - 1 = m_(r-1) <= m_u, so
+    F_su(low - 1) = 0 without a product.
+    """
+    width, table = gauss_table(p)
+    mask = (1 << (top + 1) * width) - 1
+    high = min(high, top)
+    if high < low:  # every column vanishes
+        low, high = 1, 0
+    r = len(ms)
     size = r + r % 2
     skew = [[0] * size for _ in range(size)]
+    at_high = [_table_entry(table, high, m + 1) for m in ms]  # C_s(high) / x^(m_s+1)
+    at_low = [_table_entry(table, low - 1, m + 1) for m in ms]
     for s in range(r):
+        a = ms[s]
         for u in range(s + 1, r):
-            acc = sum(e * d for e, d in zip(rows[u], doubled[s]))
-            skew[s][u] = (acc - totals[s] * totals[u]) & mask
+            b = ms[u]
+            entry = _low_product(at_high[s] + at_low[s], at_high[u] - at_low[u],
+                                 a + b + 2, top, width)
+            entry -= _hockey_sum(p, a, b, high, top) - _hockey_sum(p, a, b, low - 1, top)
+            skew[s][u] = entry & mask
         if size > r:
-            skew[s][r] = totals[s] & mask
-    value = _pfaffian(skew, (1 << size) - 1, {}, mask)
-    return IntPoly([0] * shift + _unpack(value, top + 1, width), truncate_at)
+            skew[s][r] = (at_high[s] - at_low[s] << (a + 1) * width) & mask
+    return skew

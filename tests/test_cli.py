@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -468,6 +470,93 @@ class TestIndentedJson:
             assert run(argv + ["--out", str(target)]) == 0
             assert capsys.readouterr().out == ""
             assert target.read_bytes() == stdout.encode("utf-8")
+
+
+def parse(parser, argv):
+    """Exit code, stdout and stderr of parser.parse_args(argv), which is
+    expected to exit (help or an argument error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exited, redirect_stdout(out), redirect_stderr(err):
+        parser.parse_args(argv)
+    return exited.value.code, out.getvalue(), err.getvalue()
+
+
+# Every subcommand, with barcode's actions, and arguments that make its
+# parser print its help or report one argument error.
+PARSER_CASES = [
+    ["count", "--vars", "4", "--hilbert", "3", "--class", "stable"],
+    ["list", "--vars", "2", "--hilbert", "x", "--class", "stable"],
+    ["gf", "nope", "--shape", "2"],
+    ["partitions", "frobnicate"],
+    ["barcode", "nosuch"],
+    ["barcode", "encode"],
+    ["barcode", "decode", "--format", "xml"],
+    ["barcode", "check", "--in"],
+    ["barcode", "render", "--render-format", "png"],
+    ["render", "--render-format", "png"],
+    ["starset", "--vars", "x", "x1"],
+    ["pommaret"],
+    ["check-stable", "--format"],
+    ["check-strongly-stable", "x1", "--vars"],
+    ["verify", "--vars", "3", "--max-p", "x", "--class", "stable"],
+    ["conjecture", "--hilbert", "3", "--class", "oops"],
+    # errors that the top-level parser reports, with its usage line
+    ["count", "--vars", "2", "--hilbert", "3", "--class", "stable", "extra"],
+    ["barcode", "decode", "--bogus"],
+    ["render", "list"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+    def test_one_subcommand_reads_as_the_whole_parser(self, argv):
+        whole = cli.build_parser()
+        one = cli.build_parser(argv[0])
+        action = argv[0] == "barcode" and argv[1] in ("encode", "decode", "check", "render")
+        for args in (argv[:1 + action] + ["--help"], argv):
+            got = parse(one, args)
+            assert got == parse(whole, args), args
+            assert got[0] == (0 if "--help" in args else 2)
+        code, out, err = parse(one, argv)
+        assert code == 2 and out == "" and ": error: " in err
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["nosuch"], 2),
+                                            (["-h", "count"], 0), (["Count"], 2)])
+    def test_no_subcommand_falls_back_to_the_whole_parser(self, capsys, argv, code):
+        want = parse(cli.build_parser(), argv)
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        captured = capsys.readouterr()
+        assert (exited.value.code, captured.out, captured.err) == want
+        assert want[0] == code
+        text = want[1] + want[2]
+        assert "{" + ",".join(cli._COMMANDS) + "}" in text
+        if code == 0:
+            for name, (helptext, _) in cli._COMMANDS.items():
+                assert name in text and helptext in text
+
+    @pytest.mark.parametrize("argv, built", [
+        (["count", "--vars", "2", "--hilbert", "3", "--class", "stable"], ["count"]),
+        (["check-stable", "x1", "--vars", "1"], ["check-stable"]),
+        (["barcode", "encode", "x1"], ["barcode", "encode", "decode", "check", "render"]),
+    ])
+    def test_run_builds_only_the_named_subparser(self, monkeypatch, capsys, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        assert run(argv) == 0
+        assert names == built
+        names.clear()
+        with pytest.raises(SystemExit):
+            run(["nosuch"])
+        # no subcommand named: the whole parser, barcode's actions included
+        commands = list(cli._COMMANDS)
+        assert names == commands[:5] + ["encode", "decode", "check", "render"] + commands[5:]
 
 
 def test_cli_import_skips_network_and_xml_modules():

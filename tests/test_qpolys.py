@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier.partitions import enumerate_plane_partitions
+from escalier.counting import _first_part_window, bar_lists_3vars
+from escalier.partitions import enumerate_distinct, enumerate_plane_partitions
 from escalier.qpolys import (
     IntPoly,
     _digit,
     _pack,
     _pfaffian,
     _plane_partition_count,
+    _shifted_skew,
     _table_entry,
     _unpack,
     det,
@@ -21,6 +23,7 @@ from escalier.qpolys import (
     gauss_table,
     gf_shifted,
     gf_shifted_sum,
+    gf_shifted_sum_coefficient,
     gf_strict,
     gf_strict_coefficient,
 )
@@ -609,3 +612,97 @@ class TestGfShiftedSum:
             gf_shifted_sum((3, 2), range(0, 5), 10)
         with pytest.raises(ValueError):
             gf_shifted_sum((2, 3), range(1, 5), 10)
+
+    @pytest.mark.parametrize("firsts", [[1, 2, 4], (5, 3), range(1, 9, 2), {2, 3, 4, 6}])
+    def test_rejects_a_non_window(self, firsts):
+        with pytest.raises(ValueError, match="consecutive"):
+            gf_shifted_sum((3, 2), firsts, 10)
+        with pytest.raises(ValueError, match="consecutive"):
+            gf_shifted_sum_coefficient((3, 2), firsts, 10)
+
+    def test_accepts_a_window_in_any_form(self):
+        want = gf_shifted_sum((4, 3), range(2, 7), 25)
+        for firsts in ([6, 5, 4, 3, 2], (2, 3, 3, 4, 5, 6), {3, 6, 2, 5, 4}, range(6, 1, -1)):
+            assert gf_shifted_sum((4, 3), firsts, 25) == want, firsts
+        # an empty window admits no array
+        assert gf_shifted_sum((4, 3), range(5, 5), 25) == IntPoly.zero(25)
+        assert gf_shifted_sum((4, 3), [], 25) == IntPoly.zero(25)
+
+    @pytest.mark.parametrize("lam", [(1,), (4, 4), (3, 3, 3), (5, 4, 3), (6, 5, 5, 4)])
+    def test_coefficient_is_the_polynomial_s(self, lam):
+        for firsts in (range(1, 12), range(3, 9), range(lam[-1] - len(lam) + 1, 16)):
+            for p in (0, 9, 20, 28):
+                want = gf_shifted_sum(lam, firsts, p).coefficient(p)
+                assert gf_shifted_sum_coefficient(lam, firsts, p) == want, (lam, firsts, p)
+
+
+def prefix_sum_skew(ms, low, high, p, top):
+    """T A T^t by prefix sums, the construction the hockey-stick sums replace:
+    with the columns w of the window in descending order and P_s(j) the sum
+    of the first j entries of row s, entry (s, u) is
+    sum_j T_uj (P_s(j) + P_s(j+1)) - R_s R_u, one product per column."""
+    width, table = gauss_table(p)
+    mask = (1 << (top + 1) * width) - 1
+    rows = [
+        [(_table_entry(table, w - 1, m) << w * width) & mask if w <= top else 0
+         for w in range(high, low - 1, -1)]
+        for m in ms
+    ]
+    doubled, totals = [], []
+    for row in rows:
+        prefix, twice = 0, []
+        for entry in row:
+            twice.append(prefix + prefix + entry)
+            prefix += entry
+        doubled.append(twice)
+        totals.append(prefix)
+    r = len(ms)
+    size = r + r % 2
+    skew = [[0] * size for _ in range(size)]
+    for s in range(r):
+        for u in range(s + 1, r):
+            acc = sum(e * d for e, d in zip(rows[u], doubled[s]))
+            skew[s][u] = (acc - totals[s] * totals[u]) & mask
+        if size > r:
+            skew[s][r] = totals[s] & mask
+    return skew
+
+
+def shifted_rows(lam):
+    return [lam[s] - s - 1 for s in range(len(lam))]
+
+
+class TestHockeyStickEntries:
+    def test_match_prefix_sums_on_every_census_shape(self):
+        # every strongly stable shape with k >= 2 rows, p <= 40, matrix by
+        # matrix; the census reads every entry at its shape's own top
+        shapes = 0
+        for p in range(1, 41):
+            for (_, h, k) in bar_lists_3vars(p):
+                if k == 1:
+                    continue
+                for alpha in enumerate_distinct(h, k):
+                    lam = tuple(i + part for i, part in enumerate(alpha))
+                    ms = shifted_rows(lam)
+                    top = p - sum(m * (m + 1) // 2 for m in ms)
+                    if top < 0:
+                        continue
+                    window = _first_part_window(lam, p)
+                    low, high = window.start, window.stop - 1
+                    assert _shifted_skew(ms, low, high, p, top) == prefix_sum_skew(
+                        ms, low, high, p, top), (p, alpha)
+                    shapes += 1
+        assert shapes == 970  # the shapes whose Pfaffian reaches x^p
+
+    @pytest.mark.parametrize("lam", [(1,), (3,), (2, 2), (3, 2), (4, 4), (3, 3, 3), (5, 4, 3),
+                                     (4, 4, 4, 4), (6, 5, 5, 4)])
+    def test_match_prefix_sums_on_any_window(self, lam):
+        # windows that start above the least first part, so F(low - 1) is read,
+        # and windows that stop past the truncation, so they are clipped
+        ms = shifted_rows(lam)
+        for p in (10, 20, 28, 40):
+            for top in range(p - sum(m * (m + 1) // 2 for m in ms) + 1):
+                for low, high in ((1, 11), (3, 8), (lam[-1] - len(lam) + 1, 15), (6, 40),
+                                  (9, 4)):
+                    assert _shifted_skew(ms, low, high, p, top) == prefix_sum_skew(
+                        ms, low, high, p, top), (lam, p, top, low, high)
