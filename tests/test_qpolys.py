@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import random
 from itertools import combinations, permutations
@@ -7,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier.counting import _first_part_window, bar_lists_3vars
+from escalier.counting import _first_part_window, a_vector_stable, bar_lists_3vars
 from escalier.partitions import enumerate_distinct, enumerate_plane_partitions
 from escalier.qpolys import (
     IntPoly,
     _digit,
+    _minor,
     _pack,
     _pfaffian,
     _plane_partition_count,
+    _row_bases,
     _shifted_skew,
+    _strict_entries,
     _table_entry,
     _unpack,
     det,
@@ -52,6 +57,47 @@ def det_by_permutations(matrix):
             prod = prod * matrix[i][perm[i]]
         acc = acc + prod
     return acc
+
+
+def full_minor(packed, colmask, cache, mask):
+    """_minor's oracle: the cofactor expansion with every minor to the full
+    precision of mask, on entries packed with their power shifted in."""
+    if colmask == 0:
+        return 1
+    if colmask not in cache:
+        r = len(packed)
+        entries = packed[r - bin(colmask).count("1")]
+        acc, sign = 0, 1
+        for col in range(r):
+            if colmask >> col & 1:
+                if entries[col]:
+                    acc += sign * entries[col] * full_minor(packed, colmask & ~(1 << col), cache, mask)
+                sign = -sign
+        cache[colmask] = acc & mask
+    return cache[colmask]
+
+
+def full_det(rows, top, width):
+    """full_minor's determinant of the (e, g) rows that _minor takes."""
+    mask = (1 << (top + 1) * width) - 1
+    packed = [[(g << e * width) & mask if g else 0 for e, g in row] for row in rows]
+    return full_minor(packed, (1 << len(rows)) - 1, {}, mask)
+
+
+def least_power_sum(rows):
+    """The least sum of powers e over the permutations of (e, g) rows whose
+    entries are all nonzero, row by row; None if there is no such
+    permutation."""
+    best = {0: 0}
+    for row in rows:
+        reached = {}
+        for used, total in best.items():
+            for col, (e, g) in enumerate(row):
+                if g and not used >> col & 1:
+                    key = used | 1 << col
+                    reached[key] = min(reached.get(key, total + e), total + e)
+        best = reached
+    return min(best.values(), default=None)
 
 
 @st.composite
@@ -238,6 +284,79 @@ class TestGfStrictCoefficient:
             gf_strict_coefficient((2, 1), (4, 3), 3)
 
 
+def rand_power_rows(rng, r, width, zero_share):
+    """An r x r matrix of x^power g with powers from -4 to 12 and random
+    packed g, some zero, factored like _row_bases: (rows of (e, g), the
+    powers taken out)."""
+    raw = [[(rng.randint(-4, 12), 0 if rng.random() < zero_share
+             else rng.getrandbits(width * rng.randint(1, 14)))
+            for _ in range(r)] for _ in range(r)]
+    bases = [min((power for power, g in row if g), default=0) for row in raw]
+    return [[(power - base, g) for power, g in row] for row, base in zip(raw, bases)], sum(bases)
+
+
+class TestPrunedMinor:
+    def test_matches_the_full_precision_expansion(self):
+        rng = random.Random(257)
+        seen = {"zero": 0, "past_top": 0, "bases_below_zero": 0, "beyond": 0, "nonzero": 0}
+        for _ in range(1500):
+            r = rng.randint(1, 6)
+            width = rng.choice((3, 8, 21))
+            rows, taken = rand_power_rows(rng, r, width, rng.choice((0.0, 0.2, 0.5)))
+            top = rng.randint(0, 14) - taken  # reading x^T of the unfactored matrix
+            if top < 0:
+                continue
+            got, want = _minor(rows, top, width), full_det(rows, top, width)
+            assert _unpack(got, top + 1, width) == _unpack(want, top + 1, width), (rows, top)
+            entries = [e for row in rows for e in row]
+            seen["zero"] += any(g == 0 for _, g in entries)
+            seen["past_top"] += any(g and e > top for e, g in entries)
+            seen["bases_below_zero"] += taken < 0
+            least = least_power_sum(rows)
+            if least is None or least > top:
+                seen["beyond"] += 1
+                assert got == 0
+            seen["nonzero"] += any(_unpack(want, top + 1, width))
+        assert min(seen.values()) > 100, seen
+
+    def test_a_matrix_whose_terms_all_lie_past_top(self):
+        width = 8
+        rows = [[(3, 1), (5, 1)], [(4, 1), (2, 1)]]  # the determinant is x^5 - x^9
+        assert _minor(rows, 4, width) == 0 == full_det(rows, 4, width)
+        assert _unpack(_minor(rows, 5, width), 6, width) == [0] * 5 + [1]
+        assert _minor([[(0, 0), (0, 7)], [(0, 0), (0, 5)]], 3, width) == 0
+        assert _minor([[(2, 1)]], 1, width) == 0
+
+    def test_census_shapes_match_the_full_precision_route(self):
+        # every stable shape with p <= 60 against its determinant taken with
+        # every minor to the full precision, as the census took it before
+        shapes, beyond = 0, 0
+        for p in range(1, 61):
+            width, table = gauss_table(p)
+            for (_, h, k) in bar_lists_3vars(p):
+                if k < 2:
+                    continue
+                for beta in enumerate_distinct(h, k):
+                    a = a_vector_stable(beta, p)
+                    if a[-1] < 1:
+                        continue
+                    entries = _strict_entries(beta, (0,) * k, a, (1,) * k, 1, 1)
+                    bases = _row_bases(entries)
+                    top = p - sum(bases)
+                    rows = [[(power - base, _table_entry(table, n, kk))
+                             if 0 <= power - base <= top else (0, 0) for power, n, kk in row]
+                            for row, base in zip(entries, bases)]
+                    assert top >= 0
+                    want = _digit(full_det(rows, top, width), top, width)
+                    assert gf_strict_coefficient(beta, a, p) == want, (p, beta)
+                    least = least_power_sum(rows)
+                    if least is None or least > top:  # _minor returns 0 at once
+                        beyond += 1
+                        assert want == 0, (p, beta)
+                    shapes += 1
+        assert (shapes, beyond) == (3062, 434)
+
+
 class TestDet:
     def test_identity_and_1x1(self):
         eye = [[IntPoly.const(1 if i == j else 0) for j in range(3)] for i in range(3)]
@@ -283,6 +402,22 @@ class TestDet:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             det([[IntPoly.const(1), IntPoly.const(2)]])
+
+    def test_sparse_and_truncated_against_permutation_sum(self):
+        # zero entries often leave no permutation of nonzero entries
+        rng = random.Random(263)
+        singular = 0
+        for _ in range(120):
+            r = rng.randint(1, 6)
+            m = [[rand_poly(rng, 3) if rng.random() < 0.45 else IntPoly.zero()
+                  for _ in range(r)] for _ in range(r)]
+            full = det_by_permutations(m)
+            singular += full.is_zero()
+            assert det(m) == full
+            T = rng.randint(0, 6)
+            capped = det([[e.truncated(T) for e in row] for row in m])
+            assert capped.coeffs == full.truncated(T).coeffs and capped.trunc == T
+        assert singular > 20
 
     @settings(deadline=None)
     @given(poly_matrices(), st.one_of(st.none(), st.integers(0, 8)))
@@ -459,6 +594,29 @@ class TestGfStrict:
 
     def test_truncation_sweep(self):
         assert truncation_sweep(gf_strict, draw_strict, 241, 1500) > 1000
+
+    @pytest.mark.parametrize("gf,args,degree,digest", [
+        # the benchmark's untruncated gf requests
+        (gf_shifted, ((8,) * 7, (20, 17, 14, 11, 8, 5, 2), (1,) * 7, 1, 0), 385,
+         "1174519d2238a0e1a1c0d49ee8aedd954a2aa27a7505572d2dbe273e2a39f561"),
+        (gf_shifted, ((9,) * 8, (24, 21, 18, 15, 12, 9, 6, 3), (1,) * 8, 1, 0), 600,
+         "75dd2bfec960c099b46bc3981276c7368b404bcbe8940a444a98c6171db56b8c"),
+        (gf_strict, ((7, 6, 5, 4, 3, 2, 1), (0,) * 7, (20, 19, 18, 17, 16, 15, 14), (1,) * 7, 1, 1),
+         448, "b23813732bc1337cd693f370285cb57a1589af14f194805d65dd48b1594a303e"),
+        # the rows' least powers sum below zero: the answer is x^3
+        (gf_strict, ((3, 3), (2, 2), (2, 2), (1, 1), 1, 1), 3,
+         "c6202370d4cc2ddc01edfd3e37ade2bd18764d23ce0720ea8ccab1b00aca6828"),
+        (gf_strict, ((4, 4), (3, 3), (2, 1), (1, 1), 1, 1), 3,
+         "c6202370d4cc2ddc01edfd3e37ade2bd18764d23ce0720ea8ccab1b00aca6828"),
+    ])
+    def test_gf_answers_keep_their_coefficients(self, gf, args, degree, digest):
+        # the coefficients' digest as the benchmark takes it, fixed before
+        # minors were cut to their reachable digits
+        full = gf(*args)
+        text = json.dumps([str(c) for c in full.coeffs], separators=(",", ":"))
+        assert (full.degree, hashlib.sha256(text.encode()).hexdigest()) == (degree, digest)
+        for top in (0, 10, degree - 1, degree, degree + 1):
+            assert gf(*args, truncate_at=top).coeffs == full.truncated(top).coeffs, top
 
 
 class TestGfShifted:
