@@ -58,21 +58,26 @@ class IdealListing:
         return tuple(iter(self))
 
     def __iter__(self) -> Iterator[ListedIdeal]:
-        if "items" in self.__dict__:
-            return iter(self.items)
+        # Look for kept items when the stream starts, not when it is made:
+        # list() and tuple() take iter() first and len() after it, and len()
+        # keeps the items.
         p = self.p
-        if self.n == 2:
-            return (
+        if "items" in self.__dict__:
+            yield from self.items
+        elif self.n == 2:
+            yield from (
                 ListedIdeal(parts, barcode_from_partition_2vars(parts),
                             ideal_from_partition_2vars(parts))
                 for h in range(1, max_h_2vars(p) + 1) for parts in enumerate_distinct(p, h)
             )
-        # the enumerated arrays are of the class already: their rows need no _pp_rows check
-        return (
-            ListedIdeal(pp, _rows_barcode(pp.rows), _rows_ideal(pp.rows))
-            for _, h, k in bar_lists_3vars(p) for alpha in enumerate_distinct(h, k)
-            for pp in _class_arrays(alpha, self.kind, p)
-        )
+        else:
+            # the enumerated arrays are of the class already: their rows need no
+            # _pp_rows check
+            yield from (
+                ListedIdeal(pp, _rows_barcode(pp.rows), _rows_ideal(pp.rows))
+                for _, h, k in bar_lists_3vars(p) for alpha in enumerate_distinct(h, k)
+                for pp in _class_arrays(alpha, self.kind, p)
+            )
 
     def __len__(self) -> int:
         return len(self.items)

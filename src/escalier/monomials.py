@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 from typing import AbstractSet, Iterable, Iterator
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -73,8 +74,10 @@ class Term:
         return Term(tuple(e))
 
     def divides(self, other: Term) -> bool:
-        self._check_arity(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        a, b = self.exponents, other.exponents
+        if len(a) != len(b):  # map would stop at the shorter vector
+            raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
+        return all(map(le, a, b))
 
     def _check_arity(self, other: Term):
         if self.n != other.n:

@@ -21,6 +21,14 @@ Whether it belongs is a set lookup per stability move of each corner, since a
 move lies in the ideal exactly when it is not one of the node's terms.  Each
 survivor is still counted only after the public stability test accepts it.
 
+The growth resumes from the deepest level it has grown since it last started
+from {1}.  For each number of variables and class (or none) it keeps one
+level: the nodes (terms, Lex-maximum, corners) its last call reached, and
+their size.  A call for a size at or above that one grows on from there; a
+smaller size starts again from {1}, and its level replaces the kept one.  So
+`verify`, which asks for every size up to its maximum in turn, grows each
+level once, and every call still returns what a fresh growth does.
+
 The probe compares per-bar-list definitional counts against brute-force counts
 of strict / shifted solid partitions, which `partitions` enumerates layer shape
 by layer shape; the layer shapes are the three-variable arrays of the class,
@@ -127,6 +135,12 @@ def _in_class(
     )
 
 
+# (depth, nodes) of the last level grown for each (n, strongly).  A level holds
+# only frozensets and tuples of exponent vectors, and a resumed level is the one
+# a fresh growth reaches, so no call's result depends on the calls before it.
+_kept_levels: dict[tuple[int, bool | None], tuple[int, list]] = {}
+
+
 def _canonical_growth(
     n: int, p: int, strongly: bool | None = None
 ) -> list[tuple[frozenset, frozenset]]:
@@ -138,12 +152,19 @@ def _canonical_growth(
     corner Lex-greater than its maximum, in Lex order, so the last level comes
     out in the depth-first order of the growth tree and no recursion depth
     grows with p.  A child outside the class is dropped at once: it has no
-    descendant inside it.
+    descendant inside it.  The growth starts from the level kept for
+    (n, strongly) when that is no deeper than p, from the root otherwise, and
+    keeps level p in its place.
     """
-    unit = (0,) * n
-    firsts = frozenset(unit[:i] + (1,) + unit[i + 1:] for i in range(n))
-    level = [(frozenset([unit]), unit, firsts)]
-    for _ in range(p - 1):
+    key = (n, strongly)
+    kept = _kept_levels.get(key)
+    if kept is not None and kept[0] <= p:
+        depth, level = kept
+    else:
+        unit = (0,) * n
+        firsts = frozenset(unit[:i] + (1,) + unit[i + 1:] for i in range(n))
+        depth, level = 1, [(frozenset([unit]), unit, firsts)]
+    for _ in range(p - depth):
         nxt = []
         for terms, top, corners in level:
             floor = _lex(top)
@@ -153,6 +174,7 @@ def _canonical_growth(
                 if strongly is None or _in_class(grown, grown_corners, strongly):
                     nxt.append((grown, g, grown_corners))
         level = nxt
+    _kept_levels[key] = (p, level)
     return [(terms, corners) for terms, _, corners in level]
 
 

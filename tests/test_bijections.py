@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escalier import bijections
 from escalier.barcode import bar_list, decode, encode, length
 from escalier.bijections import (
     _rows_ideal,
@@ -343,6 +344,21 @@ class TestListings:
             assert "items" not in vars(listing)
             assert streamed == listing.items and tuple(listing) == listing.items
             assert len(listing) == len(streamed)
+
+    @pytest.mark.parametrize("n, maker", [(2, "barcode_from_partition_2vars"),
+                                          (3, "_rows_barcode")])
+    def test_each_item_is_built_once(self, monkeypatch, n, maker):
+        # list() and tuple() take iter() before len(), and len() keeps the items
+        original = getattr(bijections, maker)
+        built = []
+        monkeypatch.setattr(bijections, maker, lambda *a: built.append(a) or original(*a))
+        for whole in (list, tuple):
+            built.clear()
+            listing = list_ideals(12, n, STABLE)
+            items = whole(listing)
+            assert len(built) == len(items) == len(listing)
+            assert tuple(items) == listing.items
+            assert tuple(listing) == listing.items and len(built) == len(items)
 
     def test_agrees_with_determinants_beyond_oracle_sizes(self):
         # the listing never touches a determinant, so this is an independent

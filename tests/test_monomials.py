@@ -51,6 +51,18 @@ class TestLex:
         with pytest.raises(ValueError):
             lex_compare(term(1, 0), term(1, 0, 0))
 
+    def test_divisibility_and_membership_check_arity(self):
+        # comparing pairwise alone would stop at the shorter vector and accept
+        I = MonomialIdeal.of([term(1, 0)])
+        for a, b in ((term(1, 0), term(1, 0, 0)), (term(1, 0, 0), term(1, 0))):
+            with pytest.raises(ValueError, match=r"arity mismatch: \d vs \d"):
+                a.divides(b)
+        for t in (term(1, 0, 0), term(2)):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                t in I
+        assert term(1, 0).divides(term(1, 2)) and not term(1, 3).divides(term(1, 2))
+        assert term(1, 0) in I and term(0, 5) not in I
+
     def test_total_and_semigroup_order(self):
         rng = random.Random(7)
         for _ in range(300):

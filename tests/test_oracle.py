@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+from escalier import oracle
 from escalier.barcode import bar_list, encode, is_admissible, length
 from escalier.counting import STABLE, STRONGLY_STABLE, census, count_2vars
 from escalier.monomials import (
@@ -143,8 +144,8 @@ class TestClassGrowth:
 
     @pytest.mark.parametrize("kind", [STABLE, STRONGLY_STABLE])
     def test_three_vars_match_census_beyond_the_cap(self, monkeypatch, kind):
-        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", "20")
-        for p in range(1, 21):
+        monkeypatch.setenv("ESCALIER_ORACLE_CAP_N3", "25")
+        for p in range(1, 26):
             assert count_by_definition(3, p, kind) == census(p, 3, kind).total, p
 
     def test_two_vars_match_count_2vars(self, monkeypatch):
@@ -155,6 +156,53 @@ class TestClassGrowth:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             enumerate_order_ideals(2, 3, kind="borel")
+
+
+class TestResumedGrowth:
+    """Each growth goes on from the level the last one for its (n, class)
+    reached; every call must still return what a fresh growth does."""
+
+    # ascending p, a smaller p after a larger one, the other class, another n
+    # and the unpruned enumeration, interleaved
+    CALLS = [
+        *((3, p, STABLE) for p in range(1, 10)),
+        (3, 6, STABLE), (3, 9, STRONGLY_STABLE), (3, 10, STABLE), (3, 4, None),
+        (2, 12, STABLE), (3, 11, STABLE), (3, 5, None), (3, 5, None), (2, 3, STABLE),
+        (3, 10, STRONGLY_STABLE), (4, 6, STABLE), (3, 12, STABLE), (2, 14, STABLE),
+        (3, 1, STABLE), (3, 7, None), (3, 12, STRONGLY_STABLE), (3, 2, STABLE),
+    ]
+
+    @staticmethod
+    def fresh(n, p, kind):
+        oracle._kept_levels.clear()
+        return enumerate_order_ideals(n, p, kind)
+
+    def test_interleaved_calls_match_fresh_growths(self):
+        expected = {call: self.fresh(*call) for call in set(self.CALLS)}
+        oracle._kept_levels.clear()
+        for call in self.CALLS:
+            en = enumerate_order_ideals(*call)
+            assert en.items == expected[call].items, call
+            assert en.generators == expected[call].generators, call
+            n, p, kind = call
+            assert oracle._kept_levels[n, None if kind is None else kind != STABLE][0] == p
+        # one level per (n, class) that was grown
+        assert len(oracle._kept_levels) == len({(n, kind) for n, _, kind in self.CALLS})
+
+    def test_ascending_calls_grow_each_level_once(self, monkeypatch):
+        grown = []
+        original = oracle._grown_corners
+        monkeypatch.setattr(oracle, "_grown_corners", lambda *a: grown.append(a) or original(*a))
+        self.fresh(3, 12, STABLE)
+        once = len(grown)
+        grown.clear()
+        oracle._kept_levels.clear()
+        for p in range(1, 13):
+            count_by_definition(3, p, STABLE)
+        assert len(grown) == once
+        grown.clear()
+        count_by_definition(3, 11, STABLE)  # smaller: from the root again
+        assert 0 < len(grown) < once
 
 
 class TestDefinitionalCounts:
