@@ -15,20 +15,19 @@ positions and equals the exponent vector of the decoded term.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable
 
+from ._record import Record
 from .monomials import Term, format_term, p_operator
 
 
-@dataclass(frozen=True)
-class BarCode:
-    rows: tuple[tuple[int, ...], ...]
+class BarCode(Record):
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = self.rows
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.__dict__["rows"] = rows
         if not rows:
             raise ValueError("a Bar Code needs at least one row")
         for row in rows:
@@ -66,7 +65,7 @@ class BarCode:
     @cached_property
     def _offsets(self) -> tuple[tuple[int, ...], ...]:
         """The start column of every bar, row by row, built on the first query
-        and kept in the instance dict, outside the dataclass fields."""
+        and kept in the instance dict, outside the fields."""
         return tuple(tuple(accumulate(row[:-1], initial=0)) for row in self.rows)
 
     def _starts(self, i: int) -> tuple[int, ...]:

@@ -12,11 +12,11 @@ variables the staircase construction is direct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
 
+from ._record import Record
 from .barcode import BarCode, length
 from .counting import STRONGLY_STABLE, _check_kind, bar_lists_3vars, max_h_2vars
 from .monomials import MonomialIdeal, Term
@@ -29,11 +29,12 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class ListedIdeal:
-    partition: IntPartition | PlanePartition
-    barcode: BarCode
-    ideal: MonomialIdeal
+class ListedIdeal(Record):
+    _fields = ("partition", "barcode", "ideal")
+
+    def __init__(self, partition: IntPartition | PlanePartition, barcode: BarCode,
+                 ideal: MonomialIdeal):
+        self.__dict__.update(partition=partition, barcode=barcode, ideal=ideal)
 
     def to_json(self) -> dict:
         part = self.partition
@@ -44,14 +45,14 @@ class ListedIdeal:
         }
 
 
-@dataclass(frozen=True)
-class IdealListing:
+class IdealListing(Record):
     """The ideals of one census, in census order.  Iterating builds them one
     at a time and holds none; ``items`` and ``len`` build and keep them all."""
 
-    p: int
-    n: int
-    kind: str
+    _fields = ("p", "n", "kind")
+
+    def __init__(self, p: int, n: int, kind: str):
+        self.__dict__.update(p=p, n=n, kind=kind)
 
     @cached_property
     def items(self) -> tuple[ListedIdeal, ...]:
@@ -96,7 +97,7 @@ def _pp_rows(pp: PlanePartition, shifted: bool) -> tuple[tuple[int, ...], ...]:
         raise ValueError("entries must be positive in every row")
     if any(len(up) <= len(down) for up, down in zip(pp.rows, pp.rows[1:])):
         raise ValueError("row lengths must decrease strictly")
-    if not validate(replace(pp, c=1, d=0 if shifted else 1)):
+    if not validate(PlanePartition(pp.shape, pp.rows, 1, 0 if shifted else 1, shifted, pp.inner)):
         columns = "weakly" if shifted else "strictly"
         raise ValueError(f"rows must decrease strictly, columns {columns}")
     return pp.rows

@@ -19,10 +19,10 @@ Counts are plain Python integers, so there is no overflow anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
+from ._record import Record
 from .partitions import (
     IntPartition,
     count_Q,
@@ -35,25 +35,25 @@ STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
 
 
-@dataclass(frozen=True)
-class ShapeCount:
-    shape: IntPartition
-    count: int
+class ShapeCount(Record):
+    _fields = ("shape", "count")
+
+    def __init__(self, shape: IntPartition, count: int):
+        self.__dict__.update(shape=shape, count=count)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    bar_list: tuple[int, ...]
-    shapes: tuple[ShapeCount, ...]
-    subtotal: int
+class CensusRow(Record):
+    _fields = ("bar_list", "shapes", "subtotal")
+
+    def __init__(self, bar_list: tuple[int, ...], shapes: tuple[ShapeCount, ...], subtotal: int):
+        self.__dict__.update(bar_list=bar_list, shapes=shapes, subtotal=subtotal)
 
 
-@dataclass(frozen=True)
-class BarListCensus:
-    p: int
-    n: int
-    kind: str
-    rows: tuple[CensusRow, ...]
+class BarListCensus(Record):
+    _fields = ("p", "n", "kind", "rows")
+
+    def __init__(self, p: int, n: int, kind: str, rows: tuple[CensusRow, ...]):
+        self.__dict__.update(p=p, n=n, kind=kind, rows=rows)
 
     @property
     def total(self) -> int:

@@ -11,10 +11,11 @@ the Bar Code and counting machinery is checked against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Set
 from itertools import product
 from operator import le
-from typing import AbstractSet, Iterable, Iterator
+
+from ._record import Record
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -24,17 +25,17 @@ _EXPONENT_CAP = 10**6  # no meaningful input gets anywhere near this
 _TERM_FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A monomial, stored as its exponent vector."""
 
-    exponents: tuple[int, ...]
+    _fields = ("exponents",)
 
-    def __post_init__(self):
-        if not self.exponents:
+    def __init__(self, exponents: tuple[int, ...]):
+        self.__dict__["exponents"] = exponents
+        if not exponents:
             raise ValueError("term needs at least one variable")
-        if min(self.exponents) < 0:
-            raise ValueError(f"negative exponent in {self.exponents}")
+        if min(exponents) < 0:
+            raise ValueError(f"negative exponent in {exponents}")
 
     @property
     def n(self) -> int:
@@ -185,7 +186,10 @@ def is_order_ideal(terms: Iterable[Term]) -> bool:
     """True iff the set is closed under taking predecessors (divisor-closed)."""
     ts = set(terms)
     _check_uniform(ts)
-    vectors = {t.exponents for t in ts}
+    return _is_closed({t.exponents for t in ts})
+
+
+def _is_closed(vectors: Set[tuple[int, ...]]) -> bool:
     for v in vectors:
         for i, e in enumerate(v):
             if e and v[:i] + (e - 1,) + v[i + 1:] not in vectors:
@@ -193,18 +197,17 @@ def is_order_ideal(terms: Iterable[Term]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrderIdeal:
+class OrderIdeal(Record):
     """A finite divisor-closed set of terms (a Groebner escalier)."""
 
-    terms: frozenset[Term]
-    n: int
+    _fields = ("terms", "n")
 
-    def __post_init__(self):
-        for t in self.terms:
-            if t.n != self.n:
-                raise ValueError("term arity differs from ambient arity")
-        if not is_order_ideal(self.terms):
+    def __init__(self, terms: frozenset[Term], n: int):
+        self.__dict__.update(terms=terms, n=n)
+        vectors = {t.exponents for t in terms}
+        if not {n}.issuperset(map(len, vectors)):
+            raise ValueError("term arity differs from ambient arity")
+        if not _is_closed(vectors):
             raise ValueError("set is not closed under division")
 
     @classmethod
@@ -228,12 +231,13 @@ class OrderIdeal:
         return sorted(self.terms, key=Term.lex_key)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal, held by its minimal generating set."""
 
-    generators: frozenset[Term]
-    n: int
+    _fields = ("generators", "n")
+
+    def __init__(self, generators: frozenset[Term], n: int):
+        self.__dict__.update(generators=generators, n=n)
 
     @classmethod
     def of(cls, terms: Iterable[Term], n: int | None = None) -> MonomialIdeal:
@@ -256,7 +260,7 @@ class MonomialIdeal:
         return sorted(self.generators, key=Term.lex_key)
 
 
-def border_terms(terms: AbstractSet[Term], n: int) -> set[Term]:
+def border_terms(terms: Set[Term], n: int) -> set[Term]:
     """{x_i * tau : tau in terms, 1 <= i <= n} minus terms.
 
     Works on a raw set of n-variable terms, with no divisor-closure check.
@@ -269,7 +273,7 @@ def border_terms(terms: AbstractSet[Term], n: int) -> set[Term]:
     }
 
 
-def corner_terms(terms: AbstractSet[Term], n: int) -> set[Term]:
+def corner_terms(terms: Set[Term], n: int) -> set[Term]:
     """The border terms all of whose predecessors lie in terms.
 
     For a divisor-closed set these are the terms that keep it closed when

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record
 from .barcode import bar_list, encode
 from .bijections import _class_arrays
 from .counting import STABLE, _check_kind
@@ -83,15 +83,16 @@ def check_size(n: int, p: int) -> None:
         raise ValueError(f"p={p} exceeds the n={n} enumeration cap {limit}")
 
 
-@dataclass(frozen=True)
-class EscalierEnumeration:
+class EscalierEnumeration(Record):
     """Order ideals of one size, each with the minimal generators of the
     ideal it is the escalier of: generators[i] belongs to items[i]."""
 
-    n: int
-    p: int
-    items: tuple[OrderIdeal, ...]
-    generators: tuple[MonomialIdeal, ...]
+    _fields = ("n", "p", "items", "generators")
+
+    def __init__(
+        self, n: int, p: int, items: tuple[OrderIdeal, ...], generators: tuple[MonomialIdeal, ...]
+    ):
+        self.__dict__.update(n=n, p=p, items=items, generators=generators)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -240,22 +241,24 @@ def _partition_side_count(bar: tuple[int, int, int, int], kind: str) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ProbeRow:
-    bar_list: tuple[int, ...]
-    ideal_count: int
-    partition_count: int
+class ProbeRow(Record):
+    _fields = ("bar_list", "ideal_count", "partition_count")
+
+    def __init__(self, bar_list: tuple[int, ...], ideal_count: int, partition_count: int):
+        self.__dict__.update(
+            bar_list=bar_list, ideal_count=ideal_count, partition_count=partition_count
+        )
 
     @property
     def agree(self) -> bool:
         return self.ideal_count == self.partition_count
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    p: int
-    kind: str
-    rows: tuple[ProbeRow, ...]
+class ConjectureReport(Record):
+    _fields = ("p", "kind", "rows")
+
+    def __init__(self, p: int, kind: str, rows: tuple[ProbeRow, ...]):
+        self.__dict__.update(p=p, kind=kind, rows=rows)
 
     @property
     def all_agree(self) -> bool:

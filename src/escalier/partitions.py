@@ -22,10 +22,11 @@ interpretation, not settled ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Sequence
+
+from ._record import Record
 
 IntPartition = tuple[int, ...]
 
@@ -117,26 +118,29 @@ def _extend_rows(out, row, length, bounds, least, most) -> None:
         _extend_rows(out, row + (v,), length, bounds, least - v, most - v)
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(Record):
     """A (c,d)-plane partition, optionally shifted, holding only in-shape cells.
 
     shape[i-1] is the last column of row i.  Unshifted rows start after
     inner[i-1]; shifted rows start at column i (inner must then be zero).
     """
 
-    shape: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    c: int
-    d: int
-    shifted: bool = False
-    inner: tuple[int, ...] = ()
+    _fields = ("shape", "rows", "c", "d", "shifted", "inner")
 
-    def __post_init__(self):
-        r = len(self.shape)
-        if r == 0 or len(self.rows) != r:
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        rows: tuple[tuple[int, ...], ...],
+        c: int,
+        d: int,
+        shifted: bool = False,
+        inner: tuple[int, ...] = (),
+    ):
+        self.__dict__.update(shape=shape, rows=rows, c=c, d=d, shifted=shifted)
+        r = len(shape)
+        if r == 0 or len(rows) != r:
             raise ValueError("rows must match the shape, one per shape entry")
-        object.__setattr__(self, "inner", _checked_inner(self.shape, self.inner, self.shifted))
+        self.__dict__["inner"] = _checked_inner(shape, inner, shifted)
         for i in range(1, r + 1):
             if len(self.rows[i - 1]) != self.row_end(i) - self.row_start(i) + 1:
                 raise ValueError(f"row {i} has the wrong number of entries")
@@ -353,8 +357,7 @@ def _fill(out: list, cells: list, suffix_low: list, values: list, idx: int, rem:
         _fill(out, cells, suffix_low, values, idx + 1, rem - v)
 
 
-@dataclass(frozen=True)
-class SolidPartition:
+class SolidPartition(Record):
     """An m-dimensional partition as nested tuples, stacking axis outermost.
 
     For the strict kind every index starts at 1.  For the shifted kind a
@@ -362,14 +365,13 @@ class SolidPartition:
     `layers[k]` describes paper layer l = k+1 with its rows on the diagonal.
     """
 
-    kind: str  # "strict" | "shifted"
-    layers: tuple
-    dimension: int = 3
+    _fields = ("kind", "layers", "dimension")
 
-    def __post_init__(self):
-        if self.kind not in ("strict", "shifted"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.dimension < 3:
+    def __init__(self, kind: str, layers: tuple, dimension: int = 3):
+        self.__dict__.update(kind=kind, layers=layers, dimension=dimension)
+        if kind not in ("strict", "shifted"):
+            raise ValueError(f"unknown kind {kind!r}")
+        if dimension < 3:
             raise ValueError("solid partitions start at dimension 3")
 
     @property

@@ -45,9 +45,9 @@ summation formula) on the same kind of packed integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Sequence
 
 _Entries = list[list[tuple[int, int, int]]]
 

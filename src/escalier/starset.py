@@ -9,9 +9,9 @@ must agree.  For a finite escalier the star set is the Pommaret basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import Record
 from .barcode import BarCode, decode, is_admissible
 from .monomials import (
     OrderIdeal,
@@ -22,10 +22,11 @@ from .monomials import (
 )
 
 
-@dataclass(frozen=True)
-class StarSet:
-    terms: tuple[Term, ...]  # Lex-ascending
-    source: OrderIdeal
+class StarSet(Record):
+    _fields = ("terms", "source")
+
+    def __init__(self, terms: tuple[Term, ...], source: OrderIdeal):
+        self.__dict__.update(terms=terms, source=source)  # terms Lex-ascending
 
     def __iter__(self):
         return iter(self.terms)

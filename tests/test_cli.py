@@ -562,13 +562,16 @@ class TestParser:
 def test_cli_import_skips_network_and_xml_modules():
     # barcode escapes SVG labels itself: xml.sax.saxutils would pull in
     # urllib.request, http.client, email and ssl on every CLI start-up.
+    # The records are plain classes: dataclasses would pull in inspect, ast
+    # and tokenize.  -S keeps site's own imports from hiding the package's.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    heavy = ("xml.sax", "http.client", "email", "ssl")
+    heavy = ("xml.sax", "http.client", "email", "ssl",
+             "dataclasses", "inspect", "ast", "tokenize", "typing")
     code = ("import sys, escalier.cli; "
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -125,8 +125,21 @@ class TestOrderIdeals:
             is_order_ideal([term(0, 0), term(0, 0, 0)])
 
     def test_constructor_validates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not closed under division"):
             OrderIdeal.of(terms("x1", "x1^2", n=2))
+        with pytest.raises(ValueError, match="not closed under division"):
+            OrderIdeal(frozenset(terms("1", "x2^2", n=2)), 2)
+        with pytest.raises(ValueError, match="mixed arities in term set"):
+            OrderIdeal.of([term(0, 0), term(0, 0, 0)])
+        with pytest.raises(ValueError, match="empty order ideal needs an explicit arity"):
+            OrderIdeal.of([])
+        # the arity is checked before closure, against the ambient arity
+        for ts, n in ((terms("1", "x1", n=2), 3), ([term(0, 0), term(0, 0, 1)], 2),
+                      ([term(0, 0, 1)], 2), ([term(0, 0), term(0, 0, 0)], 3)):
+            with pytest.raises(ValueError, match="term arity differs from ambient arity"):
+                OrderIdeal(frozenset(ts), n)
+        assert len(OrderIdeal(frozenset(terms("1", "x1", "x2", n=2)), 2)) == 3
+        assert len(OrderIdeal(frozenset(), 4)) == 0 == len(OrderIdeal.of([], 4))
 
 
 def closed_by_predecessors(ts):
