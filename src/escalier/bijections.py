@@ -37,6 +37,8 @@ class ListedIdeal(Record):
         self.__dict__.update(partition=partition, barcode=barcode, ideal=ideal)
 
     def to_json(self) -> dict:
+        """The item's document; the tests hold the text that ``escalier list``
+        writes without building it to ``json.dumps`` of this."""
         part = self.partition
         return {
             "partition": list(part) if isinstance(part, tuple) else part.to_json(),

@@ -5,9 +5,9 @@ which reads ``args.format`` and ``args.out`` and hands its answer to one
 writer, ``_write``: to the ``--out`` file, or to stdout.  ``run`` builds only
 the parser of the subcommand that its first argument names.  JSON mode emits a
 single document, whose bytes are those of ``json.dumps(doc, indent=2)`` plus a
-newline; it is streamed, a top-level list one item at a time, and a listing's
-items are built as they are written.  Text mode prints tables shaped like the
-ones people actually diff against, plus a newline.
+newline, streamed a top-level item at a time; a listing writes each item's
+text straight from the ideal as it is built.  Text mode prints tables shaped
+like the ones people actually diff against, plus a newline.
 Errors land on stderr with exit code 2; negative check results (a code that is
 not admissible, an ideal that is not stable, a verification mismatch) exit 1.
 """
@@ -54,14 +54,11 @@ def _write(args, chunks) -> None:
 # which joins one small chunk per token.  Here ints print by ``int.__repr__``,
 # as in that encoder, and the other scalars go through the C encoder.
 _encode_scalar = json.JSONEncoder().encode
-_MEMO_SIZE = 4096
 
 
-def _indented(obj, pad: str, memo: dict) -> str:
+def _indented(obj, pad: str) -> str:
     """``json.dumps(obj, indent=2)`` for ``obj`` nested where lines start with ``pad``.
 
-    ``memo`` holds the text of the integer-only lists rendered so far, keyed
-    by ``(pad, *values)``; it is emptied when full, so memory stays flat.
     Dict keys must be ``str``: any other key raises ``TypeError`` (``json``
     would coerce it, and no CLI document has one).
     """
@@ -72,25 +69,18 @@ def _indented(obj, pad: str, memo: dict) -> str:
         # exact types: a bool, which prints as true/false, is not an int here
         kinds = set(map(type, obj))
         if kinds == {int}:
-            key = (pad, *obj)
-            text = memo.get(key)
-            if text is None:
-                if len(memo) >= _MEMO_SIZE:
-                    memo.clear()
-                text = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
-                memo[key] = text
-            return text
-        if kinds == {str}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
             items = map(_encode_str, obj)
         else:
-            items = [_indented(x, inner, memo) for x in obj]
+            items = [_indented(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
         return "{" + inner + ("," + inner).join([
-            _encode_str(k) + ": " + _indented(v, inner, memo) for k, v in obj.items()
+            _encode_str(k) + ": " + _indented(v, inner) for k, v in obj.items()
         ]) + pad + "}"
     if type(obj) is int:
         return int.__repr__(obj)
@@ -100,15 +90,44 @@ def _indented(obj, pad: str, memo: dict) -> str:
 def _json_chunks(doc):
     """Yield ``json.dumps(doc, indent=2) + "\\n"``, a top-level list item by item;
     an iterator stands for the list of its items, each rendered as it comes."""
-    memo: dict = {}
     if isinstance(doc, (list, tuple, Iterator)):
-        sep = "[\n  "
-        for item in doc:
-            yield sep + _indented(item, "\n  ", memo)
-            sep = ",\n  "
-        yield "[]\n" if sep == "[\n  " else "\n]\n"
+        yield from _framed(_indented(item, "\n  ") for item in doc)
     else:
-        yield _indented(doc, "\n", memo) + "\n"
+        yield _indented(doc, "\n") + "\n"
+
+
+def _framed(texts):
+    """A top-level list's chunks, given the text of each item."""
+    sep = "[\n  "
+    for text in texts:
+        yield sep + text
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _listing_texts(items):
+    """Each ``ListedIdeal``'s item text in ``json.dumps(listing.to_json(), indent=2)``,
+    given int entries and a generator.  Row 1, ``width`` unit bars, is rendered
+    once per width, and the generators through one template per arity."""
+    ones, terms = {}, {}
+    for item in items:
+        part, rows, ideal = item.partition, item.barcode.rows, item.ideal
+        width, n = len(rows[0]), ideal.n
+        if width not in ones:
+            ones[width] = _indented(rows[0], _P8)
+        if n not in terms:
+            terms[n] = "[" + _P8 + ("," + _P8).join(["%d"] * n) + _P6 + "]"
+        yield _LISTED % (
+            _indented(part if isinstance(part, tuple) else part.to_json(), _P4), len(rows), width,
+            ("," + _P8).join([ones[width], *[_indented(row, _P8) for row in rows[1:]]]),
+            ("," + _P6).join([terms[n] % t.exponents for t in ideal.sorted()]))
+
+
+# the line starts 4, 6 and 8 spaces in, inside a listed item
+_P4, _P6, _P8 = "\n    ", "\n      ", "\n        "
+_LISTED = ('{\n    "partition": %s,\n    "barcode": {\n      "n": %d,\n      "width": %d,'
+           '\n      "rows": [\n        %s\n      ]\n    },'
+           '\n    "generators": [\n      %s\n    ]\n  }')
 
 
 def _parse_terms(raw: list[str], vars_: int | None) -> list[Term]:
@@ -161,7 +180,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_list(args) -> int:
     listing = bijections.list_ideals(args.hilbert, args.vars, _kind(args.klass))
-    _write(args, _json_chunks(map(bijections.ListedIdeal.to_json, listing))
+    _write(args, _framed(_listing_texts(listing))
            if args.format == "json" else _listing_lines(listing))
     return 0
 
@@ -224,10 +243,8 @@ def _cmd_barcode(args) -> int:
     json_mode = args.format == "json"
     if args.action == "encode":
         code = bc.encode(_parse_terms(args.terms, args.vars))
-        if json_mode:
-            _write(args, _json_chunks(code.to_json()))
-        else:
-            _write(args, (bc.render(code, "ascii", labels=True), "\n"))
+        _write(args, _json_chunks(code.to_json()) if json_mode
+               else (bc.render(code, "ascii", labels=True), "\n"))
         return 0
     code = bc.BarCode.from_json(_read_json(args.infile))
     if args.action == "decode":
@@ -235,27 +252,17 @@ def _cmd_barcode(args) -> int:
         return 0
     if args.action == "check":
         ok = bc.is_admissible(code)
-        if json_mode:
-            _write(args, _json_chunks({"admissible": ok}))
-        else:
-            _write(args, ("admissible" if ok else "not admissible", "\n"))
+        _write(args, _json_chunks({"admissible": ok}) if json_mode
+               else ("admissible" if ok else "not admissible", "\n"))
         return 0 if ok else 1
     # render
     _write(args, (bc.render(code, args.render_format, labels=args.labels), "\n"))
     return 0
 
 
-def _order_ideal_from_args(args) -> OrderIdeal:
-    return OrderIdeal.of(_parse_terms(args.terms, args.vars))
-
-
 def _cmd_starset(args) -> int:
-    _write_terms(args, starset.star_set_direct(_order_ideal_from_args(args)).terms)
-    return 0
-
-
-def _cmd_pommaret(args) -> int:
-    _write_terms(args, starset.pommaret_basis(_order_ideal_from_args(args)).terms)
+    build = starset.pommaret_basis if args.command == "pommaret" else starset.star_set_direct
+    _write_terms(args, build(OrderIdeal.of(_parse_terms(args.terms, args.vars))).terms)
     return 0
 
 
@@ -264,10 +271,8 @@ def _cmd_check_stability(args) -> int:
     ideal = MonomialIdeal.of(_parse_terms(args.terms, args.vars))
     ok = is_strongly_stable(ideal) if strongly else is_stable(ideal)
     name = "strongly-stable" if strongly else "stable"
-    if args.format == "json":
-        _write(args, _json_chunks({name.replace("-", "_"): ok}))
-    else:
-        _write(args, (name if ok else f"not {name}", "\n"))
+    _write(args, _json_chunks({name.replace("-", "_"): ok}) if args.format == "json"
+           else (name if ok else f"not {name}", "\n"))
     return 0 if ok else 1
 
 
@@ -278,21 +283,14 @@ def _cmd_verify(args) -> int:
     for p in range(1, args.max_p + 1):
         pipeline = counting.census(p, args.vars, kind).total
         brute = oracle.count_by_definition(args.vars, p, kind)
-        rows.append((p, pipeline, brute, pipeline == brute))
-    ok = all(match for *_, match in rows)
+        rows.append({"p": p, "pipeline": pipeline, "oracle": brute, "match": pipeline == brute})
+    ok = all(row["match"] for row in rows)
     if args.format == "json":
-        _write(args, _json_chunks({
-            "vars": args.vars,
-            "class": args.klass,
-            "rows": [
-                {"p": p, "pipeline": a, "oracle": b, "match": m}
-                for p, a, b, m in rows
-            ],
-            "ok": ok,
-        }))
+        _write(args, _json_chunks({"vars": args.vars, "class": args.klass, "rows": rows,
+                                  "ok": ok}))
     else:
         lines = ["p | pipeline | oracle | status"]
-        for p, a, b, m in rows:
+        for p, a, b, m in map(dict.values, rows):
             lines.append(f"{p} | {a} | {b} | {'pass' if m else 'FAIL'}")
         lines.append("ok" if ok else "MISMATCH")
         _write(args, ("\n".join(lines), "\n"))
@@ -431,7 +429,7 @@ _COMMANDS = {
     "barcode": ("encode, decode, check, render", _add_barcode),
     "render": ("shorthand for barcode render", _add_render_alias),
     "starset": ("starset of an order ideal", lambda sp: _add_terms(sp, _cmd_starset)),
-    "pommaret": ("pommaret of an order ideal", lambda sp: _add_terms(sp, _cmd_pommaret)),
+    "pommaret": ("pommaret of an order ideal", lambda sp: _add_terms(sp, _cmd_starset)),
     "check-stable": ("check stable on generators",
                      lambda sp: _add_terms(sp, _cmd_check_stability)),
     "check-strongly-stable": ("check strongly stable on generators",

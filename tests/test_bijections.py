@@ -1,11 +1,13 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escalier import bijections
-from escalier.barcode import bar_list, decode, encode, length
+from escalier.barcode import BarCode, bar_list, decode, encode, length
 from escalier.bijections import (
     _rows_ideal,
     barcode_from_partition_2vars,
@@ -18,6 +20,7 @@ from escalier.bijections import (
     shifted_pp_from_barcode,
     strict_pp_from_barcode,
 )
+from escalier.cli import run
 from escalier.counting import STABLE, STRONGLY_STABLE, census
 from escalier.monomials import (
     MonomialIdeal,
@@ -359,6 +362,26 @@ class TestListings:
             assert len(built) == len(items) == len(listing)
             assert tuple(items) == listing.items
             assert tuple(listing) == listing.items and len(built) == len(items)
+
+    @pytest.mark.parametrize("n, kind, p", [(2, STABLE, 20), (3, STABLE, 12),
+                                            (3, STRONGLY_STABLE, 12)])
+    def test_json_list_runs_every_constructor(self, monkeypatch, capsys, n, kind, p):
+        # the CLI writes each item's JSON straight from its built objects: one
+        # checked Bar Code and ideal per item and one Term per generator, none
+        # of them made past its constructor
+        calls = Counter()
+        for cls in (BarCode, MonomialIdeal, Term):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+                calls[_name] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
+        argv = ["list", "--vars", str(n), "--hilbert", str(p),
+                "--class", kind.replace("_", "-"), "--format", "json"]
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc) == census(p, n, kind).total
+        assert calls == {"BarCode": len(doc), "MonomialIdeal": len(doc),
+                         "Term": sum(len(item["generators"]) for item in doc)}
 
     def test_agrees_with_determinants_beyond_oracle_sizes(self):
         # the listing never touches a determinant, so this is an independent

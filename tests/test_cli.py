@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escalier import cli
-from escalier.bijections import list_ideals
+from escalier.barcode import BarCode
+from escalier.bijections import ListedIdeal, list_ideals
 from escalier.cli import run
-from escalier.monomials import format_term
+from escalier.monomials import MonomialIdeal, Term, format_term
+from escalier.partitions import PlanePartition
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -106,18 +108,40 @@ class TestStreamedList:
     ])
     def test_bytes_match_the_whole_document(self, tmp_path, capsys, vars_, klass, top):
         for p in range(1, top + 1):
-            listing = list_ideals(p, vars_, klass.replace("-", "_"))
-            want = {"json": json.dumps(listing.to_json(), indent=2) + "\n",
-                    "text": whole_text_listing(listing)}
-            for fmt, text in want.items():
-                argv = ["list", "--vars", str(vars_), "--hilbert", str(p),
-                        "--class", klass, "--format", fmt]
-                assert run(argv) == 0
-                assert capsys.readouterr().out == text, (p, fmt)
-                target = tmp_path / f"{p}.{fmt}"
-                assert run(argv + ["--out", str(target)]) == 0
-                assert capsys.readouterr().out == ""
-                assert target.read_bytes() == text.encode("utf-8"), (p, fmt)
+            self.check_bytes(tmp_path, capsys, vars_, klass, p)
+
+    @pytest.mark.parametrize("p", [40, 50])
+    def test_bytes_at_the_benchmark_points(self, tmp_path, capsys, p):
+        self.check_bytes(tmp_path, capsys, 2, "stable", p)
+
+    @staticmethod
+    def check_bytes(tmp_path, capsys, vars_, klass, p):
+        listing = list_ideals(p, vars_, klass.replace("-", "_"))
+        want = {"json": json.dumps(listing.to_json(), indent=2) + "\n",
+                "text": whole_text_listing(listing)}
+        for fmt, text in want.items():
+            argv = ["list", "--vars", str(vars_), "--hilbert", str(p),
+                    "--class", klass, "--format", fmt]
+            assert run(argv) == 0
+            assert capsys.readouterr().out == text, (p, fmt)
+            target = tmp_path / f"{p}.{fmt}"
+            assert run(argv + ["--out", str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == text.encode("utf-8"), (p, fmt)
+
+    def test_hand_built_items(self):
+        # a skew partition, whose document carries "inner", then items of
+        # other widths and arities, which take their own row 1 and templates
+        skew = ListedIdeal(
+            PlanePartition((3, 3), ((2,), (2, 1)), 1, 1, inner=(2, 1)),
+            BarCode(((1,) * 4, (3, 1), (4,))),
+            MonomialIdeal(frozenset({Term((0, 0, 1)), Term((1, 0, 0)), Term((0, 4, 0))}), 3),
+        )
+        items = [skew, *list_ideals(4, 2, "stable"), skew, *list_ideals(3, 3, "stable")]
+        assert '"inner"' in json.dumps(skew.to_json())
+        want = json.dumps([item.to_json() for item in items], indent=2) + "\n"
+        assert "".join(cli._framed(cli._listing_texts(items))) == want
+        assert "".join(cli._framed(cli._listing_texts([]))) == "[]\n"
 
     @pytest.mark.parametrize("args", [
         ["--vars", "4", "--hilbert", "5"],
@@ -420,7 +444,7 @@ class TestIndentedJson:
 
     @pytest.mark.parametrize("doc", [
         [], [7], [[1, 2], [True, 2], [1.0, 2], [1, 2], {"k": [1, 2]}, [[1, 2]]],
-        # more distinct integer leaves than the writer's memo holds, each twice
+        # a long iterator, with each integer list twice
         [[i % 5000, 1] for i in range(10000)],
     ])
     def test_iterator_stands_for_a_list(self, doc):
