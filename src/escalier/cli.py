@@ -146,11 +146,28 @@ def _kind(name: str) -> str:
     return name.replace("-", "_")
 
 
+# A JSON input nested deeper is an error: the readers recurse once per level,
+# and a solid partition of dimension d nests d + 1 levels.
+_MAX_JSON_DEPTH = 256
+
+
 def _read_json(path: str | None):
-    if path is None or path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    too_deep = f"JSON input nested deeper than {_MAX_JSON_DEPTH} levels"
+    try:
+        if path is None or path == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise ValueError(too_deep) from None
+    level, depth = [doc], 0
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        if depth > _MAX_JSON_DEPTH:
+            raise ValueError(too_deep)
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+    return doc
 
 
 # -- subcommand handlers -----------------------------------------------------

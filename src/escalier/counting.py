@@ -29,7 +29,7 @@ from .partitions import (
     enumerate_distinct,
     minimal_sum,
 )
-from .qpolys import gf_shifted_sum_coefficient, gf_strict_coefficient
+from .qpolys import _first_part_window, gf_shifted_sum_coefficient, gf_strict_coefficient
 
 STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
@@ -187,33 +187,23 @@ def count_stable_3vars(p: int) -> BarListCensus:
     return _census_3vars(p, STABLE, count_stable_barlist)
 
 
-def _first_part_window(lam: tuple[int, ...], p: int) -> range:
-    """The values a first part of a norm-p array of shifted shape lam can
-    take.  The budget M = p - sum of staircase minima caps a_1; the last row
-    holds lam[r-1] - r + 1 strictly decreasing positive entries, so
-    a_r >= lam[r-1] - r + 1."""
-    r = len(lam)
-    staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
-    M = p - sum(c * (c + 1) // 2 for c in staircases)
-    return range(lam[r - 1] - r + 1, M + 1)
-
-
 def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     """All admissible exact first-part vectors for a shifted shape.
 
-    The parts strictly increase from a_r up to a_1 within _first_part_window,
-    so the vectors are the r-subsets of that window, listed with a_r varying
-    slowest.  One gf_shifted per vector, summed, is the per-vector route to a
-    strongly stable shape count; the census takes the same sum as a single
-    Pfaffian (gf_shifted_sum), and the tests keep this route as a check of
-    that identity.
+    The parts strictly increase from a_r up to a_1 within
+    qpolys._first_part_window, so the vectors are the r-subsets of that
+    window, listed with a_r varying slowest.  One gf_shifted per vector,
+    summed, is the per-vector route to a strongly stable shape count; the
+    census takes the same sum as a single Pfaffian
+    (gf_shifted_sum_coefficient), and the tests keep this route as a check
+    of that identity.
     """
     return [tuple(reversed(c)) for c in combinations(_first_part_window(lam, p), len(lam))]
 
 
 def _sstable_shape_count(alpha: IntPartition, p: int) -> int:
     lam = tuple(i + part for i, part in enumerate(alpha))
-    return gf_shifted_sum_coefficient(lam, _first_part_window(lam, p), p)
+    return gf_shifted_sum_coefficient(lam, p)
 
 
 def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
@@ -222,9 +212,9 @@ def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount
     The ideals of shape alpha are the shifted arrays of norm p whose row i
     holds alpha[i] positive entries, strictly decreasing, with each column
     weakly decreasing downwards: the shifted (1, 0)-plane partitions of shape
-    lam = (alpha[i] + i).  Each shape's count is the x^p coefficient of one
-    Pfaffian, gf_shifted_sum over every first-part vector of the window, read
-    as one digit (gf_shifted_sum_coefficient).
+    lam = (alpha[i] + i).  Each shape's count is the x^p coefficient of the
+    sum of gf_shifted over every first-part vector of the shape's window,
+    read as one digit of one Pfaffian (gf_shifted_sum_coefficient).
     """
     return _barlist_counts(p, h, k, lambda alpha: _sstable_shape_count(alpha, p))
 

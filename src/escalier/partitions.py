@@ -468,7 +468,23 @@ def _length_structure(arr, dim: int):
 def _valid_nested(arr, dim: int, base: int, strict: bool) -> bool:
     """Strict along the innermost axis, strict (strict kind) or weak (shifted
     kind) along all outer axes, positive entries, length structure recursively
-    valid.  `base` only matters for the shifted kind's diagonal offsets."""
+    valid.  `base` only matters for the shifted kind's diagonal offsets.
+
+    The length structure of each sub-array is the matching sub-array of the
+    whole array's length structure, so checking the array's entries, then
+    those of its length structure, and so on down to one dimension, checks
+    every length structure once, in time polynomial in dim."""
+    for d in range(dim, 0, -1):
+        if not _valid_entries(arr, d, base, strict):
+            return False
+        if d > 1:
+            arr = _length_structure(arr, d)
+    return True
+
+
+def _valid_entries(arr, dim: int, base: int, strict: bool) -> bool:
+    """_valid_nested without the length structure: non-empty levels, positive
+    integer entries, and the order along every axis."""
     if not isinstance(arr, (tuple, list)) or len(arr) == 0:
         return False
     offsets = not strict
@@ -478,14 +494,8 @@ def _valid_nested(arr, dim: int, base: int, strict: bool) -> bool:
             return False
         return all(a > b for a, b in zip(arr, arr[1:]))
     for k, sub in enumerate(arr):
-        if not _valid_nested(sub, dim - 1, sub_base(k), strict):
+        if not _valid_entries(sub, dim - 1, sub_base(k), strict):
             return False
-    lengths = _length_structure(arr, dim)
-    if dim == 2:
-        if any(a <= b for a, b in zip(lengths, lengths[1:])):
-            return False
-    elif not _valid_nested(lengths, dim - 1, base, strict):
-        return False
     for k in range(len(arr) - 1):
         upper = dict(_entries(arr[k], dim - 1, sub_base(k), offsets))
         for idx, v in _entries(arr[k + 1], dim - 1, sub_base(k + 1), offsets):

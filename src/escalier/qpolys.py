@@ -24,28 +24,28 @@ come from hockey-stick sums kept per p beside the table.
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
 power over its nonzero entries (_row_bases) is factored out of it, and the
-collected power t is reapplied at the end.  gf_strict and gf_shifted
-work modulo x^(T+1-t), T their truncation degree, and ask each Gaussian
-binomial only for the degree its place reaches; _packed_det packs the
-entries into Python integers by x -> 2^B (Kronecker substitution), so the
-memoised cofactor expansion (_minor) runs on plain integers and CPython's
-Karatsuba does the products.  Each entry reaches _minor as its packed value
-and its power apart, and _minor keeps of every minor only the digits that
-can still reach x^top: the minor on a column set S is multiplied by entries
-of the rows above it, which carry at least x^P(S) together, so it is taken
-mod x^(top+1-P(S)), and its own terms carry at least x^Q(S), which is
-factored out.  That is exact because P(S - c) <= P(S) + e for every entry
-x^e g that multiplies the minor on S - c, so each minor holds every digit
-its parent reads.  det is the same route with every power 0.  The
-stable census factors the same matrix (_strict_entries) but packs its
-entries from gauss_table.  gf_shifted_sum takes a whole sum of shifted
+collected power t is reapplied at the end.  gf_strict and gf_shifted work
+modulo x^(top+1), top the degree bound clipped to T - t, T their truncation
+degree, and ask each Gaussian binomial only for the degree its place reaches;
+_packed_det packs the entries into Python integers by x -> 2^B (Kronecker
+substitution), so the memoised cofactor expansion (_minor) runs on plain
+integers and CPython's Karatsuba does the products.  Each entry reaches _minor
+as its packed value and its power apart, and _minor keeps of every minor only
+the digits that can still reach x^top: the minor on a column set S is
+multiplied by entries of the rows above it, which carry at least x^P(S)
+together, so it is taken mod x^(top+1-P(S)), and its own terms carry at least
+x^Q(S), which is factored out.  That is exact because P(S - c) <= P(S) + e for
+every entry x^e g that multiplies the minor on S - c, so each minor holds
+every digit its parent reads.  det is the same route with every power 0.  The
+stable census factors the same matrix (_strict_entries) but packs its entries
+from gauss_table.  gf_shifted_sum_coefficient takes a whole sum of shifted
 determinants, one per first-part vector, as a single Pfaffian (the minor
 summation formula) on the same kind of packed integers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from math import prod
 
@@ -53,7 +53,9 @@ _Entries = list[list[tuple[int, int, int]]]
 
 
 class IntPoly:
-    """Dense univariate polynomial over arbitrary-precision integers."""
+    """Dense univariate polynomial over arbitrary-precision integers, the
+    result type of gauss_binomial, det and the generating functions.
+    __mul__ and exact_div have no caller here; bench/tracing.py wraps them."""
 
     __slots__ = ("coeffs", "trunc")
 
@@ -111,19 +113,6 @@ class IntPoly:
         return min(a, b)
 
     # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        return IntPoly(cs, self._join_trunc(self.trunc, other.trunc))
-
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        return IntPoly(cs, self._join_trunc(self.trunc, other.trunc))
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly([-c for c in self.coeffs], self.trunc)
 
     def __mul__(self, other: IntPoly) -> IntPoly:
         trunc = self._join_trunc(self.trunc, other.trunc)
@@ -200,10 +189,6 @@ class IntPoly:
 
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> IntPoly:
-        return cls([int(c) for c in doc["coeffs"]])
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -318,8 +303,8 @@ def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
 def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[int]:
     """The coefficients up to x^top of the determinant of the matrix of
     entries x^e poly, given as rows of (e, poly) with e >= 0 where poly is
-    nonzero.  Untruncated, top is None and stands for the sum over rows of
-    the row's largest entry degree, a bound on the degree.
+    nonzero.  top (None: no cap) is clipped to the sum over rows of the
+    row's largest entry degree, a bound on the degree.
 
     The ring map x -> 2^B takes Z[x]/(x^(top+1)) onto Z/2^((top+1)B), so
     each poly is packed once into an integer, unshifted, and _minor takes
@@ -331,8 +316,8 @@ def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[
     value is congruent to the determinant mod x^(top+1), which fixes those
     digits.
     """
-    if top is None:
-        top = sum(max((e + poly.degree for e, poly in row if poly), default=0) for row in rows)
+    reach = sum(max((e + poly.degree for e, poly in row if poly), default=0) for row in rows)
+    top = reach if top is None else min(top, reach)
     bound = prod(sum(sum(map(abs, poly.coeffs[: top + 1 - e])) for e, poly in row) for row in rows)
     width = bound.bit_length() + 1
     mask = (1 << (top + 1) * width) - 1
@@ -516,25 +501,23 @@ def _laurent_det(
 ) -> IntPoly:
     """The determinant of rows, times x^extra_shift, up to x^trunc (None: all
     of it).  The rows' bases and the extra shift make up a power t that is
-    reapplied at the end; the rest goes to _packed_det up to x^(trunc - t),
-    each Gaussian binomial asked only for the degree its place reaches.
-    A term below x^0 raises ValueError naming the bound vectors bounds =
-    (a, b): they admit arrays of negative norm."""
+    reapplied at the end; the rest goes to _packed_det up to its degree
+    bound, clipped to x^(trunc - t), each Gaussian binomial asked only for
+    the degree its place reaches.  A term below x^0 raises ValueError naming
+    the bound vectors bounds = (a, b): they admit arrays of negative norm."""
     bases = _row_bases(rows)
     total = sum(bases) + extra_shift
-    if trunc is None:
-        matrix = [[(power - base, gauss_binomial(n, k)) for power, n, k in row]
-                  for row, base in zip(rows, bases)]
-        top = None
-    else:
-        top = trunc - total
+    top = sum(max((power - base + k * (n - k) for power, n, k in row if k == 0 or 0 < k <= n),
+                  default=0) for row, base in zip(rows, bases))
+    if trunc is not None:
+        top = min(top, trunc - total)
         if top < 0:
             return IntPoly.zero(trunc)
-        matrix = [
-            [(power - base, gauss_binomial(n, k, top + base - power))
-             if power - base <= top else (0, IntPoly.zero()) for power, n, k in row]
-            for row, base in zip(rows, bases)
-        ]
+    matrix = [
+        [(power - base, gauss_binomial(n, k, top + base - power))
+         if power - base <= top else (0, IntPoly.zero()) for power, n, k in row]
+        for row, base in zip(rows, bases)
+    ]
     poly = IntPoly(_packed_det(matrix, top))
     if total < 0 and any(poly.coeffs[:-total]):
         raise ValueError(
@@ -677,18 +660,28 @@ def gf_shifted(
     return _laurent_det(rows, truncate_at, (a, b), extra_shift=power)
 
 
-def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) -> IntPoly:
-    """The sum of gf_shifted(lam, a, (1,)*r, 1, 0, truncate_at) over every
-    strictly decreasing first-part vector a drawn from firsts: the norm
-    generating function, up to x^truncate_at, of the shifted row-strict,
-    column-weak arrays of shape lam with positive entries whose first parts
-    lie in firsts.  firsts must be a window of consecutive integers.
+def _first_part_window(lam: Sequence[int], p: int) -> range:
+    """The values a first part of a norm-p array of shifted shape lam can
+    take.  The budget M = p - sum of staircase minima caps a_1; the last row
+    holds lam[r-1] - r + 1 strictly decreasing positive entries, so
+    a_r >= lam[r-1] - r + 1."""
+    r = len(lam)
+    staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
+    M = p - sum(c * (c + 1) // 2 for c in staircases)
+    return range(lam[r - 1] - r + 1, M + 1)
+
+
+def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
+    """The number of shifted row-strict, column-weak arrays of shape lam and
+    norm p with positive entries: the x^p coefficient of the sum of
+    gf_shifted(lam, a, (1,)*r, 1, 0) over every strictly decreasing a drawn
+    from _first_part_window(lam, p), read as one digit of one Pfaffian.
 
     With c = 1, d = 0 and b = 1, gf_shifted is x^(C + sum a) det[G(a_t - 1, m_s)],
     where G is the Gaussian binomial, m_s = lam_s - s and C = sum of
     m_s + binomial(m_s, 2).  So the sum runs over all r x r minors of the
-    r x W matrix T[s][w] = x^w G(w - 1, m_s), its columns w the W firsts in
-    descending order, modulo x^(N+1) with N = truncate_at - C.  By the minor
+    r x W matrix T[s][w] = x^w G(w - 1, m_s), its columns w the window's W
+    values in descending order, modulo x^(N+1) with N = p - C.  By the minor
     summation formula (Ishikawa and Wakayama, Linear Multilinear Algebra 39,
     1995; Stembridge, Adv. Math. 83, 1990) that sum is the Pfaffian of
     T A T^t, with A_ij = 1 above the diagonal and -1 below.  For odd r the
@@ -696,31 +689,11 @@ def gf_shifted_sum(lam: Sequence[int], firsts: Iterable[int], truncate_at: int) 
     is T extended by a column (0, ..., 0, 1) and a row holding only that 1.
     _shifted_skew builds T A T^t from sums that a whole census shares.
 
-    Everything runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B),
-    as in det, with the entries and the width B of gauss_table(truncate_at),
-    which the shapes of one census share.  The width is exact: the
-    coefficient of x^n counts arrays of norm n <= truncate_at, and each
-    array, read left-justified, is a distinct plane partition of n.
+    It runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B), with the
+    entries and the width B of gauss_table(p).  The width is exact: the
+    coefficient of x^n counts arrays of norm n <= p, and each array, read
+    left-justified, is a distinct plane partition of n.
     """
-    value, top, width = _shifted_pfaffian(lam, firsts, truncate_at)
-    if top < 0:
-        return IntPoly.zero(truncate_at)
-    return IntPoly([0] * (truncate_at - top) + _unpack(value, top + 1, width), truncate_at)
-
-
-def gf_shifted_sum_coefficient(lam: Sequence[int], firsts: Iterable[int], p: int) -> int:
-    """The coefficient of x^p in gf_shifted_sum(lam, firsts, p), read as one
-    digit of the packed Pfaffian."""
-    value, top, width = _shifted_pfaffian(lam, firsts, p)
-    return _digit(value, top, width) if top >= 0 else 0
-
-
-def _shifted_pfaffian(
-    lam: Sequence[int], firsts: Iterable[int], truncate_at: int
-) -> tuple[int, int, int]:
-    """gf_shifted_sum's Pfaffian as (value, top, width): digit n <= top of
-    value in balanced base 2^width is the coefficient of
-    x^(truncate_at - top + n).  A negative top leaves nothing to read."""
     lam = tuple(lam)
     r = len(lam)
     if r == 0:
@@ -728,33 +701,17 @@ def _shifted_pfaffian(
     _check_monotone("shape", lam)
     if lam[r - 1] < r:
         raise ValueError(f"shifted shape needs lam[{r}] >= {r}")
-    low, high = _window(firsts)
     ms = [lam[s] - s - 1 for s in range(r)]
-    top = truncate_at - sum(m + _choose2(m) for m in ms)
+    top = p - sum(m + _choose2(m) for m in ms)
     if top < 0:
-        return 0, top, 0
-    width, _ = gauss_table(truncate_at)
-    skew = _shifted_skew(ms, low, high, truncate_at, top)
+        return 0
+    width, _ = gauss_table(p)
+    skew = _shifted_skew(ms, _first_part_window(lam, p).stop - 1, p, top)
     mask = (1 << (top + 1) * width) - 1
-    return _pfaffian(skew, (1 << len(skew)) - 1, {}, mask), top, width
+    return _digit(_pfaffian(skew, (1 << len(skew)) - 1, {}, mask), top, width)
 
 
-def _window(firsts: Iterable[int]) -> tuple[int, int]:
-    """The least and the largest value of firsts, which must be consecutive
-    integers; low > high for an empty window."""
-    if isinstance(firsts, range) and firsts.step == 1:
-        low, high = firsts.start, firsts.stop - 1
-    else:
-        values = sorted(set(firsts))
-        low, high = (values[0], values[-1]) if values else (1, 0)
-        if len(values) != high + 1 - low:
-            raise ValueError(f"first parts must be consecutive integers: {values}")
-    if low <= high and low < 1:
-        raise ValueError("first parts must be positive")
-    return low, high
-
-
-# gf_shifted_sum's hockey-stick sums keep one checkpoint per this many w.
+# _hockey_sum keeps one checkpoint per this many w.
 _HOCKEY_STEP = 8
 
 
@@ -814,40 +771,33 @@ def _hockey_sum(p: int, a: int, b: int, w: int, top: int) -> int:
     return acc
 
 
-def _shifted_skew(ms: Sequence[int], low: int, high: int, p: int, top: int) -> list[list[int]]:
-    """T A T^t of gf_shifted_sum for rows m_s = ms[s] and the window
-    [low, high], packed as gauss_table(p) and reduced mod x^(top+1), with
-    top <= p - sum of c(m_s) (only entries above the diagonal are filled).
+def _shifted_skew(ms: Sequence[int], high: int, p: int, top: int) -> list[list[int]]:
+    """T A T^t of gf_shifted_sum_coefficient for rows m_s = ms[s] and the
+    window [m_(r-1) + 1, high], packed as gauss_table(p) and reduced mod
+    x^(top+1), top = p - sum of c(m_s) (only entries above the diagonal are
+    filled).  With C_s(high) the row sums of T and F the census-wide sums of
+    _hockey_sum, entry (s, u) is
 
-    Columns past x^top vanish, so the window is clipped to top.  With
-    R_s = C_s(high) - C_s(low - 1) the row sums of T and F the census-wide
-    sums of _hockey_sum, entry (s, u) is
+        sum over w of T_u(w) (2 (C_s(high) - C_s(w)) + T_s(w)) - C_s(high) C_u(high)
+            = C_s(high) C_u(high) - F_su(high),
 
-        sum over w of T_u(w) (2 (C_s(high) - C_s(w)) + T_s(w)) - R_s R_u
-            = (C_s(high) + C_s(low - 1)) R_u - (F_su(high) - F_su(low - 1)),
-
-    one product and two reads of F, where summing over w takes one product
-    per window column.  On a census window low - 1 = m_(r-1) <= m_u, so
-    F_su(low - 1) = 0 without a product.
+    one product and one read of F, where summing over w takes one product
+    per column.  Nothing lies below the window: C_s(m_(r-1)) = 0 and
+    F_su(m_(r-1)) = 0, as m_(r-1) <= m_u < m_s.  Nothing lies past x^top
+    either, as top - high = sum over s >= 1 of (m_s + 1).
     """
     width, table = gauss_table(p)
     mask = (1 << (top + 1) * width) - 1
-    high = min(high, top)
-    if high < low:  # every column vanishes
-        low, high = 1, 0
     r = len(ms)
     size = r + r % 2
     skew = [[0] * size for _ in range(size)]
     at_high = [_table_entry(table, high, m + 1) for m in ms]  # C_s(high) / x^(m_s+1)
-    at_low = [_table_entry(table, low - 1, m + 1) for m in ms]
     for s in range(r):
         a = ms[s]
         for u in range(s + 1, r):
             b = ms[u]
-            entry = _low_product(at_high[s] + at_low[s], at_high[u] - at_low[u],
-                                 a + b + 2, top, width)
-            entry -= _hockey_sum(p, a, b, high, top) - _hockey_sum(p, a, b, low - 1, top)
-            skew[s][u] = entry & mask
+            entry = _low_product(at_high[s], at_high[u], a + b + 2, top, width)
+            skew[s][u] = (entry - _hockey_sum(p, a, b, high, top)) & mask
         if size > r:
-            skew[s][r] = (at_high[s] - at_low[s] << (a + 1) * width) & mask
+            skew[s][r] = (at_high[s] << (a + 1) * width) & mask
     return skew

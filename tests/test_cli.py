@@ -198,6 +198,12 @@ class TestGf:
         assert captured.err.startswith(f"error: bounds {bounds} give terms below x^0")
         assert "negative norm" in captured.err
 
+    def test_truncation_past_the_degree_answers_at_once(self, capsys):
+        # the work stops at the degree bound, here 1, not at x^100000000
+        assert run(["gf", "shifted", "--shape", "1", "--a", "1", "--b", "1", "--c", "1",
+                    "--d", "0", "--truncate-at", "100000000"]) == 0
+        assert out_of(capsys) == "x"
+
     def test_truncated_gf_keeps_every_coefficient(self, capsys):
         # the rows' least powers sum below zero; one array has norm 3 and
         # none has norm 4
@@ -236,6 +242,20 @@ class TestPartitions:
         path.write_text(json.dumps(doc))
         assert run(["partitions", "validate", "--in", str(path)]) == 1
         assert out_of(capsys) == "not valid"
+
+    @pytest.mark.parametrize("dimension, code, answer", [
+        (255, 0, "valid"), (256, 2, ""), (300, 2, "")])
+    def test_validate_solid_of_high_dimension(self, tmp_path, capsys, dimension, code, answer):
+        # one entry 1 nested dimension deep: its length structures nest one
+        # level less each; a solid of dimension 255 nests 256 levels, the
+        # most a JSON input may
+        layers = 1
+        for _ in range(dimension):
+            layers = [layers]
+        path = tmp_path / "sp.json"
+        path.write_text(json.dumps({"kind": "strict", "dimension": dimension, "layers": layers}))
+        assert run(["partitions", "validate", "--in", str(path)]) == code
+        assert out_of(capsys) == answer
 
     def test_validate_solid_boolean_entry_invalid(self, tmp_path, capsys):
         doc = {"kind": "strict", "dimension": 3, "layers": [[[2, True], [1]], [[1]]]}
@@ -333,6 +353,23 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["partitions", "validate"], ["barcode", "decode"], ["barcode", "check"],
+        ["barcode", "render"]])
+    @pytest.mark.parametrize("text", [
+        # too deep for json.load
+        "[" * 100000 + "]" * 100000,
+        # read by json.load, but deeper than the readers recurse
+        '{"kind": "strict", "dimension": 3, "layers": ' + "[" * 900 + "1" + "]" * 900 + "}",
+    ])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert run(argv + ["--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: JSON input nested deeper than 256 levels\n"
 
     def test_stdin_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO('"x"'))

@@ -325,6 +325,17 @@ class TestSolidPartitions:
         with pytest.raises(ValueError):
             SolidPartition("other", ((1,),))
 
+    @pytest.mark.parametrize("kind", ["strict", "shifted"])
+    def test_high_dimensions_take_polynomial_time(self, kind):
+        # each length structure must be checked once: checking each
+        # sub-array's again inside its parent's doubles the time per dimension
+        layers = (1,)
+        for dimension in range(2, 201):
+            layers = (layers,)
+            if dimension >= 3 and dimension % 50 == 0:
+                assert validate_solid(SolidPartition(kind, layers, dimension))
+                assert not validate_solid(SolidPartition(kind, (layers, layers), dimension + 1))
+
     def test_json_roundtrip(self):
         doc = json.loads(json.dumps(EX_SHIFTED_SOLID.to_json()))
         assert SolidPartition.from_json(doc) == EX_SHIFTED_SOLID

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier.counting import _first_part_window, a_vector_stable, bar_lists_3vars
+from escalier.counting import a_vector_stable, a_vectors_strongly, bar_lists_3vars
 from escalier.partitions import enumerate_distinct, enumerate_plane_partitions
 from escalier.qpolys import (
     IntPoly,
     _digit,
+    _first_part_window,
     _minor,
     _pack,
     _pfaffian,
@@ -27,7 +28,6 @@ from escalier.qpolys import (
     gauss_binomial,
     gauss_table,
     gf_shifted,
-    gf_shifted_sum,
     gf_shifted_sum_coefficient,
     gf_strict,
     gf_strict_coefficient,
@@ -36,6 +36,13 @@ from escalier.qpolys import (
 
 def poly(*coeffs):
     return IntPoly(coeffs)
+
+
+def add(*polys):
+    """The coefficient-wise sum of untruncated polynomials: IntPoly is a
+    result type and has no addition."""
+    n = max((len(f.coeffs) for f in polys), default=0)
+    return IntPoly([sum(f.coefficient(k) for f in polys) for k in range(n)])
 
 
 def rand_poly(rng, max_deg=3, lo=-4, hi=4):
@@ -55,7 +62,7 @@ def det_by_permutations(matrix):
         prod = IntPoly.const(sign)
         for i in range(r):
             prod = prod * matrix[i][perm[i]]
-        acc = acc + prod
+        acc = add(acc, prod)
     return acc
 
 
@@ -120,24 +127,20 @@ def gauss_by_recurrence(n, k, cache={}):
     if k < 0 or n < k:
         return IntPoly.zero()
     if (n, k) not in cache:
-        cache[(n, k)] = gauss_by_recurrence(n - 1, k - 1) + (
-            IntPoly((0,) * k + (1,)) * gauss_by_recurrence(n - 1, k)
-        )
+        cache[(n, k)] = add(gauss_by_recurrence(n - 1, k - 1),
+                            gauss_by_recurrence(n - 1, k).shift(k))
     return cache[(n, k)]
 
 
 class TestIntPoly:
     def test_basic_arithmetic(self):
         a, b = poly(1, 2), poly(0, 1, 1)
-        assert (a + b).coeffs == (1, 3, 1)
-        assert (a - b).coeffs == (1, 1, -1)
         assert (a * b).coeffs == (0, 1, 3, 2)
-        assert (-a).coeffs == (-1, -2)
-        assert poly() + poly() == IntPoly.zero()
+        assert (a * poly()).is_zero() and (a * b.truncated(1)).coeffs == (0, 1)
 
     def test_trailing_zeros_stripped(self):
         assert IntPoly((1, 0, 0)).coeffs == (1,)
-        assert (poly(0, 1) - poly(0, 1)).is_zero()
+        assert add(poly(0, 1), poly(0, -1)).is_zero()
 
     def test_exact_division(self):
         num = poly(1, 0, -1)  # 1 - x^2
@@ -156,16 +159,15 @@ class TestIntPoly:
         for _ in range(200):
             a, b = rand_poly(rng, 6), rand_poly(rng, 6)
             T = rng.randint(0, 8)
-            full = a * b + a - b
-            capped = (
-                a.truncated(T) * b.truncated(T) + a.truncated(T) - b.truncated(T)
-            )
+            full = a * b
+            capped = a.truncated(T) * b.truncated(T)
+            assert capped.trunc == T and capped.degree <= T
             for k in range(T + 1):
                 assert capped.coefficient(k) == full.coefficient(k)
 
     def test_json_and_str(self):
         p = poly(0, 1, 0, -2)
-        assert IntPoly.from_json(p.to_json()) == p
+        assert p.to_json() == {"coeffs": ["0", "1", "0", "-2"]}
         assert str(p) == "x - 2*x^3"
         assert str(IntPoly.zero()) == "0"
 
@@ -383,7 +385,7 @@ class TestDet:
         for _ in range(20):
             m = [[rand_poly(rng, 2) for _ in range(3)] for _ in range(3)]
             swapped = [m[1], m[0], m[2]]
-            assert det(swapped) == -det(m)
+            assert add(det(swapped), det(m)).is_zero()
 
     def test_seven_by_seven_matches_permutation_sum(self):
         rng = random.Random(229)
@@ -398,6 +400,14 @@ class TestDet:
             capped = det([[e.truncated(4) for e in row] for row in m])
             for k in range(5):
                 assert capped.coefficient(k) == full.coefficient(k)
+
+    def test_truncation_past_the_degree(self):
+        rng = random.Random(241)
+        for _ in range(10):
+            m = [[rand_poly(rng, 3) for _ in range(3)] for _ in range(3)]
+            capped = det([[e.truncated(10**8) for e in row] for row in m])
+            assert capped == det(m) and capped.trunc == 10**8
+        assert det([[poly(0, 1).truncated(10**8)]]).coeffs == (0, 1)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -487,7 +497,8 @@ def assert_truncation_exact(gf, args, tops):
 
 
 def truncation_sweep(gf, draw, seed, count):
-    """Checks assert_truncation_exact at T = 0, 3, 10, 25 on count seeded
+    """Checks assert_truncation_exact at T = 0, 3, 10, 25 and 10^8 (past
+    every degree, where the work stops at the degree bound) on count seeded
     inputs from draw(rng) that gf accepts and whose generating function is
     a polynomial; returns how many were checked."""
     rng = random.Random(seed)
@@ -498,7 +509,7 @@ def truncation_sweep(gf, draw, seed, count):
             gf(*args)
         except ValueError:  # a bound chain fails, or negative norms occur
             continue
-        assert_truncation_exact(gf, args, (0, 3, 10, 25))
+        assert_truncation_exact(gf, args, (0, 3, 10, 25, 10**8))
         checked += 1
     return checked
 
@@ -615,7 +626,7 @@ class TestGfStrict:
         full = gf(*args)
         text = json.dumps([str(c) for c in full.coeffs], separators=(",", ":"))
         assert (full.degree, hashlib.sha256(text.encode()).hexdigest()) == (degree, digest)
-        for top in (0, 10, degree - 1, degree, degree + 1):
+        for top in (0, 10, degree - 1, degree, degree + 1, 10**8):
             assert gf(*args, truncate_at=top).coeffs == full.truncated(top).coeffs, top
 
 
@@ -726,72 +737,48 @@ class TestPfaffian:
             upper = {(i, j): rand_poly(rng, 3) for i in range(6) for j in range(i + 1, 6)}
             m = [[IntPoly.zero()] * 6 for _ in range(6)]
             for (i, j), e in upper.items():
-                m[i][j], m[j][i] = e, -e
+                m[i][j], m[j][i] = e, e * IntPoly.const(-1)
             packed = [[_pack(e.coeffs, width) & mask for e in row] for row in m]
             pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, mask), top + 1, width))
             assert pf * pf == det(m), seed
 
 
-def vector_sum(lam, firsts, top):
-    """gf_shifted summed over every first-part vector drawn from firsts."""
+def vector_sum(lam, p, truncate_at):
+    """The x^p coefficient of gf_shifted, truncated at truncate_at, summed
+    over every first-part vector of the census window."""
     r = len(lam)
-    acc = IntPoly.zero(top)
-    for a in combinations(sorted(firsts, reverse=True), r):
-        acc = acc + gf_shifted(lam, a, (1,) * r, 1, 0, truncate_at=top)
-    return acc
+    return sum(gf_shifted(lam, a, (1,) * r, 1, 0, truncate_at=truncate_at).coefficient(p)
+               for a in a_vectors_strongly(lam, p))
 
 
 class TestGfShiftedSum:
+    # the Pfaffian on the census window of each shape, at every p up to 28
     @pytest.mark.parametrize("lam", [(1,), (3,), (2, 2), (3, 2), (4, 4), (3, 3, 3), (5, 4, 3),
                                      (4, 4, 4, 4), (6, 5, 5, 4)])
     def test_matches_the_vector_sum(self, lam):
-        # whole truncated polynomials, even and odd order, for windows that
-        # start above the least first part and stop short of the truncation
-        for firsts in (range(1, 12), range(3, 9), range(lam[-1] - len(lam) + 1, 16)):
-            for top in (0, 10, 20, 28):
-                assert gf_shifted_sum(lam, firsts, top) == vector_sum(lam, firsts, top), (
-                    lam, firsts, top)
+        # even and odd order; the window is empty for the least p
+        for p in range(29):
+            assert gf_shifted_sum_coefficient(lam, p) == vector_sum(lam, p, p), (lam, p)
 
     @pytest.mark.parametrize("lam", [(3,), (2, 2), (4, 3), (3, 3, 3), (5, 4, 3)])
     def test_coefficients_count_arrays(self, lam):
-        top = 20
-        got = gf_shifted_sum(lam, range(1, top + 1), top)
-        assert got.trunc == top
-        for p in range(top + 1):
+        for p in range(21):
             brute = enumerate_plane_partitions(lam, True, 1, 0, None, (1,) * len(lam), p)
-            assert got.coefficient(p) == len(brute), (lam, p)
+            assert gf_shifted_sum_coefficient(lam, p) == len(brute), (lam, p)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            gf_shifted_sum((), range(1, 5), 10)
+            gf_shifted_sum_coefficient((), 10)
         with pytest.raises(ValueError):
-            gf_shifted_sum((2, 1), range(1, 5), 10)  # shape[r] < r
+            gf_shifted_sum_coefficient((2, 1), 10)  # shape[r] < r
         with pytest.raises(ValueError):
-            gf_shifted_sum((3, 2), range(0, 5), 10)
-        with pytest.raises(ValueError):
-            gf_shifted_sum((2, 3), range(1, 5), 10)
-
-    @pytest.mark.parametrize("firsts", [[1, 2, 4], (5, 3), range(1, 9, 2), {2, 3, 4, 6}])
-    def test_rejects_a_non_window(self, firsts):
-        with pytest.raises(ValueError, match="consecutive"):
-            gf_shifted_sum((3, 2), firsts, 10)
-        with pytest.raises(ValueError, match="consecutive"):
-            gf_shifted_sum_coefficient((3, 2), firsts, 10)
-
-    def test_accepts_a_window_in_any_form(self):
-        want = gf_shifted_sum((4, 3), range(2, 7), 25)
-        for firsts in ([6, 5, 4, 3, 2], (2, 3, 3, 4, 5, 6), {3, 6, 2, 5, 4}, range(6, 1, -1)):
-            assert gf_shifted_sum((4, 3), firsts, 25) == want, firsts
-        # an empty window admits no array
-        assert gf_shifted_sum((4, 3), range(5, 5), 25) == IntPoly.zero(25)
-        assert gf_shifted_sum((4, 3), [], 25) == IntPoly.zero(25)
+            gf_shifted_sum_coefficient((2, 3), 10)
 
     @pytest.mark.parametrize("lam", [(1,), (4, 4), (3, 3, 3), (5, 4, 3), (6, 5, 5, 4)])
     def test_coefficient_is_the_polynomial_s(self, lam):
-        for firsts in (range(1, 12), range(3, 9), range(lam[-1] - len(lam) + 1, 16)):
-            for p in (0, 9, 20, 28):
-                want = gf_shifted_sum(lam, firsts, p).coefficient(p)
-                assert gf_shifted_sum_coefficient(lam, firsts, p) == want, (lam, firsts, p)
+        # against the whole generating functions, not truncated at x^p
+        for p in (0, 9, 20, 28):
+            assert gf_shifted_sum_coefficient(lam, p) == vector_sum(lam, p, None), (lam, p)
 
 
 def prefix_sum_skew(ms, low, high, p, top):
@@ -847,7 +834,7 @@ class TestHockeyStickEntries:
                         continue
                     window = _first_part_window(lam, p)
                     low, high = window.start, window.stop - 1
-                    assert _shifted_skew(ms, low, high, p, top) == prefix_sum_skew(
+                    assert _shifted_skew(ms, high, p, top) == prefix_sum_skew(
                         ms, low, high, p, top), (p, alpha)
                     shapes += 1
         assert shapes == 970  # the shapes whose Pfaffian reaches x^p
@@ -855,12 +842,16 @@ class TestHockeyStickEntries:
     @pytest.mark.parametrize("lam", [(1,), (3,), (2, 2), (3, 2), (4, 4), (3, 3, 3), (5, 4, 3),
                                      (4, 4, 4, 4), (6, 5, 5, 4)])
     def test_match_prefix_sums_on_any_window(self, lam):
-        # windows that start above the least first part, so F(low - 1) is read,
-        # and windows that stop past the truncation, so they are clipped
+        # the window of any shape at any p, the only windows the census
+        # builds: it starts at m_(r-1) + 1 and ends at or below x^top; the
+        # least p leave it empty
         ms = shifted_rows(lam)
-        for p in (10, 20, 28, 40):
-            for top in range(p - sum(m * (m + 1) // 2 for m in ms) + 1):
-                for low, high in ((1, 11), (3, 8), (lam[-1] - len(lam) + 1, 15), (6, 40),
-                                  (9, 4)):
-                    assert _shifted_skew(ms, low, high, p, top) == prefix_sum_skew(
-                        ms, low, high, p, top), (lam, p, top, low, high)
+        for p in range(41):
+            top = p - sum(m * (m + 1) // 2 for m in ms)
+            if top < 0:
+                continue
+            window = _first_part_window(lam, p)
+            low, high = window.start, window.stop - 1
+            assert low == ms[-1] + 1 and high <= top
+            assert _shifted_skew(ms, high, p, top) == prefix_sum_skew(
+                ms, low, high, p, top), (lam, p)
