@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from ._record import Record
-from .monomials import Term, format_term, p_operator
+from .monomials import Term, _is_closed, format_term, p_operator
 
 
 class BarCode(Record):
@@ -163,12 +163,7 @@ def decode(B: BarCode) -> tuple[Term, ...]:
 
 def is_admissible(B: BarCode) -> bool:
     """True iff every positive e-list coordinate can be decremented in place."""
-    lists = {e_list(B, j) for j in range(1, B.width + 1)}
-    for e in lists:
-        for k, v in enumerate(e):
-            if v > 0 and e[:k] + (v - 1,) + e[k + 1:] not in lists:
-                return False
-    return True
+    return _is_closed({e_list(B, j) for j in range(1, B.width + 1)})
 
 
 def render(B: BarCode, fmt: str = "ascii", labels: bool = False) -> str:

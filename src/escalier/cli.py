@@ -146,13 +146,7 @@ def _kind(name: str) -> str:
     return name.replace("-", "_")
 
 
-# A JSON input nested deeper is an error: the readers recurse once per level,
-# and a solid partition of dimension d nests d + 1 levels.
-_MAX_JSON_DEPTH = 256
-
-
 def _read_json(path: str | None):
-    too_deep = f"JSON input nested deeper than {_MAX_JSON_DEPTH} levels"
     try:
         if path is None or path == "-":
             doc = json.load(sys.stdin)
@@ -160,13 +154,8 @@ def _read_json(path: str | None):
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
     except RecursionError:
-        raise ValueError(too_deep) from None
-    level, depth = [doc], 0
-    while level := [x for x in level if isinstance(x, (list, dict))]:
-        depth += 1
-        if depth > _MAX_JSON_DEPTH:
-            raise ValueError(too_deep)
-        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+        raise ValueError(partitions._TOO_DEEP) from None
+    partitions._check_json_depth(doc)
     return doc
 
 

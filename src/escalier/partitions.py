@@ -3,21 +3,21 @@ higher-dimensional relatives.
 
 Counting goes through one table of distinct-part counts Q(m,i), filled
 bottom-up by additions; P(n,k) is read from it through the staircase shift.
-Plane and solid partitions are enumerated by one depth-first cell filler:
-each cell carries static bounds and the earlier cells that cap it, and the
-search prunes on the norm left, which is plenty at the sizes these censuses
-run at.  Plane partitions carry their strictness parameters (c across rows,
-d down columns) and an optional shift, with row i of a shifted array
-occupying columns i..shape[i-1].  Entries outside the shape are simply
+Plane and solid partitions are enumerated by one cell filler, a single loop
+over the cells: each cell carries static bounds and the earlier cells that
+cap it, and the search prunes on the norm left, which is plenty at the sizes
+these censuses run at.  Plane partitions carry their strictness parameters (c
+across rows, d down columns) and an optional shift, with row i of a shifted
+array occupying columns i..shape[i-1].  Entries outside the shape are simply
 absent, never stored as zeros.
 
-Solid (and higher) partitions exist for the n >= 4 experiments only.  Their
-validator follows the recursive reading of the definitions: a strict
+Solid (and higher) partitions exist for the n >= 4 experiments only.  A strict
 m-partition decreases strictly along every axis and its length structure is
 again a strict (m-1)-partition; a shifted m-partition decreases strictly along
 the innermost axis, weakly along all others, with each layer offset one step
-further down the diagonal.  For m >= 4 the shifted index ranges are an
-interpretation, not settled ground.
+further down the diagonal.  The validator checks this on one flat map of
+cells, so no nesting depth is a recursion depth.  For m >= 4 the shifted
+index ranges are an interpretation, not settled ground.
 """
 
 from __future__ import annotations
@@ -215,6 +215,23 @@ def _json_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+# JSON input nested deeper is refused: its readers recurse once per level,
+# and a solid partition of dimension d nests d + 1 levels.
+_MAX_JSON_DEPTH = 256
+_TOO_DEEP = f"JSON input nested deeper than {_MAX_JSON_DEPTH} levels"
+
+
+def _check_json_depth(doc) -> None:
+    """ValueError if doc nests lists and objects more than _MAX_JSON_DEPTH
+    levels deep.  Walks one level at a time, without recursion."""
+    level, depth = [doc], 0
+    while level := [x for x in level if isinstance(x, (list, dict))]:
+        depth += 1
+        if depth > _MAX_JSON_DEPTH:
+            raise ValueError(_TOO_DEEP)
+        level = [v for x in level for v in (x.values() if isinstance(x, dict) else x)]
+
+
 def _checked_inner(shape: tuple[int, ...], inner: tuple[int, ...], shifted: bool) -> tuple[int, ...]:
     """The inner shape, all zeros when none is given, once the outer shape,
     the inner shape and the shifted condition hold; ValueError otherwise."""
@@ -322,39 +339,50 @@ def _fillings(cells: list, norm: int) -> list[tuple[int, ...]]:
 
     cells[idx] is a record (low, high, above): the value of cell idx lies in
     low..high (high None: no static cap) and is at most values[k] - gap for
-    each (k, gap) in above, where every k < idx.
+    each (k, gap) in above, where every k < idx.  One loop walks the cells
+    forward and back: a cell reached from the one before starts at the
+    largest value its caps allow, one reached from the one after tries the
+    value below its last, and the last cell takes whatever is left of the
+    norm.
     """
     suffix_low = [0] * (len(cells) + 1)
     for idx in range(len(cells) - 1, -1, -1):
         suffix_low[idx] = suffix_low[idx + 1] + cells[idx][0]
+    if not cells:
+        return [()] if norm == 0 else []
     out: list[tuple[int, ...]] = []
-    _fill(out, cells, suffix_low, [0] * len(cells), 0, norm)
+    values = [0] * len(cells)
+    last = len(cells) - 1
+    idx, rem, top = 0, norm, None  # rem: the norm left for cells idx onwards
+    while idx >= 0:
+        low, high, above = cells[idx]
+        if top is None:  # a cell reached from the one before: cap its values
+            top = rem - suffix_low[idx + 1]  # every later cell needs at least its low
+            if high is not None and high < top:
+                top = high
+            for k, gap in above:
+                if values[k] - gap < top:
+                    top = values[k] - gap
+            if idx == last:
+                if low <= rem <= top:
+                    values[idx] = rem
+                    out.append(tuple(values))
+                top = low - 1
+        if top < low:  # no value left to try here: back to the cell before
+            idx -= 1
+            rem += values[idx]
+            top = values[idx] - 1
+        else:
+            values[idx] = top
+            idx += 1
+            rem -= top
+            top = None
     return out
 
 
 def _rows(values: Iterator[int], lengths: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The next values, cut into consecutive rows of these lengths."""
     return tuple(tuple(islice(values, n)) for n in lengths)
-
-
-def _fill(out: list, cells: list, suffix_low: list, values: list, idx: int, rem: int) -> None:
-    """Append to out every filling that extends the first idx entries of
-    values, with rem of the norm left to place.  Module-level, not a nested
-    closure, so that a call leaves no reference cycle behind."""
-    if idx == len(cells):
-        if rem == 0:
-            out.append(tuple(values))
-        return
-    low, high, above = cells[idx]
-    top = rem - suffix_low[idx + 1]  # every later cell needs at least its low
-    if high is not None and high < top:
-        top = high
-    for k, gap in above:
-        if values[k] - gap < top:
-            top = values[k] - gap
-    for v in range(top, low - 1, -1):
-        values[idx] = v
-        _fill(out, cells, suffix_low, values, idx + 1, rem - v)
 
 
 class SolidPartition(Record):
@@ -376,8 +404,8 @@ class SolidPartition(Record):
 
     @property
     def norm(self) -> int:
-        offsets = self.kind == "shifted"
-        return sum(v for _, v in _entries(self.layers, self.dimension, 1, offsets))
+        cells = _cells(self.layers, self.dimension, self.kind == "shifted")
+        return sum(v for index, v in cells.items() if len(index) == self.dimension)
 
     def to_json(self) -> dict:
         return {
@@ -388,6 +416,7 @@ class SolidPartition(Record):
 
     @classmethod
     def from_json(cls, doc: dict) -> SolidPartition:
+        _check_json_depth(doc)
         _json_object(doc, "kind", "layers")
         return cls(
             kind=doc["kind"],
@@ -441,70 +470,50 @@ def _tuplify(x):
     return tuple(_tuplify(v) for v in x) if isinstance(x, list) else x
 
 
-def _entries(
-    arr, dim: int, base: int, offsets: bool
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(index tuple, value) pairs.  With `offsets` each sub-level starts at its
-    enclosing index (the shifted diagonal); without, every level starts at 1."""
-    if not isinstance(arr, (tuple, list)):
-        raise ValueError("partition levels must be sequences")
-    if dim == 1:
-        for k, v in enumerate(arr):
-            if type(v) is not int:
+def _cells(layers, dim: int, shifted: bool) -> dict[tuple[int, ...], int]:
+    """The nested array as one flat map: each entry under its index tuple, and
+    each level above under its shorter index, with its length (() holds the
+    number of layers).  Indices start at 1, or for the shifted kind at the
+    enclosing index.  ValueError unless the levels are sequences down to
+    depth dim, with integers there."""
+    cells: dict[tuple[int, ...], int] = {}
+    stack = [((), layers)]
+    while stack:
+        index, x = stack.pop()
+        if len(index) == dim:
+            if type(x) is not int:
                 raise ValueError("partition entries must be integers")
-            yield (base + k,), v
-        return
-    for k, sub in enumerate(arr):
-        for idx, v in _entries(sub, dim - 1, base + k if offsets else 1, offsets):
-            yield (base + k,) + idx, v
-
-
-def _length_structure(arr, dim: int):
-    if dim == 2:
-        return tuple(len(row) for row in arr)
-    return tuple(_length_structure(sub, dim - 1) for sub in arr)
-
-
-def _valid_nested(arr, dim: int, base: int, strict: bool) -> bool:
-    """Strict along the innermost axis, strict (strict kind) or weak (shifted
-    kind) along all outer axes, positive entries, length structure recursively
-    valid.  `base` only matters for the shifted kind's diagonal offsets.
-
-    The length structure of each sub-array is the matching sub-array of the
-    whole array's length structure, so checking the array's entries, then
-    those of its length structure, and so on down to one dimension, checks
-    every length structure once, in time polynomial in dim."""
-    for d in range(dim, 0, -1):
-        if not _valid_entries(arr, d, base, strict):
-            return False
-        if d > 1:
-            arr = _length_structure(arr, d)
-    return True
-
-
-def _valid_entries(arr, dim: int, base: int, strict: bool) -> bool:
-    """_valid_nested without the length structure: non-empty levels, positive
-    integer entries, and the order along every axis."""
-    if not isinstance(arr, (tuple, list)) or len(arr) == 0:
-        return False
-    offsets = not strict
-    sub_base = (lambda k: base + k) if offsets else (lambda k: 1)
-    if dim == 1:
-        if any(type(v) is not int or v < 1 for v in arr):
-            return False
-        return all(a > b for a, b in zip(arr, arr[1:]))
-    for k, sub in enumerate(arr):
-        if not _valid_entries(sub, dim - 1, sub_base(k), strict):
-            return False
-    for k in range(len(arr) - 1):
-        upper = dict(_entries(arr[k], dim - 1, sub_base(k), offsets))
-        for idx, v in _entries(arr[k + 1], dim - 1, sub_base(k + 1), offsets):
-            u = upper.get(idx)
-            if u is None or u < v or (strict and u == v):
-                return False
-    return True
+        elif isinstance(x, (tuple, list)):
+            start = index[-1] if shifted and index else 1
+            # the last sub-level goes on the stack first: levels are read in order
+            stack.extend((index + (start + k,), x[k]) for k in range(len(x) - 1, -1, -1))
+            x = len(x)
+        else:
+            raise ValueError("partition levels must be sequences")
+        cells[index] = x
+    return cells
 
 
 def validate_solid(sp: SolidPartition) -> bool:
-    """Validity per the strict / shifted recursive definitions."""
-    return _valid_nested(sp.layers, sp.dimension, 1, strict=(sp.kind == "strict"))
+    """Validity per the strict / shifted definitions, read on the flat map.
+
+    Every entry and length is positive, and a cell past an axis's start needs
+    the cell just before it with a larger value: strictly along the innermost
+    axis, and along every axis for the strict kind.  The lengths form the
+    length structure, which the same rules check level by level."""
+    strict = sp.kind == "strict"
+    try:
+        cells = _cells(sp.layers, sp.dimension, not strict)
+    except ValueError:
+        return False
+    for index, v in cells.items():
+        if v < 1:
+            return False
+        last = len(index) - 1
+        for a, i in enumerate(index):
+            if i > (index[a - 1] if a and not strict else 1):
+                # a missing cell reads 0, below every v here
+                u = cells.get(index[:a] + (i - 1,) + index[a + 1:], 0)
+                if u < v or (u == v and (strict or a == last)):
+                    return False
+    return True

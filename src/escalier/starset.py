@@ -16,6 +16,7 @@ from .barcode import BarCode, decode, is_admissible
 from .monomials import (
     OrderIdeal,
     Term,
+    border_terms,
     min_var,
     minimal_generators,
     p_operator,
@@ -60,12 +61,7 @@ def star_set_from_barcode(B: BarCode) -> StarSet:
 
 def star_set_direct(N: OrderIdeal) -> StarSet:
     """Star set from the definition: x^g outside N with x^g/min(x^g) inside."""
-    found = set()
-    for t in N:
-        for i in range(1, N.n + 1):
-            s = t.times_var(i)
-            if s not in N and s.predecessor(min_var(s)) in N:
-                found.add(s)
+    found = [s for s in border_terms(N.terms, N.n) if s.predecessor(min_var(s)) in N]
     return StarSet(tuple(sorted(found, key=Term.lex_key)), N)
 
 

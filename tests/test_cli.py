@@ -264,6 +264,15 @@ class TestPartitions:
         assert run(["partitions", "validate", "--in", str(path)]) == 1
         assert out_of(capsys) == "not valid"
 
+    @pytest.mark.parametrize("shape, c, d, norm", [
+        ("1000", "1", "1", "500500"), (",".join(["30"] * 35), "0", "0", "1050")],
+        ids=["one-row", "35-rows"])
+    def test_count_past_the_recursion_limit(self, capsys, shape, c, d, norm):
+        # 1000 and 1050 cells, each array the only one of its norm
+        assert run(["partitions", "count", "--shape", shape, "--c", c, "--d", d,
+                    "--norm", norm]) == 0
+        assert out_of(capsys) == "1"
+
     def test_missing_shape_is_an_error(self, capsys):
         assert run(["partitions", "enumerate", "--norm", "4"]) == 2
 

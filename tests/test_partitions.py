@@ -1,5 +1,7 @@
 import gc
 import json
+import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -339,6 +341,192 @@ class TestSolidPartitions:
     def test_json_roundtrip(self):
         doc = json.loads(json.dumps(EX_SHIFTED_SOLID.to_json()))
         assert SolidPartition.from_json(doc) == EX_SHIFTED_SOLID
+
+    @pytest.mark.parametrize("kind", ["strict", "shifted"])
+    def test_single_entry_past_the_recursion_limit(self, kind):
+        layers = 1
+        for _ in range(1201):
+            layers = (layers,)
+        solid = SolidPartition(kind, layers, 1201)
+        assert validate_solid(solid)
+        assert solid.norm == 1
+        assert not validate_solid(SolidPartition(kind, (layers, layers), 1202))
+
+    def test_from_json_refuses_documents_nested_too_deep(self):
+        layers = 1
+        for _ in range(900):
+            layers = [layers]
+        doc = {"kind": "strict", "dimension": 900, "layers": layers}
+        with pytest.raises(ValueError, match="^JSON input nested deeper than 256 levels$"):
+            SolidPartition.from_json(doc)
+
+    def test_norm_reads_every_entry(self):
+        # the norm sums entries whatever the validity, and refuses what is
+        # not an array of integers
+        assert SolidPartition("strict", (((2, 2), ()), ((0,),))).norm == 4
+        assert SolidPartition("shifted", ((), ((5,),))).norm == 5
+        for layers in ((((1, True),),), ((1,),), ((((1,),),),)):
+            with pytest.raises(ValueError):
+                SolidPartition("strict", layers).norm
+
+    def test_matches_recursive_reading(self):
+        # 100000 seeded arrays near the valid ones, at dimensions 1 to 5
+        rng = random.Random(20171)
+        seen = {}
+        for _ in range(100000):
+            dimension, kind = rng.randint(1, 5), rng.choice(("strict", "shifted"))
+            layers = random_solid_layers(rng, dimension, kind == "shifted")
+            want = recursive_validate_solid(layers, dimension, kind == "strict")
+            assert validate_solid(solid_record(kind, layers, dimension)) is want, (kind, layers)
+            seen[dimension, kind, want] = seen.get((dimension, kind, want), 0) + 1
+        # both answers come up often at every dimension and kind
+        assert len(seen) == 20 and min(seen.values()) > 1000, seen
+
+
+def solid_record(kind, layers, dimension):
+    """A SolidPartition record, also below dimension 3, where the constructor
+    refuses one but the definitions still read."""
+    solid = SolidPartition.__new__(SolidPartition)
+    solid.__dict__.update(kind=kind, layers=layers, dimension=dimension)
+    return solid
+
+
+@lru_cache(maxsize=None)
+def solid_region(dimension, shifted, bound, weights):
+    """The cells of a region that shrinks along every axis, as nested tuples
+    of index tuples, and as one tuple from the last cell back.  For the strict
+    kind the index sum weighted by a weakly decreasing vector stays below the
+    bound; for the shifted kind every index stays at most the bound."""
+    if shifted:
+        inside = lambda index: index[-1] <= bound
+    else:
+        inside = lambda index: sum(w * (i - 1) for w, i in zip(weights, index)) < bound
+    cells = []
+
+    def level(index):
+        i = index[-1] if shifted and index else 1
+        items = []
+        while inside(index + (i,)):
+            items.append(index + (i,))
+            i += 1
+        if len(index) + 1 == dimension:
+            cells.extend(items)
+            return tuple(items)
+        return tuple(level(sub) for sub in items)
+
+    nested = level(())
+    return nested, tuple(sorted(cells, reverse=True))
+
+
+def random_solid_layers(rng, dimension, shifted):
+    """A nested list of the dimension, drawn near the valid arrays: a valid
+    array on a solid_region, half the time with one fault in it.
+
+    Each entry exceeds the ones after it by the rule of the kind, plus 0 or 1.
+    The faults: an entry one off, 0, negative or a bool; a level cut short,
+    emptied or grown by one; a level replaced by an integer; the whole array
+    one level too deep or too shallow.
+    """
+    weights = () if shifted else tuple(sorted((rng.randint(1, 2) for _ in range(dimension)), reverse=True))
+    nested, cells = solid_region(dimension, shifted, rng.randint(1, 3), weights)
+    value = {}
+    extra = rng.getrandbits(len(cells))
+    for index in cells:
+        v = 1
+        for a in range(dimension):
+            after = value.get(index[:a] + (index[a] + 1,) + index[a + 1:])
+            if after is not None:
+                v = max(v, after + (1 if not shifted or a == dimension - 1 else 0))
+        value[index] = v + (extra & 1)
+        extra >>= 1
+
+    def fill(x):
+        return [value[i] if isinstance(i[0], int) else fill(i) for i in x]
+
+    layers = fill(nested)
+    if rng.random() < 0.5:
+        return layers
+    fault = rng.randrange(8)
+    if fault == 6:
+        return [layers]
+    if fault == 7:
+        return layers[0] if isinstance(layers[0], list) else 1
+    x = layers
+    while isinstance(x[0], list) and rng.random() < 0.7:
+        x = rng.choice(x)
+    if fault < 4:
+        k = rng.randrange(len(x))
+        if isinstance(x[k], int):
+            x[k] = (x[k] + rng.choice((1, -1)), 0, -x[k], True)[fault]
+        else:
+            x[k] = rng.choice((1, True))
+    elif fault == 4:
+        del x[rng.randrange(len(x)):]
+    else:
+        x.append(x[-1] if isinstance(x[-1], int) else [1])
+    return layers
+
+
+# The recursive reading of the definitions, which the library's flat
+# validator replaced; kept as its oracle.  It recurses once per nesting level.
+
+
+def _entries(arr, dim, base, offsets):
+    """(index tuple, value) pairs.  With `offsets` each sub-level starts at its
+    enclosing index (the shifted diagonal); without, every level starts at 1."""
+    if not isinstance(arr, (tuple, list)):
+        raise ValueError("partition levels must be sequences")
+    if dim == 1:
+        for k, v in enumerate(arr):
+            if type(v) is not int:
+                raise ValueError("partition entries must be integers")
+            yield (base + k,), v
+        return
+    for k, sub in enumerate(arr):
+        for idx, v in _entries(sub, dim - 1, base + k if offsets else 1, offsets):
+            yield (base + k,) + idx, v
+
+
+def _length_structure(arr, dim):
+    if dim == 2:
+        return tuple(len(row) for row in arr)
+    return tuple(_length_structure(sub, dim - 1) for sub in arr)
+
+
+def recursive_validate_solid(arr, dim, strict):
+    """Strict along the innermost axis, strict (strict kind) or weak (shifted
+    kind) along all outer axes, positive entries, length structure recursively
+    valid: the array's entries, then those of its length structure, and so on
+    down to one dimension."""
+    for d in range(dim, 0, -1):
+        if not _valid_entries(arr, d, 1, strict):
+            return False
+        if d > 1:
+            arr = _length_structure(arr, d)
+    return True
+
+
+def _valid_entries(arr, dim, base, strict):
+    """Non-empty levels, positive integer entries, and the order along every
+    axis.  `base` only matters for the shifted kind's diagonal offsets."""
+    if not isinstance(arr, (tuple, list)) or len(arr) == 0:
+        return False
+    offsets = not strict
+    sub_base = (lambda k: base + k) if offsets else (lambda k: 1)
+    if dim == 1:
+        if any(type(v) is not int or v < 1 for v in arr):
+            return False
+        return all(a > b for a, b in zip(arr, arr[1:]))
+    for k, sub in enumerate(arr):
+        if not _valid_entries(sub, dim - 1, sub_base(k), strict):
+            return False
+    for k in range(len(arr) - 1):
+        upper = dict(_entries(arr[k], dim - 1, sub_base(k), offsets))
+        for idx, v in _entries(arr[k + 1], dim - 1, sub_base(k + 1), offsets):
+            u = upper.get(idx)
+            if u is None or u < v or (strict and u == v):
+                return False
+    return True
 
 
 def probe_layer_shapes(max_cells):
