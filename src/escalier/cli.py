@@ -20,7 +20,6 @@ import json
 # it with the module keeps that start-up cost out of run().
 import locale  # noqa: F401
 import sys
-from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import barcode as bc
@@ -88,9 +87,8 @@ def _indented(obj, pad: str) -> str:
 
 
 def _json_chunks(doc):
-    """Yield ``json.dumps(doc, indent=2) + "\\n"``, a top-level list item by item;
-    an iterator stands for the list of its items, each rendered as it comes."""
-    if isinstance(doc, (list, tuple, Iterator)):
+    """Yield ``json.dumps(doc, indent=2) + "\\n"``, a top-level list item by item."""
+    if isinstance(doc, (list, tuple)):
         yield from _framed(_indented(item, "\n  ") for item in doc)
     else:
         yield _indented(doc, "\n") + "\n"

@@ -106,17 +106,14 @@ def census_2vars(p: int, kind: str = STABLE) -> BarListCensus:
 
 
 def bar_lists_3vars(p: int) -> list[tuple[int, int, int]]:
-    """All feasible bar lists (p, h, k), k ascending then h ascending.
-
-    k is capped by the cube bound k^3 + 3k^2 + 2k <= 6p and h runs from the
-    forced minimum k(k+1)/2 up to the last value whose distinct-part shapes
-    still fit a norm-p staircase.
-    """
+    """All feasible bar lists (p, h, k), k ascending then h ascending: k runs
+    while the staircase k, ..., 1 fits norm p (the cube bound
+    k(k+1)(k+2) <= 6p), h from k(k+1)/2 while some shape still fits."""
     if p < 1:
         raise ValueError("p must be positive")
     out = []
     k = 1
-    while k * (k + 1) * (k + 2) <= 6 * p:
+    while _is_bar_list(p, k * (k + 1) // 2, k):
         h = k * (k + 1) // 2
         while _is_bar_list(p, h, k):
             out.append((p, h, k))
@@ -128,13 +125,17 @@ def bar_lists_3vars(p: int) -> list[tuple[int, int, int]]:
 def _is_bar_list(p: int, h: int, k: int) -> bool:
     """Whether some shape of h into k distinct parts has minimal_sum <= p.
 
-    These are exactly the bar lists bar_lists_3vars(p) emits.  A shape's
-    minimal_sum is at least h and at least the staircase's k(k+1)(k+2)/6, so
-    h <= p and the cube bound follow.  Every shape but the staircase has a
-    part that can drop by one with the parts still distinct, which lowers
-    minimal_sum, so the feasible h of each k run from k(k+1)/2 without a gap.
+    Every such shape majorizes the one closest to the staircase, parts
+    k - i + q plus one on the first r parts where h - k(k+1)/2 = qk + r, so by
+    Karamata's inequality (a(a+1)/2 is convex) that shape has the least
+    minimal_sum.  The shape for h - 1 is this one with a part lowered by one,
+    so the feasible h of each k run from k(k+1)/2 without a gap.
     """
-    return h <= p and any(minimal_sum(s) <= p for s in enumerate_distinct(h, k))
+    extra = h - k * (k + 1) // 2
+    if k < 1 or extra < 0:
+        return False
+    q, r = divmod(extra, k)
+    return minimal_sum([k - i + q + (i < r) for i in range(k)]) <= p
 
 
 def _barlist_counts(p: int, h: int, k: int, shape_count) -> tuple[int, tuple[ShapeCount, ...]]:

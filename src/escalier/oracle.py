@@ -45,7 +45,7 @@ from collections import Counter
 from ._record import Record
 from .barcode import bar_list, encode
 from .bijections import _class_arrays
-from .counting import STABLE, _check_kind
+from .counting import STABLE, _check_kind, bar_lists_3vars
 from .monomials import (
     MonomialIdeal,
     OrderIdeal,
@@ -294,12 +294,11 @@ def conjecture_probe(p: int, kind: str) -> ConjectureReport:
     bars = set(ideal_side)
     partition_side = {}
     for h in range(1, p + 1):
-        for k in range(1, h + 1):
-            for l in range(1, k + 1):
-                bar = (p, h, k, l)
-                count = _partition_side_count(bar, kind)
-                if count:
-                    partition_side[bar] = count
+        for _, k, l in bar_lists_3vars(h):
+            bar = (p, h, k, l)
+            count = _partition_side_count(bar, kind)
+            if count:
+                partition_side[bar] = count
     bars |= set(partition_side)
     rows = tuple(
         ProbeRow(bar, ideal_side.get(bar, 0), partition_side.get(bar, 0))

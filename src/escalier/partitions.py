@@ -463,10 +463,26 @@ def enumerate_solid_partitions(
 
 
 def _listify(x):
-    return [_listify(v) for v in x] if isinstance(x, (tuple, list)) else x
+    """x with each tuple or list level as a list, from the top down by an
+    explicit stack: each sub-list is placed before it is filled."""
+    if not isinstance(x, (tuple, list)):
+        return x
+    out: list = []
+    stack = [(x, out)]
+    while stack:
+        source, target = stack.pop()
+        for v in source:
+            if isinstance(v, (tuple, list)):
+                target.append([])
+                stack.append((v, target[-1]))
+            else:
+                target.append(v)
+    return out
 
 
 def _tuplify(x):
+    # recursion is safe here: from_json refuses documents nested deeper than
+    # 256 levels before it runs
     return tuple(_tuplify(v) for v in x) if isinstance(x, list) else x
 
 

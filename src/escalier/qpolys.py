@@ -330,27 +330,30 @@ def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """The polynomial with these coefficients evaluated at x = 2^width."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << width) + c
-    return acc
+    """The polynomial with these coefficients evaluated at x = 2^width:
+    neighbours join pairwise, c + d x, and x squares each round, so each
+    round costs time linear in the result's size."""
+    values = list(coeffs)
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        values = [low + (high << width) for low, high in zip(values[::2], values[1::2])]
+        width *= 2
+    return values[0] if values else 0
 
 
 def _unpack(value: int, count: int, width: int) -> list[int]:
     """The first count digits of value in balanced base 2^width, lowest
     first: each digit is the residue of value mod 2^width in
-    [-2^(width-1), 2^(width-1)), and value moves on to (value - digit) / 2^width."""
+    [-2^(width-1), 2^(width-1)), and value moves on to (value - digit) / 2^width.
+    Adding 2^(width-1) to each digit, as _digit does, makes them all
+    nonnegative, so they are the width-bit fields of one binary string, read
+    below a leading 1 that keeps the string's length fixed."""
     half = 1 << (width - 1)
-    low = (1 << width) - 1
-    out = []
-    for _ in range(count):
-        digit = value & low
-        if digit >= half:
-            digit -= low + 1
-        out.append(digit)
-        value = (value - digit) >> width
-    return out
+    size = count * width
+    offset = int(format(half, "b") * count or "0", 2)
+    bits = format(((value + offset) & ((1 << size) - 1)) | (1 << size), "b")
+    return [int(bits[i - width:i], 2) - half for i in range(size + 1, 1, -width)]
 
 
 def _digit(value: int, index: int, width: int) -> int:

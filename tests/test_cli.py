@@ -490,11 +490,11 @@ class TestIndentedJson:
 
     @pytest.mark.parametrize("doc", [
         [], [7], [[1, 2], [True, 2], [1.0, 2], [1, 2], {"k": [1, 2]}, [[1, 2]]],
-        # a long iterator, with each integer list twice
+        # a long list, with each integer list twice
         [[i % 5000, 1] for i in range(10000)],
     ])
-    def test_iterator_stands_for_a_list(self, doc):
-        assert "".join(cli._json_chunks(iter(doc))) == json.dumps(doc, indent=2) + "\n"
+    def test_top_level_list_item_by_item(self, doc):
+        assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc", [{1: 2}, [{"a": {(1, 2): 3}}], {None: []}])
     def test_non_str_key_raises(self, doc):

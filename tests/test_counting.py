@@ -1,4 +1,6 @@
 import gc
+import math
+from functools import cache
 
 import pytest
 
@@ -7,6 +9,7 @@ from escalier.counting import (
     STABLE,
     STRONGLY_STABLE,
     ShapeCount,
+    _is_bar_list,
     a_vector_stable,
     a_vectors_strongly,
     bar_lists_3vars,
@@ -33,6 +36,31 @@ from escalier.qpolys import (
     gf_shifted,
     gf_strict,
 )
+
+
+@cache
+def least_minimal_sum(h, k):
+    return min(map(minimal_sum, enumerate_distinct(h, k)), default=math.inf)
+
+
+def is_bar_list_by_shapes(p, h, k):
+    """_is_bar_list's oracle: enumerate every shape of h into k distinct
+    parts and ask whether one has minimal_sum <= p."""
+    return h <= p and least_minimal_sum(h, k) <= p
+
+
+def bar_lists_by_shapes(p):
+    """bar_lists_3vars's oracle: k under the cube bound, h from k(k+1)/2
+    while the enumeration predicate holds."""
+    out = []
+    k = 1
+    while k * (k + 1) * (k + 2) <= 6 * p:
+        h = k * (k + 1) // 2
+        while is_bar_list_by_shapes(p, h, k):
+            out.append((p, h, k))
+            h += 1
+        k += 1
+    return out
 
 
 def untruncated_shape_count(shape, p):
@@ -176,6 +204,30 @@ class TestBarLists:
         for p in range(1, 61):
             feasible = {(p, h, k) for (h, k), m in least.items() if m <= p}
             assert set(bar_lists_3vars(p)) == feasible
+
+
+    def test_closed_form_matches_the_shapes(self):
+        for p in range(1, 81):
+            for k in range(13):
+                for h in range(p + 6):
+                    assert _is_bar_list(p, h, k) == is_bar_list_by_shapes(p, h, k), (p, h, k)
+
+    def test_matches_the_enumeration_predicate(self):
+        for p in range(1, 151):
+            assert bar_lists_3vars(p) == bar_lists_by_shapes(p), p
+
+    def test_shapes_enumerated_once_per_counted_bar_list(self, monkeypatch):
+        # deciding the bar lists enumerates no shape; the census enumerates
+        # the shapes of each bar list with k > 1 once, where it counts them
+        calls = []
+        def counted(h, k):
+            calls.append((h, k))
+            return enumerate_distinct(h, k)
+        monkeypatch.setattr(counting, "enumerate_distinct", counted)
+        bars = bar_lists_3vars(100)
+        assert calls == []
+        count_stable_3vars(100)
+        assert calls == [(h, k) for _, h, k in bars if k > 1] and len(calls) == 76
 
 
 class TestAVectors:

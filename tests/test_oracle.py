@@ -4,7 +4,7 @@ import pytest
 
 from escalier import oracle
 from escalier.barcode import bar_list, encode, is_admissible, length
-from escalier.counting import STABLE, STRONGLY_STABLE, census, count_2vars
+from escalier.counting import STABLE, STRONGLY_STABLE, bar_lists_3vars, census, count_2vars
 from escalier.monomials import (
     Term,
     corner_terms,
@@ -261,6 +261,21 @@ class TestConjectureProbe:
                 ideal_total = count_by_definition(4, p, kind)
                 assert sum(r.ideal_count for r in report.rows) == ideal_total
                 assert report.all_agree, report.to_json()
+
+    def test_partition_side_only_on_bar_lists(self, monkeypatch):
+        # (p, h, k, l) is counted only when (h, k, l) is a three-variable
+        # bar list; for any other triple no layer shape fits norm h
+        seen = []
+        original = oracle._partition_side_count
+        def counted(bar, kind):
+            seen.append(bar)
+            return original(bar, kind)
+        monkeypatch.setattr(oracle, "_partition_side_count", counted)
+        for kind in (STABLE, STRONGLY_STABLE):
+            seen.clear()
+            conjecture_probe(7, kind)
+            assert sorted(seen) == sorted(
+                (7, h, k, l) for h in range(1, 8) for _, k, l in bar_lists_3vars(h))
 
     def test_json_document(self):
         doc = conjecture_probe(3, STRONGLY_STABLE).to_json()

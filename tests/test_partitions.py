@@ -351,6 +351,21 @@ class TestSolidPartitions:
         assert validate_solid(solid)
         assert solid.norm == 1
         assert not validate_solid(SolidPartition(kind, (layers, layers), 1202))
+        listed, depth = solid.to_json()["layers"], 0
+        while type(listed) is list:
+            assert len(listed) == 1
+            listed, depth = listed[0], depth + 1
+        assert (listed, depth) == (1, 1201)
+
+    @pytest.mark.parametrize("kind", ["strict", "shifted"])
+    def test_json_roundtrip_at_dimension_200(self, kind):
+        layers = (2, 1)
+        for _ in range(199):
+            layers = (layers,)
+        solid = SolidPartition(kind, layers, 200)
+        assert validate_solid(solid)
+        doc = json.loads(json.dumps(solid.to_json()))
+        assert SolidPartition.from_json(doc) == solid
 
     def test_from_json_refuses_documents_nested_too_deep(self):
         layers = 1

@@ -270,6 +270,60 @@ class TestDigit:
         assert _digit(_pack([-2, -2, -2, -2, 1], 2) & 1023, 4, 2) == 1
 
 
+def pack_by_horner(coeffs, width):
+    """_pack's oracle: one shift of the whole accumulator per coefficient."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << width) + c
+    return acc
+
+
+def unpack_by_digits(value, count, width):
+    """_unpack's oracle: one shift of the whole value per digit."""
+    half = 1 << (width - 1)
+    low = (1 << width) - 1
+    out = []
+    for _ in range(count):
+        digit = value & low
+        if digit >= half:
+            digit -= low + 1
+        out.append(digit)
+        value = (value - digit) >> width
+    return out
+
+
+class TestPackUnpack:
+    def test_match_the_loops(self):
+        rng = random.Random(2311)
+        for _ in range(80):
+            width = rng.randint(2, 130)
+            count = rng.choice((0, 1, 2, 3, rng.randint(0, 3000)))
+            half = 1 << (width - 1)
+            # digits in range, and coefficients that overflow their width
+            digits = [rng.randrange(-half, half) for _ in range(count)]
+            wide = [rng.randrange(-4 * half, 4 * half) for _ in range(count)]
+            for coeffs in (digits, wide):
+                assert _pack(coeffs, width) == pack_by_horner(coeffs, width), (width, count)
+            value = pack_by_horner(digits, width)
+            assert _unpack(value, count, width) == digits
+            for read in (0, count // 2, count + 2):
+                assert _unpack(value, read, width) == unpack_by_digits(value, read, width)
+                assert _unpack(-value, read, width) == unpack_by_digits(-value, read, width)
+
+    def test_long_list(self):
+        rng = random.Random(50000)
+        width = 3
+        digits = [rng.randrange(-4, 4) for _ in range(50000)]
+        value = _pack(digits, width)
+        assert value == pack_by_horner(digits, width)
+        assert _unpack(value, len(digits), width) == digits
+        assert _unpack(value + 12345, 50000, width) == unpack_by_digits(value + 12345, 50000, width)
+
+    def test_empty(self):
+        assert _pack([], 5) == 0
+        assert _unpack(123, 0, 5) == []
+
+
 class TestGfStrictCoefficient:
     @pytest.mark.parametrize("shape,first", [
         ((2, 1), (4, 3)), ((2, 2), (5, 4)), ((3, 1), (6, 5)), ((3, 2, 1), (5, 4, 3)),
