@@ -3,13 +3,13 @@ higher-dimensional relatives.
 
 Counting goes through one table of distinct-part counts Q(m,i), filled
 bottom-up by additions; P(n,k) is read from it through the staircase shift.
-Plane and solid partitions are enumerated by one cell filler, a single loop
-over the cells: each cell carries static bounds and the earlier cells that
-cap it, and the search prunes on the norm left, which is plenty at the sizes
-these censuses run at.  Plane partitions carry their strictness parameters (c
-across rows, d down columns) and an optional shift, with row i of a shifted
-array occupying columns i..shape[i-1].  Entries outside the shape are simply
-absent, never stored as zeros.
+Distinct-part, plane and solid partitions are enumerated by one cell filler,
+a single loop over the cells: each cell carries static bounds and the earlier
+cells that cap it, and the search prunes on the norm left, which is plenty at
+the sizes these censuses run at.  Plane partitions carry their strictness
+parameters (c across rows, d down columns) and an optional shift, with row i
+of a shifted array occupying columns i..shape[i-1].  Entries outside the shape
+are simply absent, never stored as zeros.
 
 Solid (and higher) partitions exist for the n >= 4 experiments only.  A strict
 m-partition decreases strictly along every axis and its length structure is
@@ -79,43 +79,13 @@ def minimal_sum(parts: Sequence[int]) -> int:
 
 
 def enumerate_distinct(p: int, k: int) -> list[IntPartition]:
-    """All partitions of p into k distinct positive parts, descending lex order."""
+    """All partitions of p into k distinct positive parts, descending lex order.
+
+    One row of k cells for the cell filler: cell i is at least k - i and at
+    most one less than the cell before it."""
     if p < 1 or k < 1:
         return []
-    return strict_rows(k, None, p, p)
-
-
-def strict_rows(
-    length: int, bounds: Sequence[int] | None, least: int, most: int
-) -> list[IntPartition]:
-    """Strictly decreasing sequences of `length` >= 1 positive integers whose
-    sum lies in least..most, with entry t at most bounds[t] unless bounds is
-    None; descending lex order."""
-    out: list[IntPartition] = []
-    _extend_rows(out, (), length, bounds, least, most)
-    return out
-
-
-def _extend_rows(out, row, length, bounds, least, most) -> None:
-    """Append to out every completion of row for strict_rows, with least and
-    most already reduced by the entries placed.  Module-level, not a nested
-    closure, so that a call leaves no reference cycle behind."""
-    t = len(row)
-    left = length - t - 1  # entries still to place after this one
-    floor = left * (left + 1) // 2  # their least sum: left, ..., 1
-    hi = most - floor
-    if bounds is not None and bounds[t] < hi:
-        hi = bounds[t]
-    if row and row[-1] <= hi:
-        hi = row[-1] - 1
-    if left == 0:
-        for v in range(hi, max(1, least) - 1, -1):
-            out.append(row + (v,))
-        return
-    # the entries after v sum to at most left*v - floor
-    lo = max(left + 1, -(-(least + floor) // (left + 1)))
-    for v in range(hi, lo - 1, -1):
-        _extend_rows(out, row + (v,), length, bounds, least - v, most - v)
+    return _fillings([(k - i, None, ((i - 1, 1),) if i else ()) for i in range(k)], p)
 
 
 class PlanePartition(Record):

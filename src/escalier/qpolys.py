@@ -218,8 +218,9 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
     """The Gaussian polynomial [n]! / ([k]! [n-k]!) in the variable x.
 
     Total by convention: 1 for k = 0 (any n), 0 whenever k < 0 or n < k.
-    Cached: a gf_strict or gf_shifted determinant requests the same entries
-    as its neighbours.  IntPoly is immutable, so sharing results is safe.
+    Cached for the repeated calls of one process, which the tests make; no CLI
+    request reads an entry twice.  The cache stays since bench/tracing.py
+    reads its cache_info.  IntPoly is immutable, so sharing results is safe.
     The censuses read their entries from gauss_table instead.
     """
     if k == 0:

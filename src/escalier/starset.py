@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ._record import Record
-from .barcode import BarCode, decode, is_admissible
+from .barcode import BarCode, decode
 from .monomials import (
     OrderIdeal,
     Term,
@@ -38,10 +38,13 @@ class StarSet(Record):
 
 def star_set_from_barcode(B: BarCode) -> StarSet:
     """Star set read off the Bar Code rows (Definition rules a and b)."""
-    if not is_admissible(B):
-        raise ValueError("Bar Code is not admissible")
     columns = decode(B)
     n = B.n
+    try:
+        # admissible exactly when the decoded terms are closed under division
+        source = OrderIdeal.of(columns, n)
+    except ValueError:
+        raise ValueError("Bar Code is not admissible") from None
     found = set()
     for i in range(1, n + 1):
         # rule a: the last i-bar contributes x_i * P_{x_i} of any term over it
@@ -56,7 +59,7 @@ def star_set_from_barcode(B: BarCode) -> StarSet:
             if B.bar_of_column(i + 1, here) != B.bar_of_column(i + 1, nxt):
                 found.add(p_operator(columns[here], i).times_var(i))
     terms = tuple(sorted(found, key=Term.lex_key))
-    return StarSet(terms, OrderIdeal.of(columns, n))
+    return StarSet(terms, source)
 
 
 def star_set_direct(N: OrderIdeal) -> StarSet:

@@ -1,5 +1,6 @@
 import gc
 import math
+from collections.abc import Sequence
 from functools import cache
 
 import pytest
@@ -24,10 +25,10 @@ from escalier.counting import (
     max_h_2vars,
 )
 from escalier.partitions import (
+    IntPartition,
     enumerate_distinct,
     enumerate_plane_partitions,
     minimal_sum,
-    strict_rows,
 )
 from escalier.qpolys import (
     _plane_partition_count,
@@ -95,6 +96,39 @@ def determinant_split(p, h, k):
     return tuple(shapes)
 
 
+def strict_rows(
+    length: int, bounds: Sequence[int] | None, least: int, most: int
+) -> list[IntPartition]:
+    """Strictly decreasing sequences of `length` >= 1 positive integers whose
+    sum lies in least..most, with entry t at most bounds[t] unless bounds is
+    None; descending lex order."""
+    out: list[IntPartition] = []
+    _extend_rows(out, (), length, bounds, least, most)
+    return out
+
+
+def _extend_rows(out, row, length, bounds, least, most) -> None:
+    """Append to out every completion of row for strict_rows, with least and
+    most already reduced by the entries placed.  Module-level, not a nested
+    closure, so that a call leaves no reference cycle behind."""
+    t = len(row)
+    left = length - t - 1  # entries still to place after this one
+    floor = left * (left + 1) // 2  # their least sum: left, ..., 1
+    hi = most - floor
+    if bounds is not None and bounds[t] < hi:
+        hi = bounds[t]
+    if row and row[-1] <= hi:
+        hi = row[-1] - 1
+    if left == 0:
+        for v in range(hi, max(1, least) - 1, -1):
+            out.append(row + (v,))
+        return
+    # the entries after v sum to at most left*v - floor
+    lo = max(left + 1, -(-(least + floor) // (left + 1)))
+    for v in range(hi, lo - 1, -1):
+        _extend_rows(out, row + (v,), length, bounds, least - v, most - v)
+
+
 def _arrays(lengths, bounds, norm, memo, shifted):
     """Row-transfer DP: the arrays of norm `norm` whose row i holds
     lengths[i] strictly decreasing positive entries, and whose first row is
@@ -147,6 +181,16 @@ def dp_split(p, h, k):
         ShapeCount(alpha, _arrays(alpha, None, p, memo, True))
         for alpha in enumerate_distinct(h, k)
     )
+
+
+class TestDistinctParts:
+    def test_filler_matches_the_recursive_rows(self):
+        # strict_rows, the recursive route the cell filler replaced, is
+        # enumerate_distinct's oracle: list for list, in the same order
+        for p in range(-1, 81):
+            for k in range(-1, 14):
+                expected = strict_rows(k, None, p, p) if k >= 1 else []
+                assert enumerate_distinct(p, k) == expected, (p, k)
 
 
 class TestTwoVars:

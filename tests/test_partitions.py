@@ -112,6 +112,11 @@ class TestEnumerateDistinct:
         assert got == sorted(got, reverse=True)
         assert all(a > b > c > 0 for a, b, c in got)
 
+    def test_a_thousand_parts_past_the_recursion_limit(self):
+        # each norm admits exactly one partition into 1000 distinct parts
+        assert enumerate_distinct(500500, 1000) == [tuple(range(1000, 0, -1))]
+        assert enumerate_distinct(500501, 1000) == [(1001, *range(999, 0, -1))]
+
 
 class TestMinimalSum:
     def test_values(self):

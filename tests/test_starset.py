@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from escalier import barcode
 from escalier.barcode import encode
 from escalier.monomials import (
     MonomialIdeal,
@@ -70,8 +71,22 @@ class TestStarSet:
         from escalier.barcode import BarCode
 
         bad = BarCode(((1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Bar Code is not admissible$"):
             star_set_from_barcode(bad)
+
+    def test_from_barcode_decodes_once(self, monkeypatch):
+        # one e-list per 1-bar: admissibility is read off the decoded terms
+        calls = []
+        e_list = barcode.e_list
+
+        def counted(B, j):
+            calls.append(j)
+            return e_list(B, j)
+
+        monkeypatch.setattr(barcode, "e_list", counted)
+        code = encode(NOT_STABLE_N.terms)
+        star_set_from_barcode(code)
+        assert sorted(calls) == list(range(1, code.width + 1))
 
 
 class TestMultiplicativeVars:
