@@ -202,6 +202,8 @@ def _cmd_gf(args) -> int:
         inner = args.inner if args.inner is not None else (0,) * len(args.shape)
         poly = gf_strict(args.shape, inner, args.a, args.b, args.c, args.d,
                          truncate_at=args.truncate_at)
+    elif args.inner is not None:
+        raise ValueError("--inner applies to the strict variant only")
     else:
         poly = gf_shifted(args.shape, args.a, args.b, args.c, args.d,
                           truncate_at=args.truncate_at)

@@ -37,10 +37,10 @@ together, so it is taken mod x^(top+1-P(S)), and its own terms carry at least
 x^Q(S), which is factored out.  That is exact because P(S - c) <= P(S) + e for
 every entry x^e g that multiplies the minor on S - c, so each minor holds
 every digit its parent reads.  det is the same route with every power 0.  The
-stable census factors the same matrix (_strict_entries) but packs its entries
-from gauss_table.  gf_shifted_sum_coefficient takes a whole sum of shifted
-determinants, one per first-part vector, as a single Pfaffian (the minor
-summation formula) on the same kind of packed integers.
+stable census writes gf_strict's matrix in closed form, every power >= 0, with
+entries from gauss_table.  gf_shifted_sum_coefficient takes a whole sum of
+shifted determinants, one per first-part vector, as a single Pfaffian (the
+minor summation formula) on the same kind of packed integers.
 """
 
 from __future__ import annotations
@@ -492,8 +492,8 @@ def _choose2(m: int) -> int:
 
 def _row_bases(rows: _Entries) -> list[int]:
     """Each row's least power over its nonzero entries (0 for a row of
-    zeros): the power factored out of that row.  Only zero entries can lie
-    below it."""
+    zeros): the power that the gf route factors out of that row.  Only zero
+    entries can lie below it."""
     return [
         min((power for power, n, k in row if k == 0 or 0 < k <= n), default=0)
         for row in rows
@@ -592,38 +592,28 @@ def gf_strict_coefficient(lam: Sequence[int], a: Sequence[int], p: int) -> int:
     the row- and column-strict arrays of shape lam and norm p with positive
     entries whose first part in row i is at most a[i-1].
 
-    The matrix is gf_strict's (mu = 0, b = 1, c = d = 1), factored by
-    _row_bases, with entries from gauss_table(p), so a_t + t - 1 must not
-    exceed p, as it does not for a_vector_stable.  Only the determinant's
-    digit at x^p, less the powers factored out, is read.  That digit can lie
-    above x^p, as the least powers can sum below zero (first at p = 31, for
-    shape (6, 4, 2)).  The table still holds enough: on the census's shapes
-    the entries along each permutation, where all are nonzero, carry powers
-    with a nonnegative sum, so each product reaches x^p only through
-    coefficients of degree <= p, and the digits up to the one read are
-    coefficients at norms <= p, which the table's width holds.
-
-    _minor keeps of each minor only the digits that the powers around it
-    still let reach x^top, and returns 0 at once when no permutation does
-    (82 of the 575 shapes at p = 100).  Its value is congruent to the same
-    determinant mod x^(top+1), so the digits up to the one read, and with
-    them the width argument, are unchanged.
+    With mu = 0, b = 1 and c = d = 1, entry (s, t) of gf_strict's matrix
+    (0-based) is x^(R_s + lam_s t) G(a_t - s + t, lam_s - s + t), with
+    R_s = binomial(lam_s + 1, 2) - s lam_s.  R_s comes out of row s, leaving
+    powers lam_s t >= 0, and the count is the digit at x^top, top = p - sum
+    of R_s, of the determinant on gauss_table(p).  That is exact if
+    a_t + t <= p, as a_vector_stable gives, and top <= p, as every census
+    shape gives: each term that reaches x^top reads entry coefficients of
+    degree <= top <= p, and each digit up to x^top counts arrays of norm <= p.
     """
-    r = len(lam)
-    if any(a[t] + t > p for t in range(r)):
+    if any(first + t > p for t, first in enumerate(a)):
         raise ValueError("first-part bounds reach past x^p")
-    width, table = gauss_table(p)
-    rows = _strict_entries(lam, (0,) * r, a, (1,) * r, 1, 1)
-    bases = _row_bases(rows)
-    top = p - sum(bases)
+    if len(a) != len(lam):
+        raise ValueError("lam and a must share a length")
+    top = p - sum(_choose2(part + 1) - s * part for s, part in enumerate(lam))
+    if top > p:
+        raise ValueError(f"shape {tuple(lam)}: its row powers sum to {p - top}, below zero")
     if top < 0:
         return 0
-    packed = [  # a zero entry may lie below its row's base
-        [(power - base, _table_entry(table, n, k)) if 0 <= power - base <= top else (0, 0)
-         for power, n, k in row]
-        for row, base in zip(rows, bases)
-    ]
-    return _digit(_minor(packed, top, width), top, width)
+    width, table = gauss_table(p)
+    rows = [[(part * t, _table_entry(table, first - s + t, part - s + t))
+             for t, first in enumerate(a)] for s, part in enumerate(lam)]
+    return _digit(_minor(rows, top, width), top, width)
 
 
 def gf_shifted(

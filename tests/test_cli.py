@@ -204,6 +204,15 @@ class TestGf:
                     "--d", "0", "--truncate-at", "100000000"]) == 0
         assert out_of(capsys) == "x"
 
+    def test_inner_shape_on_shifted_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        assert run(["gf", "shifted", "--shape", "3,3", "--inner", "1,1", "--a", "5,3",
+                    "--b", "1,1", "--c", "1", "--d", "0", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --inner applies to the strict variant only\n"
+        assert not target.exists()
+
     def test_truncated_gf_keeps_every_coefficient(self, capsys):
         # the rows' least powers sum below zero; one array has norm 3 and
         # none has norm 4

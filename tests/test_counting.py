@@ -32,7 +32,6 @@ from escalier.partitions import (
 )
 from escalier.qpolys import (
     _plane_partition_count,
-    _row_bases,
     _strict_entries,
     gf_shifted,
     gf_strict,
@@ -159,18 +158,6 @@ def _arrays(lengths, bounds, norm, memo, shifted):
             got += _arrays(rest, under, norm - sum(row), memo, shifted)
     memo[key] = got
     return got
-
-
-def permutation_powers(rows, s=0, used=0, acc=0):
-    """The power sums, over rows s onward, of the entries x^power G(n, k),
-    given as (power, n, k), along every permutation whose entries are all
-    nonzero."""
-    if s == len(rows):
-        yield acc
-        return
-    for t, (power, n, k) in enumerate(rows[s]):
-        if not used >> t & 1 and (k == 0 or 0 < k <= n):
-            yield from permutation_powers(rows, s + 1, used | 1 << t, acc + power)
 
 
 def dp_split(p, h, k):
@@ -366,12 +353,11 @@ class TestStableCensus:
                 for sc in row.shapes:
                     assert sc.count == _arrays(sc.shape, None, p, memo, False), (p, sc.shape)
 
-    def test_every_permutation_carries_a_nonnegative_power(self):
-        # gf_strict_coefficient reads its entries mod x^(p+1) even where the
-        # rows' least powers sum below zero, so that the digit it reads lies
-        # above x^p.  That is exact because the entries along each
-        # permutation, where all are nonzero, carry a nonnegative power sum.
-        shapes, sums, below_zero = 0, [], []
+    def test_closed_form_rows_match_the_strict_entries(self):
+        # gf_strict_coefficient writes entry (s, t) of gf_strict's matrix as
+        # x^(R_s + beta_s t) G(a_t - s + t, beta_s - s + t); the general
+        # builder gives the same n, k and power on every census shape
+        shapes = 0
         for p in range(1, 61):
             for (_, h, k) in bar_lists_3vars(p):
                 if k < 2:
@@ -381,12 +367,25 @@ class TestStableCensus:
                     if a[-1] < 1:
                         continue
                     rows = _strict_entries(beta, (0,) * k, a, (1,) * k, 1, 1)
-                    if sum(_row_bases(rows)) < 0:
-                        below_zero.append((p, beta))
+                    for s, row in enumerate(rows):
+                        base = beta[s] * (beta[s] + 1) // 2 - s * beta[s]
+                        assert row == [
+                            (base + beta[s] * t, a[t] - s + t, beta[s] - s + t) for t in range(k)
+                        ], (p, beta, s)
                     shapes += 1
-                    sums.extend(permutation_powers(rows))
-        assert below_zero[0] == (31, (6, 4, 2))
-        assert (shapes, len(sums), min(sums)) == (3062, 17318, 4)
+        assert shapes == 3062
+
+    def test_row_powers_leave_the_digit_at_or_below_x_p(self):
+        # gf_strict_coefficient reads x^(p - sum of R_s) and refuses a shape
+        # whose R_s sum below zero; every shape of every bar list at p = 300,
+        # hence at every p <= 300, sums to at least 3
+        sums = {
+            beta: sum(part * (part + 1) // 2 - s * part for s, part in enumerate(beta))
+            for (_, h, k) in bar_lists_3vars(300) if k > 1
+            for beta in enumerate_distinct(h, k)
+        }
+        assert (len(sums), min(sums.values())) == (56508, 3)
+        assert [beta for beta, total in sums.items() if total == 3] == [(2, 1)]
 
     def test_shape_counts_stay_below_the_plane_partition_count(self):
         # the bound the packed table's width is sized from

@@ -339,6 +339,19 @@ class TestGfStrictCoefficient:
         with pytest.raises(ValueError):
             gf_strict_coefficient((2, 1), (4, 3), 3)
 
+    def test_rejects_too_few_first_parts(self):
+        with pytest.raises(ValueError, match="share a length"):
+            gf_strict_coefficient((2, 1), (4,), 5)
+
+    def test_rejects_too_many_first_parts(self):
+        with pytest.raises(ValueError):
+            gf_strict_coefficient((2, 1), (4, 3, 9), 5)
+
+    def test_rejects_row_powers_below_zero(self):
+        # repeated parts: the R_s sum to -2, so x^12 would be read for p = 10
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 1, 1\)"):
+            gf_strict_coefficient((1, 1, 1, 1), (4, 3, 2, 1), 10)
+
 
 def rand_power_rows(rng, r, width, zero_share):
     """An r x r matrix of x^power g with powers from -4 to 12 and random
