@@ -12,8 +12,12 @@ first-part bound vector chosen so the bound never cuts into the norm-p slice.
 The strongly stable class sums the determinantal generating functions of its
 shifted row-strict, column-weak arrays over every admissible first-part
 vector; these vectors are the r-subsets of one window, so the minor summation
-formula turns the sum into one Pfaffian per shape.  Both classes take their
-Gaussian-binomial entries from one packed table per p (qpolys.gauss_table).
+formula turns the sum into one Pfaffian per shape.  Running every shape's
+window on to p adds no array of norm p and makes each shape's matrix a
+principal submatrix of one skew matrix per p, so the census reads every
+shape's Pfaffian from that matrix with one memo of sub-Pfaffians
+(qpolys._shifted_census).  Both classes take their Gaussian-binomial entries
+from one packed table per p (qpolys.gauss_table).
 Counts are plain Python integers, so there is no overflow anywhere.
 """
 
@@ -29,7 +33,7 @@ from .partitions import (
     enumerate_distinct,
     minimal_sum,
 )
-from .qpolys import _first_part_window, gf_shifted_sum_coefficient, gf_strict_coefficient
+from .qpolys import gf_shifted_sum_coefficient, gf_strict_coefficient
 
 STABLE = "stable"
 STRONGLY_STABLE = "strongly_stable"
@@ -188,16 +192,28 @@ def count_stable_3vars(p: int) -> BarListCensus:
     return _census_3vars(p, STABLE, count_stable_barlist)
 
 
+def _first_part_window(lam: tuple[int, ...], p: int) -> range:
+    """The values a first part of a norm-p array of shifted shape lam can
+    take.  The budget M = p - sum of staircase minima caps a_1; the last row
+    holds lam[r-1] - r + 1 strictly decreasing positive entries, so
+    a_r >= lam[r-1] - r + 1."""
+    r = len(lam)
+    staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
+    M = p - sum(c * (c + 1) // 2 for c in staircases)
+    return range(lam[r - 1] - r + 1, M + 1)
+
+
 def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     """All admissible exact first-part vectors for a shifted shape.
 
     The parts strictly increase from a_r up to a_1 within
-    qpolys._first_part_window, so the vectors are the r-subsets of that
+    _first_part_window, so the vectors are the r-subsets of that
     window, listed with a_r varying slowest.  One gf_shifted per vector,
     summed, is the per-vector route to a strongly stable shape count; the
     census takes the same sum as a single Pfaffian
     (gf_shifted_sum_coefficient), and the tests keep this route as a check
-    of that identity.
+    of that identity.  The census reads no window: its Pfaffian runs every
+    first part on to p, which adds no array of norm p.
     """
     return [tuple(reversed(c)) for c in combinations(_first_part_window(lam, p), len(lam))]
 
@@ -215,7 +231,8 @@ def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount
     weakly decreasing downwards: the shifted (1, 0)-plane partitions of shape
     lam = (alpha[i] + i).  Each shape's count is the x^p coefficient of the
     sum of gf_shifted over every first-part vector of the shape's window,
-    read as one digit of one Pfaffian (gf_shifted_sum_coefficient).
+    read as one digit of one Pfaffian (gf_shifted_sum_coefficient), a
+    principal sub-Pfaffian of the census-wide matrix.
     """
     return _barlist_counts(p, h, k, lambda alpha: _sstable_shape_count(alpha, p))
 

@@ -18,8 +18,10 @@ classes: one bit more than the bit length of the number of plane partitions
 of p, which bounds every coefficient up to x^p of either class's generating
 functions.  gf_strict_coefficient takes a stable shape's count as one digit
 of one packed determinant on that table, and gf_shifted_sum_coefficient takes
-a strongly stable shape's as one digit of one packed Pfaffian, whose entries
-come from hockey-stick sums kept per p beside the table.
+a strongly stable shape's as one digit of one packed Pfaffian: a principal
+sub-Pfaffian of one skew matrix per p (_shifted_census), built from that
+table with one hockey-stick sum per pair of rows, whose sub-Pfaffians one
+memo keeps for every shape of the census.
 
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
@@ -40,14 +42,16 @@ every digit its parent reads.  det is the same route with every power 0.  The
 stable census writes gf_strict's matrix in closed form, every power >= 0, with
 entries from gauss_table.  gf_shifted_sum_coefficient takes a whole sum of
 shifted determinants, one per first-part vector, as a single Pfaffian (the
-minor summation formula) on the same kind of packed integers.
+minor summation formula) on the same kind of packed integers; _pfaffian
+takes each sub-Pfaffian mod x^(top_T+1), top_T the top of its own row set,
+so one memo serves shapes with different tops.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 
 _Entries = list[list[tuple[int, int, int]]]
 
@@ -453,35 +457,46 @@ def _minor(rows: list[list[tuple[int, int]]], top: int, width: int) -> int:
     return value << low * width
 
 
-def _pfaffian(packed: list[list[int]], rowmask: int, cache: dict[int, int], mask: int) -> int:
-    """Packed Pfaffian, reduced by mask, of the skew matrix packed restricted
-    to the rows and columns in rowmask, expanded along its lowest row i:
-    the sum over the other rows j in rowmask, the n-th of them with sign
-    (-1)^(n-1), of packed[i][j] times the Pfaffian without i and j.  Only
+def _pfaffian(skew: list[list[int]], rowmask: int, memo: dict[int, int], top: int,
+              costs: Sequence[int], width: int) -> int:
+    """Packed Pfaffian, mod x^(top+1) at x = 2^width, of the skew matrix skew
+    restricted to the rows and columns in rowmask, expanded along its lowest
+    row i: the sum over the other rows j in rowmask, the n-th of them with
+    sign (-1)^(n-1), of skew[i][j] times the Pfaffian without i and j.  Only
     entries above the diagonal are read.  An odd rowmask gives 0.
+
+    Each sub-Pfaffian is taken at its own precision: the one without i and j
+    mod x^(top+1+costs[i]+costs[j]), and memo keeps it under its rowmask.
+    So callers that share a memo pass top = t - (the sum of costs over
+    rowmask) for one t, and the result is exact if every entry (i, j) is
+    kept to at least x^(t - costs[i] - costs[j]): a row set's top only grows
+    as rows leave it, so each sub-Pfaffian holds every digit its parent reads.
     Module-level, not nested in its caller, so that no reference cycle keeps
-    the cache alive."""
+    the memo alive."""
     if rowmask == 0:
         return 1
-    got = cache.get(rowmask)
+    got = memo.get(rowmask)
     if got is not None:
         return got
     low = rowmask & -rowmask
     rest = rowmask ^ low
-    entries = packed[low.bit_length() - 1]
+    i = low.bit_length() - 1
+    entries = skew[i]
+    rest_top = top + costs[i]
     acc = 0
     sign = 1
     left = rest
     while left:
         bit = left & -left
         left ^= bit
-        entry = entries[bit.bit_length() - 1]
+        j = bit.bit_length() - 1
+        entry = entries[j]
         if entry:
-            term = entry * _pfaffian(packed, rest ^ bit, cache, mask)
+            term = entry * _pfaffian(skew, rest ^ bit, memo, rest_top + costs[j], costs, width)
             acc = acc + term if sign > 0 else acc - term
         sign = -sign
-    acc &= mask
-    cache[rowmask] = acc
+    acc &= (1 << (top + 1) * width) - 1
+    memo[rowmask] = acc
     return acc
 
 
@@ -600,11 +615,15 @@ def gf_strict_coefficient(lam: Sequence[int], a: Sequence[int], p: int) -> int:
     a_t + t <= p, as a_vector_stable gives, and top <= p, as every census
     shape gives: each term that reaches x^top reads entry coefficients of
     degree <= top <= p, and each digit up to x^top counts arrays of norm <= p.
+    Like gf_strict, it refuses a lam or an a that is not weakly decreasing
+    (with mu = 0 and c = d = 1, gf_strict's first-part chain says a is).
     """
     if any(first + t > p for t, first in enumerate(a)):
         raise ValueError("first-part bounds reach past x^p")
     if len(a) != len(lam):
         raise ValueError("lam and a must share a length")
+    _check_monotone("shape", lam)
+    _check_monotone("first-part bounds", a)
     top = p - sum(_choose2(part + 1) - s * part for s, part in enumerate(lam))
     if top > p:
         raise ValueError(f"shape {tuple(lam)}: its row powers sum to {p - top}, below zero")
@@ -654,34 +673,28 @@ def gf_shifted(
     return _laurent_det(rows, truncate_at, (a, b), extra_shift=power)
 
 
-def _first_part_window(lam: Sequence[int], p: int) -> range:
-    """The values a first part of a norm-p array of shifted shape lam can
-    take.  The budget M = p - sum of staircase minima caps a_1; the last row
-    holds lam[r-1] - r + 1 strictly decreasing positive entries, so
-    a_r >= lam[r-1] - r + 1."""
-    r = len(lam)
-    staircases = [lam[0] - 1] + [lam[j] - j for j in range(1, r)]
-    M = p - sum(c * (c + 1) // 2 for c in staircases)
-    return range(lam[r - 1] - r + 1, M + 1)
-
-
 def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     """The number of shifted row-strict, column-weak arrays of shape lam and
     norm p with positive entries: the x^p coefficient of the sum of
-    gf_shifted(lam, a, (1,)*r, 1, 0) over every strictly decreasing a drawn
-    from _first_part_window(lam, p), read as one digit of one Pfaffian.
+    gf_shifted(lam, a, (1,)*r, 1, 0) over every strictly decreasing a with
+    parts in [lam_r - r + 1, p], read as one digit of one Pfaffian.  A vector
+    past the shape's window of first parts (counting.a_vectors_strongly)
+    has no array of norm p, so it adds 0.
 
     With c = 1, d = 0 and b = 1, gf_shifted is x^(C + sum a) det[G(a_t - 1, m_s)],
     where G is the Gaussian binomial, m_s = lam_s - s and C = sum of
     m_s + binomial(m_s, 2).  So the sum runs over all r x r minors of the
-    r x W matrix T[s][w] = x^w G(w - 1, m_s), its columns w the window's W
-    values in descending order, modulo x^(N+1) with N = p - C.  By the minor
+    r x W matrix T[s][w] = x^w G(w - 1, m_s), its columns w = p, ..., m_r + 1
+    in descending order, modulo x^(N+1) with N = p - C.  By the minor
     summation formula (Ishikawa and Wakayama, Linear Multilinear Algebra 39,
     1995; Stembridge, Adv. Math. 83, 1990) that sum is the Pfaffian of
     T A T^t, with A_ij = 1 above the diagonal and -1 below.  For odd r the
     matrix takes one more row and column, holding the row sums of T, which
     is T extended by a column (0, ..., 0, 1) and a row holding only that 1.
-    _shifted_skew builds T A T^t from sums that a whole census shares.
+    Entry (s, u) of T A T^t depends only on m_s, m_u and p, and the border
+    entry only on m_s, so the matrix is the principal submatrix of
+    _shifted_census(p) on the rows of the labels m_s, plus the border row
+    for odd r, and the census's memo serves every shape.
 
     It runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B), with the
     entries and the width B of gauss_table(p).  The width is exact: the
@@ -699,22 +712,10 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     top = p - sum(m + _choose2(m) for m in ms)
     if top < 0:
         return 0
-    width, _ = gauss_table(p)
-    skew = _shifted_skew(ms, _first_part_window(lam, p).stop - 1, p, top)
-    mask = (1 << (top + 1) * width) - 1
-    return _digit(_pfaffian(skew, (1 << len(skew)) - 1, {}, mask), top, width)
-
-
-# _hockey_sum keeps one checkpoint per this many w.
-_HOCKEY_STEP = 8
-
-
-@lru_cache(maxsize=1)
-def _hockey_points(p: int) -> dict[tuple[int, int], list[int]]:
-    """The checkpoints of _hockey_sum on gauss_table(p), per row pair (a, b),
-    filled as they are read: item i holds F_ab(b + i * _HOCKEY_STEP)
-    mod x^(p + 1 - c(a) - c(b)), with c(m) = m(m+1)/2."""
-    return {}
+    width, costs, skew, memo = _shifted_census(p)
+    border = len(skew) - 1  # label m sits in row border - 1 - m
+    rowmask = sum(1 << border - 1 - m for m in ms) | (r % 2) << border
+    return _digit(_pfaffian(skew, rowmask, memo, top, costs, width), top, width)
 
 
 def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
@@ -727,71 +728,44 @@ def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
     return ((f & keep) * (g & keep) & keep) << power * width
 
 
-def _hockey_sum(p: int, a: int, b: int, w: int, top: int) -> int:
-    """A value congruent to F_ab(w) mod x^(top+1), packed as gauss_table(p),
-    for a > b >= 0 and top <= p - c(a) - c(b):
+@lru_cache(maxsize=1)
+def _shifted_census(p: int) -> tuple[int, list[int], list[list[int]], dict[int, int]]:
+    """The skew matrix that holds every shape's T A T^t for
+    gf_shifted_sum_coefficient at p, and the memo of its sub-Pfaffians, as
+    (width, costs, skew, memo), packed as gauss_table(p).
 
-        F_ab(w) = sum over v <= w of T_b(v) (C_a(v) + C_a(v-1)),
+    Its rows are the labels m = M, ..., 0, with M the largest label whose
+    c(M) = M(M+1)/2 is at most p, and a border row last; costs holds c(m)
+    for each label and 0 for the border, so a row set's top is p less its
+    costs.  With T_m(v) = x^v G(v-1, m) and C_m(w) = x^(m+1) G(w, m+1) the
+    sum of T_m(v) over 1 <= v <= w (the q-hockey-stick: q-Pascal
+    telescopes), entry (a, b) for labels a > b is
 
-    with T_m(v) = x^v G(v-1, m) and C_m(w) = x^(m+1) G(w, m+1) the sum of
-    T_m(v) over 1 <= v <= w (the q-hockey-stick: q-Pascal telescopes).
-    T_b(v) vanishes for v <= b, and every term mod x^(top+1) for v + a + 1 > top.
-    F depends only on (a, b, p), so a census shares it between its shapes:
-    the sum is read from the nearest checkpoint below w and finished with
-    at most _HOCKEY_STEP - 1 products."""
-    width, table = gauss_table(p)
+        sum over w of T_b(w) (2 (C_a(p) - C_a(w)) + T_a(w)) - C_a(p) C_b(p)
+            = C_a(p) C_b(p) - F_ab(p),
+        F_ab(p) = sum over v <= p of T_b(v) (C_a(v) + C_a(v-1)),
 
-    def term(v: int, cut: int) -> int:
-        pair = _table_entry(table, v, a + 1) + _table_entry(table, v - 1, a + 1)
-        return _low_product(_table_entry(table, v - 1, b), pair, v + a + 1, cut, width)
-
-    w = min(w, top - a - 1)
-    if w <= b:
-        return 0
-    points = _hockey_points(p).setdefault((a, b), [0])
-    index = (w - b) // _HOCKEY_STEP
-    if index >= len(points):
-        prec = p - (a * a + a + b * b + b) // 2
-        mask = (1 << (prec + 1) * width) - 1
-        acc = points[-1]
-        for v in range(b + (len(points) - 1) * _HOCKEY_STEP + 1, b + index * _HOCKEY_STEP + 1):
-            acc += term(v, prec)
-            if (v - b) % _HOCKEY_STEP == 0:
-                acc &= mask
-                points.append(acc)
-    acc = points[index]
-    for v in range(b + index * _HOCKEY_STEP + 1, w + 1):
-        acc += term(v, top)
-    return acc
-
-
-def _shifted_skew(ms: Sequence[int], high: int, p: int, top: int) -> list[list[int]]:
-    """T A T^t of gf_shifted_sum_coefficient for rows m_s = ms[s] and the
-    window [m_(r-1) + 1, high], packed as gauss_table(p) and reduced mod
-    x^(top+1), top = p - sum of c(m_s) (only entries above the diagonal are
-    filled).  With C_s(high) the row sums of T and F the census-wide sums of
-    _hockey_sum, entry (s, u) is
-
-        sum over w of T_u(w) (2 (C_s(high) - C_s(w)) + T_s(w)) - C_s(high) C_u(high)
-            = C_s(high) C_u(high) - F_su(high),
-
-    one product and one read of F, where summing over w takes one product
-    per column.  Nothing lies below the window: C_s(m_(r-1)) = 0 and
-    F_su(m_(r-1)) = 0, as m_(r-1) <= m_u < m_s.  Nothing lies past x^top
-    either, as top - high = sum over s >= 1 of (m_s + 1).
+    kept mod x^(p+1-c(a)-c(b)), where T_b(v) vanishes for v <= b and each
+    term of F_ab for v + a + 1 > p - c(a) - c(b).  The border entry of row a
+    is C_a(p) mod x^(p+1-c(a)).  That holds every digit _pfaffian reads, and
+    a pair with c(a) + c(b) > p, in no shape that reaches x^p, is left 0.
     """
     width, table = gauss_table(p)
-    mask = (1 << (top + 1) * width) - 1
-    r = len(ms)
-    size = r + r % 2
-    skew = [[0] * size for _ in range(size)]
-    at_high = [_table_entry(table, high, m + 1) for m in ms]  # C_s(high) / x^(m_s+1)
-    for s in range(r):
-        a = ms[s]
-        for u in range(s + 1, r):
-            b = ms[u]
-            entry = _low_product(at_high[s], at_high[u], a + b + 2, top, width)
-            skew[s][u] = (entry - _hockey_sum(p, a, b, high, top)) & mask
-        if size > r:
-            skew[s][r] = (at_high[s] << (a + 1) * width) & mask
-    return skew
+    labels = range((isqrt(8 * p + 1) - 1) // 2, -1, -1)
+    costs = [m * (m + 1) // 2 for m in labels] + [0]
+    border = len(labels)
+    skew = [[0] * (border + 1) for _ in range(border + 1)]
+    at_p = [_table_entry(table, p, m + 1) for m in labels]  # C_m(p) / x^(m+1)
+    for i, a in enumerate(labels):
+        top_a = p - costs[i]
+        skew[i][border] = (at_p[i] << (a + 1) * width) & ((1 << (top_a + 1) * width) - 1)
+        for j in range(i + 1, border):
+            b, prec = labels[j], top_a - costs[j]
+            if prec < 0:
+                continue
+            acc = _low_product(at_p[i], at_p[j], a + b + 2, prec, width)
+            for v in range(b + 1, prec - a):
+                pair = _table_entry(table, v, a + 1) + _table_entry(table, v - 1, a + 1)
+                acc -= _low_product(_table_entry(table, v - 1, b), pair, v + a + 1, prec, width)
+            skew[i][j] = acc & ((1 << (prec + 1) * width) - 1)
+    return width, costs, skew, {}

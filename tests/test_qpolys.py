@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier.counting import a_vector_stable, a_vectors_strongly, bar_lists_3vars
+from escalier.counting import (
+    _first_part_window,
+    a_vector_stable,
+    a_vectors_strongly,
+    bar_lists_3vars,
+)
 from escalier.partitions import enumerate_distinct, enumerate_plane_partitions
 from escalier.qpolys import (
     IntPoly,
     _digit,
-    _first_part_window,
     _minor,
     _pack,
     _pfaffian,
     _plane_partition_count,
     _row_bases,
-    _shifted_skew,
+    _shifted_census,
     _strict_entries,
     _table_entry,
     _unpack,
@@ -351,6 +355,21 @@ class TestGfStrictCoefficient:
         # repeated parts: the R_s sum to -2, so x^12 would be read for p = 10
         with pytest.raises(ValueError, match=r"shape \(1, 1, 1, 1\)"):
             gf_strict_coefficient((1, 1, 1, 1), (4, 3, 2, 1), 10)
+
+    def test_rejects_a_shape_that_is_not_decreasing(self):
+        # gf_strict refuses it too; read anyway, the determinant gives -1
+        with pytest.raises(ValueError):
+            gf_strict((1, 2), (0, 0), (4, 3), (1, 1), 1, 1, truncate_at=6)
+        with pytest.raises(ValueError, match="shape must be weakly decreasing"):
+            gf_strict_coefficient((1, 2), (4, 3), 6)
+
+    def test_rejects_first_parts_that_are_not_decreasing(self):
+        # with mu = 0 and c = d = 1, gf_strict's first-part chain is a_i >= a_(i+1);
+        # read anyway, the determinant gives 2
+        with pytest.raises(ValueError):
+            gf_strict((2, 1), (0, 0), (3, 4), (1, 1), 1, 1, truncate_at=6)
+        with pytest.raises(ValueError, match="first-part bounds must be weakly decreasing"):
+            gf_strict_coefficient((2, 1), (3, 4), 6)
 
 
 def rand_power_rows(rng, r, width, zero_share):
@@ -779,9 +798,14 @@ def skew(upper, size):
 class TestPfaffian:
     MASK = (1 << 64) - 1
 
+    @staticmethod
+    def pf(m, rowmask):
+        # one 64-bit digit, every row at the same precision
+        return _pfaffian(m, rowmask, {}, 0, [0] * len(m), 64)
+
     def test_two_by_two(self):
         for a12 in (0, 1, 7, -3):
-            assert _pfaffian(skew({(0, 1): a12}, 2), 0b11, {}, self.MASK) == a12 & self.MASK
+            assert self.pf(skew({(0, 1): a12}, 2), 0b11) == a12 & self.MASK
 
     def test_four_by_four(self):
         for a12, a13, a14, a23, a24, a34 in ((2, 3, 5, 7, 11, 13), (1, 5, 0, 0, 5, 1),
@@ -789,11 +813,11 @@ class TestPfaffian:
             m = skew({(0, 1): a12, (0, 2): a13, (0, 3): a14,
                       (1, 2): a23, (1, 3): a24, (2, 3): a34}, 4)
             want = a12 * a34 - a13 * a24 + a14 * a23
-            assert _pfaffian(m, 0b1111, {}, self.MASK) == want & self.MASK
+            assert self.pf(m, 0b1111) == want & self.MASK
             # a sub-Pfaffian on rows and columns 2 and 4 is their one entry
-            assert _pfaffian(m, 0b1010, {}, self.MASK) == a24 & self.MASK
+            assert self.pf(m, 0b1010) == a24 & self.MASK
             # odd order: no perfect matching
-            assert _pfaffian(m, 0b0111, {}, self.MASK) == 0
+            assert self.pf(m, 0b0111) == 0
 
     def test_six_by_six_squares_to_det(self):
         # polynomial entries, packed as det packs them; Pf^2 = det
@@ -806,8 +830,50 @@ class TestPfaffian:
             for (i, j), e in upper.items():
                 m[i][j], m[j][i] = e, e * IntPoly.const(-1)
             packed = [[_pack(e.coeffs, width) & mask for e in row] for row in m]
-            pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, mask), top + 1, width))
+            pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, top, [0] * 6, width),
+                                 top + 1, width))
             assert pf * pf == det(m), seed
+
+    def test_rows_with_costs_keep_each_set_at_its_own_precision(self):
+        # one memo over the sets of a 6 x 6 matrix, row i costing costs[i]:
+        # every set's Pfaffian holds the digits up to x^(t - its costs), read
+        # in any order, with each entry kept only as far as the costs allow
+        width, t = 64, 12
+        costs = [3, 0, 2, 1, 4, 0]
+        for seed in range(5):
+            rng = random.Random(seed)
+            full = [[IntPoly.zero()] * 6 for _ in range(6)]
+            packed = [[0] * 6 for _ in range(6)]
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    e = rand_poly(rng, 6)
+                    full[i][j], full[j][i] = e, e * IntPoly.const(-1)
+                    keep = t - costs[i] - costs[j]
+                    packed[i][j] = _pack(e.coeffs[:keep + 1], width)
+            memo = {}
+            sets = [s for s in range(1, 64) if bin(s).count("1") % 2 == 0]
+            rng.shuffle(sets)
+            for rows in sets:
+                top = t - sum(costs[i] for i in range(6) if rows >> i & 1)
+                got = _pfaffian(packed, rows, memo, top, costs, width)
+                index = [i for i in range(6) if rows >> i & 1]
+                sub = [[full[i][j] for j in index] for i in index]
+                pf = pfaffian_by_expansion(sub)
+                assert _unpack(got, top + 1, width) == [pf.coefficient(k) for k in range(top + 1)]
+                assert pf * pf == det(sub)
+
+
+def pfaffian_by_expansion(m):
+    """The Pfaffian of a skew matrix of IntPoly entries, along the first row."""
+    r = len(m)
+    if r == 0:
+        return IntPoly.const(1)
+    acc = IntPoly.zero()
+    for j in range(1, r):
+        rest = [i for i in range(1, r) if i != j]
+        term = m[0][j] * pfaffian_by_expansion([[m[a][b] for b in rest] for a in rest])
+        acc = add(acc, term if j % 2 else term * IntPoly.const(-1))
+    return acc
 
 
 def vector_sum(lam, p, truncate_at):
@@ -880,45 +946,100 @@ def prefix_sum_skew(ms, low, high, p, top):
     return skew
 
 
+def shape_pfaffian(skew, p, top):
+    """The digit at x^top of the Pfaffian of one shape's own matrix, every
+    sub-Pfaffian at that one precision: the per-shape route."""
+    width, _ = gauss_table(p)
+    size = len(skew)
+    return _digit(_pfaffian(skew, (1 << size) - 1, {}, top, [0] * size, width), top, width)
+
+
 def shifted_rows(lam):
     return [lam[s] - s - 1 for s in range(len(lam))]
+
+
+def census_submatrix(ms, p, top):
+    """The principal submatrix of _shifted_census(p)'s matrix on a shape's
+    labels, with the border for odd r, reduced mod x^(top+1)."""
+    width, _, skew, _ = _shifted_census(p)
+    border = len(skew) - 1
+    index = [border - 1 - m for m in ms] + [border] * (len(ms) % 2)
+    mask = (1 << (top + 1) * width) - 1
+    return [[skew[i][j] & mask for j in index] for i in index]
+
+
+def census_shapes(p):
+    """Every strongly stable census shape with k >= 2 rows at p, as lam."""
+    for (_, h, k) in bar_lists_3vars(p):
+        if k > 1:
+            for alpha in enumerate_distinct(h, k):
+                yield tuple(i + part for i, part in enumerate(alpha))
 
 
 class TestHockeyStickEntries:
     def test_match_prefix_sums_on_every_census_shape(self):
         # every strongly stable shape with k >= 2 rows, p <= 40, matrix by
-        # matrix; the census reads every entry at its shape's own top
+        # matrix: the census matrix, cut to the shape's top, is the shape's
+        # T A T^t over the first parts m_(r-1) + 1, ..., p
         shapes = 0
         for p in range(1, 41):
-            for (_, h, k) in bar_lists_3vars(p):
-                if k == 1:
+            for lam in census_shapes(p):
+                ms = shifted_rows(lam)
+                top = p - sum(m * (m + 1) // 2 for m in ms)
+                if top < 0:
                     continue
-                for alpha in enumerate_distinct(h, k):
-                    lam = tuple(i + part for i, part in enumerate(alpha))
-                    ms = shifted_rows(lam)
-                    top = p - sum(m * (m + 1) // 2 for m in ms)
-                    if top < 0:
-                        continue
-                    window = _first_part_window(lam, p)
-                    low, high = window.start, window.stop - 1
-                    assert _shifted_skew(ms, high, p, top) == prefix_sum_skew(
-                        ms, low, high, p, top), (p, alpha)
-                    shapes += 1
+                assert census_submatrix(ms, p, top) == prefix_sum_skew(
+                    ms, ms[-1] + 1, p, p, top), (p, lam)
+                shapes += 1
         assert shapes == 970  # the shapes whose Pfaffian reaches x^p
 
     @pytest.mark.parametrize("lam", [(1,), (3,), (2, 2), (3, 2), (4, 4), (3, 3, 3), (5, 4, 3),
                                      (4, 4, 4, 4), (6, 5, 5, 4)])
     def test_match_prefix_sums_on_any_window(self, lam):
-        # the window of any shape at any p, the only windows the census
-        # builds: it starts at m_(r-1) + 1 and ends at or below x^top; the
-        # least p leave it empty
+        # at any p, every window that starts at m_(r-1) + 1 and ends between
+        # the end of the shape's first-part window and p reads the same
+        # count, and the one that ends at p is the census matrix's; the
+        # least p leave the first-part window empty
         ms = shifted_rows(lam)
         for p in range(41):
             top = p - sum(m * (m + 1) // 2 for m in ms)
             if top < 0:
                 continue
             window = _first_part_window(lam, p)
-            low, high = window.start, window.stop - 1
-            assert low == ms[-1] + 1 and high <= top
-            assert _shifted_skew(ms, high, p, top) == prefix_sum_skew(
-                ms, low, high, p, top), (lam, p)
+            low = ms[-1] + 1
+            assert window.start == low and window.stop - 1 <= top
+            counts = {shape_pfaffian(prefix_sum_skew(ms, low, high, p, top), p, top)
+                      for high in range(window.stop - 1, p + 1)}
+            assert counts == {gf_shifted_sum_coefficient(lam, p)}, (lam, p)
+            assert census_submatrix(ms, p, top) == prefix_sum_skew(ms, low, p, p, top), (lam, p)
+
+    def test_census_matches_the_per_shape_pfaffian(self):
+        # every census shape with k >= 2 rows and p <= 60 against its own
+        # Pfaffian over the first-part window, which ends at p less the
+        # staircase minima: so running every window on to p changes no count
+        shapes = 0
+        for p in range(1, 61):
+            for lam in census_shapes(p):
+                ms = shifted_rows(lam)
+                top = p - sum(m * (m + 1) // 2 for m in ms)
+                want = 0
+                if top >= 0:
+                    window = _first_part_window(lam, p)
+                    skew = prefix_sum_skew(ms, window.start, window.stop - 1, p, top)
+                    want = shape_pfaffian(skew, p, top)
+                assert gf_shifted_sum_coefficient(lam, p) == want, (p, lam)
+                shapes += 1
+        assert shapes == 3814
+
+    def test_memo_does_not_depend_on_call_order(self):
+        # the memo of one p filled backwards, then rebuilt after a call at
+        # another p, against counts from a cleared cache
+        p = 60
+        shapes = list(census_shapes(p))
+        _shifted_census.cache_clear()
+        fresh = [gf_shifted_sum_coefficient(lam, p) for lam in shapes]
+        _shifted_census.cache_clear()
+        backward = [gf_shifted_sum_coefficient(lam, p) for lam in reversed(shapes)][::-1]
+        assert gf_shifted_sum_coefficient((4, 4), 28) == vector_sum((4, 4), 28, 28)
+        again = [gf_shifted_sum_coefficient(lam, p) for lam in shapes]
+        assert backward == fresh == again and any(fresh)
