@@ -7,17 +7,15 @@ two-variable count.  For k > 1 each shape of h into k distinct parts
 contributes a count of plane partitions of norm p.  One loop over the bar
 lists, with the feasibility check and the k = 1 column, serves both classes;
 each class supplies only the count of one shape.  The stable class reads it
-as the x^p coefficient of a determinantal norm generating function, with a
-first-part bound vector chosen so the bound never cuts into the norm-p slice.
-The strongly stable class sums the determinantal generating functions of its
-shifted row-strict, column-weak arrays over every admissible first-part
-vector; these vectors are the r-subsets of one window, so the minor summation
-formula turns the sum into one Pfaffian per shape.  Running every shape's
-window on to p adds no array of norm p and makes each shape's matrix a
-principal submatrix of one skew matrix per p, so the census reads every
-shape's Pfaffian from that matrix with one memo of sub-Pfaffians
-(qpolys._shifted_census).  Both classes take their Gaussian-binomial entries
-from one packed table per p (qpolys.gauss_table).
+as the x^p coefficient of a determinantal norm generating function whose
+first-part bounds, p - t in row t + 1, cut no array of norm p.  The strongly
+stable class sums the determinantal generating functions of its shifted
+row-strict, column-weak arrays over every first-part vector of a window that
+runs on to p.  So each shape's determinant, or sum of them (by the minor
+summation formula), is one sub-Pfaffian of one matrix per p and class, and
+the census reads every shape from that matrix with one memo
+(qpolys._strict_census, qpolys._shifted_census).  Both classes take their
+Gaussian-binomial entries from one packed table per p (qpolys.gauss_table).
 Counts are plain Python integers, so there is no overflow anywhere.
 """
 
@@ -167,7 +165,10 @@ def _census_3vars(p: int, kind: str, count_barlist) -> BarListCensus:
 
 def a_vector_stable(beta: IntPartition, p: int) -> tuple[int, ...]:
     """First-part bounds for unshifted shapes: the largest top-left entry a
-    norm-p partition of this shape can carry, then consecutive descents."""
+    norm-p partition of this shape can carry, then consecutive descents.
+    The census no longer calls it: any larger bounds count the same arrays,
+    and gf_strict_coefficient takes p - t in row t + 1 for every shape.  The
+    tests' gf_strict routes read it."""
     a1 = (
         p
         - beta[0] * (beta[0] - 1) // 2
@@ -176,16 +177,9 @@ def a_vector_stable(beta: IntPartition, p: int) -> tuple[int, ...]:
     return tuple(a1 - i for i in range(len(beta)))
 
 
-def _stable_shape_count(beta: IntPartition, p: int) -> int:
-    a = a_vector_stable(beta, p)
-    if a[-1] < 1:
-        return 0
-    return gf_strict_coefficient(beta, a, p)
-
-
 def count_stable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
     """Stable ideals with bar list (p, h, k), plus the per-shape split."""
-    return _barlist_counts(p, h, k, lambda beta: _stable_shape_count(beta, p))
+    return _barlist_counts(p, h, k, lambda beta: gf_strict_coefficient(beta, p))
 
 
 def count_stable_3vars(p: int) -> BarListCensus:
@@ -218,11 +212,6 @@ def a_vectors_strongly(lam: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     return [tuple(reversed(c)) for c in combinations(_first_part_window(lam, p), len(lam))]
 
 
-def _sstable_shape_count(alpha: IntPartition, p: int) -> int:
-    lam = tuple(i + part for i, part in enumerate(alpha))
-    return gf_shifted_sum_coefficient(lam, p)
-
-
 def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount, ...]]:
     """Strongly stable ideals with bar list (p, h, k), plus the per-shape split.
 
@@ -234,7 +223,8 @@ def count_sstable_barlist(p: int, h: int, k: int) -> tuple[int, tuple[ShapeCount
     read as one digit of one Pfaffian (gf_shifted_sum_coefficient), a
     principal sub-Pfaffian of the census-wide matrix.
     """
-    return _barlist_counts(p, h, k, lambda alpha: _sstable_shape_count(alpha, p))
+    return _barlist_counts(p, h, k, lambda alpha: gf_shifted_sum_coefficient(
+        [i + part for i, part in enumerate(alpha)], p))
 
 
 def count_sstable_3vars(p: int) -> BarListCensus:

@@ -16,12 +16,10 @@ censuses instead read theirs from gauss_table, one table per p of every
 G(n, k) mod x^(p+1), built by q-Pascal and packed at one width for both
 classes: one bit more than the bit length of the number of plane partitions
 of p, which bounds every coefficient up to x^p of either class's generating
-functions.  gf_strict_coefficient takes a stable shape's count as one digit
-of one packed determinant on that table, and gf_shifted_sum_coefficient takes
-a strongly stable shape's as one digit of one packed Pfaffian: a principal
-sub-Pfaffian of one skew matrix per p (_shifted_census), built from that
-table with one hockey-stick sum per pair of rows, whose sub-Pfaffians one
-memo keeps for every shape of the census.
+functions.  gf_strict_coefficient and gf_shifted_sum_coefficient take a
+stable and a strongly stable shape's count as one digit of one packed
+sub-Pfaffian of one matrix per p and class (_strict_census, _shifted_census),
+built from that table, whose sub-Pfaffians one memo keeps for every shape.
 
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
@@ -39,12 +37,11 @@ together, so it is taken mod x^(top+1-P(S)), and its own terms carry at least
 x^Q(S), which is factored out.  That is exact because P(S - c) <= P(S) + e for
 every entry x^e g that multiplies the minor on S - c, so each minor holds
 every digit its parent reads.  det is the same route with every power 0.  The
-stable census writes gf_strict's matrix in closed form, every power >= 0, with
-entries from gauss_table.  gf_shifted_sum_coefficient takes a whole sum of
-shifted determinants, one per first-part vector, as a single Pfaffian (the
-minor summation formula) on the same kind of packed integers; _pfaffian
-takes each sub-Pfaffian mod x^(top_T+1), top_T the top of its own row set,
-so one memo serves shapes with different tops.
+censuses run no cofactor expansion: the minor summation formula makes a
+stable shape's determinant, and a strongly stable shape's sum of shifted ones
+over its first-part vectors, one Pfaffian each, on entries x^e g held as
+(e, g); _pfaffian keeps each sub-Pfaffian mod x^(top_of(T)+1), one rule per
+census for the most any shape reads of a row set T, so one memo serves all.
 """
 
 from __future__ import annotations
@@ -457,45 +454,43 @@ def _minor(rows: list[list[tuple[int, int]]], top: int, width: int) -> int:
     return value << low * width
 
 
-def _pfaffian(skew: list[list[int]], rowmask: int, memo: dict[int, int], top: int,
-              costs: Sequence[int], width: int) -> int:
-    """Packed Pfaffian, mod x^(top+1) at x = 2^width, of the skew matrix skew
-    restricted to the rows and columns in rowmask, expanded along its lowest
-    row i: the sum over the other rows j in rowmask, the n-th of them with
-    sign (-1)^(n-1), of skew[i][j] times the Pfaffian without i and j.  Only
-    entries above the diagonal are read.  An odd rowmask gives 0.
-
-    Each sub-Pfaffian is taken at its own precision: the one without i and j
-    mod x^(top+1+costs[i]+costs[j]), and memo keeps it under its rowmask.
-    So callers that share a memo pass top = t - (the sum of costs over
-    rowmask) for one t, and the result is exact if every entry (i, j) is
-    kept to at least x^(t - costs[i] - costs[j]): a row set's top only grows
-    as rows leave it, so each sub-Pfaffian holds every digit its parent reads.
-    Module-level, not nested in its caller, so that no reference cycle keeps
-    the memo alive."""
+def _pfaffian(skew: list[list], rowmask: int, memo: dict[int, int], top_of, width: int) -> int:
+    """Packed Pfaffian, mod x^(top_of(rowmask)+1) at x = 2^width, of the skew
+    matrix skew restricted to the rows and columns in rowmask, expanded along
+    its lowest row i: the sum over the other rows j in rowmask, the n-th of
+    them with sign (-1)^(n-1), of skew[i][j] times the Pfaffian without i and
+    j.  Entries are (e, g) for x^e g, g packed at width, or 0; only those
+    above the diagonal are read.  An odd set, or one whose top_of is below
+    0, gives 0.  Each product runs on the top + 1 - e digits that survive
+    x^e (_low_product), and memo keeps each sub-Pfaffian at its own top_of.
+    Digits of a set up to d need only those of the child without i and j up
+    to d - e, which its callers read too.  So it is exact if no caller reads
+    a set past its top_of, though a child's top_of may lie below its
+    parent's, and every entry holds the digits its row's sets read.
+    Module-level, so that no reference cycle keeps the memo alive."""
     if rowmask == 0:
         return 1
     got = memo.get(rowmask)
     if got is not None:
         return got
-    low = rowmask & -rowmask
-    rest = rowmask ^ low
-    i = low.bit_length() - 1
-    entries = skew[i]
-    rest_top = top + costs[i]
+    top = top_of(rowmask)
     acc = 0
-    sign = 1
-    left = rest
-    while left:
-        bit = left & -left
-        left ^= bit
-        j = bit.bit_length() - 1
-        entry = entries[j]
-        if entry:
-            term = entry * _pfaffian(skew, rest ^ bit, memo, rest_top + costs[j], costs, width)
-            acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    acc &= (1 << (top + 1) * width) - 1
+    if top >= 0:
+        low = rowmask & -rowmask
+        rest = rowmask ^ low
+        entries = skew[low.bit_length() - 1]
+        sign = 1
+        left = rest
+        while left:
+            bit = left & -left
+            left ^= bit
+            entry = entries[bit.bit_length() - 1]
+            if entry and entry[0] <= top:
+                child = _pfaffian(skew, rest ^ bit, memo, top_of, width)
+                term = _low_product(entry[1], child, entry[0], top, width)
+                acc = acc + term if sign > 0 else acc - term
+            sign = -sign
+        acc &= (1 << (top + 1) * width) - 1
     memo[rowmask] = acc
     return acc
 
@@ -602,37 +597,75 @@ def _strict_entries(
     return rows
 
 
-def gf_strict_coefficient(lam: Sequence[int], a: Sequence[int], p: int) -> int:
-    """The coefficient of x^p in gf_strict(lam, (0,)*r, a, (1,)*r, 1, 1, p):
-    the row- and column-strict arrays of shape lam and norm p with positive
-    entries whose first part in row i is at most a[i-1].
-
-    With mu = 0, b = 1 and c = d = 1, entry (s, t) of gf_strict's matrix
-    (0-based) is x^(R_s + lam_s t) G(a_t - s + t, lam_s - s + t), with
-    R_s = binomial(lam_s + 1, 2) - s lam_s.  R_s comes out of row s, leaving
-    powers lam_s t >= 0, and the count is the digit at x^top, top = p - sum
-    of R_s, of the determinant on gauss_table(p).  That is exact if
-    a_t + t <= p, as a_vector_stable gives, and top <= p, as every census
-    shape gives: each term that reaches x^top reads entry coefficients of
-    degree <= top <= p, and each digit up to x^top counts arrays of norm <= p.
-    Like gf_strict, it refuses a lam or an a that is not weakly decreasing
-    (with mu = 0 and c = d = 1, gf_strict's first-part chain says a is).
+def gf_strict_coefficient(lam: Sequence[int], p: int) -> int:
+    """The number of row- and column-strict arrays of shape lam, strictly
+    decreasing, and norm p with positive entries: the x^p coefficient of
+    gf_strict(lam, (0,)*r, (p - t)_t, (1,)*r, 1, 1, p), whose first-part
+    bounds cut no such array.  Entry (s, t) of that matrix (0-based) is
+    x^(R_s + lam_s t) G(p - s, lam_s - s + t), R_s = binomial(lam_s + 1, 2)
+    - s lam_s, the sum of j - s over the cells (s, j) of row s.  With R_s
+    out of row s, entry (s, t) depends on (s, lam_s) and t alone, so the
+    count is the digit at x^top, top = p - sum of R_s, of a sub-Pfaffian of
+    _strict_census(p).  The R_s sum to at least 1: cell (0, 1) weighs 1, and
+    cell (s, j), j < s, pairs with cell (j - 1, s + 1), of weight s - j + 2.
+    So each digit up to x^top counts arrays of norm below p.  A shape whose
+    least array has norm past p gives 0; the others have rows in the matrix.
     """
-    if any(first + t > p for t, first in enumerate(a)):
-        raise ValueError("first-part bounds reach past x^p")
-    if len(a) != len(lam):
-        raise ValueError("lam and a must share a length")
-    _check_monotone("shape", lam)
-    _check_monotone("first-part bounds", a)
-    top = p - sum(_choose2(part + 1) - s * part for s, part in enumerate(lam))
-    if top > p:
-        raise ValueError(f"shape {tuple(lam)}: its row powers sum to {p - top}, below zero")
-    if top < 0:
+    lam = tuple(lam)
+    r = len(lam)
+    if r == 0:
+        raise ValueError("lam must have a positive length")
+    if lam[-1] < 1 or any(a <= b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"shape {lam} must strictly decrease to a part of at least 1")
+    if sum(_choose2(part + 1) for part in lam) > p:
         return 0
+    width, rows, skew, memo, top_of = _strict_census(p)
+    rowmask = sum(1 << rows[s, part] for s, part in enumerate(lam)) | ((1 << r) - 1) << len(rows)
+    top = top_of(rowmask)
+    return (-1) ** _choose2(r) * _digit(_pfaffian(skew, rowmask, memo, top_of, width), top, width)
+
+
+@lru_cache(maxsize=1)
+def _strict_census(p: int) -> tuple:
+    """The matrix that holds every stable shape's determinant D at p, and
+    the memo of its sub-Pfaffians, as (width, rows, skew, memo, top_of),
+    packed as gauss_table(p).  Its rows are the labels (s, b), ordered by s,
+    of the parts b that row s of a shape that fits p can hold, rows[s, b]
+    the index of each, then one column t per row of the tallest such shape.
+    Entry (s, b; t) is x^(b t) G(p - s, b - s + t).  D is (-1)^binomial(r, 2)
+    times the sub-Pfaffian of [[0, D], [-D^t, 0]] on the shape's labels and
+    first r columns (Ishikawa and Wakayama; Stembridge).
+
+    A set T, its first label (s0, b0), lacks the columns c_0 < ... < c_(s0-1)
+    below s0 plus its label count, which the rows above it took.  Parts
+    strictly decrease, so those rows hold b_u >= b0 + s0 - u, and by the
+    rearrangement inequality they carry at least x^(the sum over u < s0 of
+    binomial(b_u + 1, 2) + b_u (c_u - u)), with their R.  top_of(T) is p
+    less that and the R of T's labels: no shape reads T past it.
+    """
     width, table = gauss_table(p)
-    rows = [[(part * t, _table_entry(table, first - s + t, part - s + t))
-             for t, first in enumerate(a)] for s, part in enumerate(lam)]
-    return _digit(_minor(rows, top, width), top, width)
+    bound = isqrt(2 * p)  # no part, and no row index, reaches past it
+    labels = [(s, b) for s in range(bound) for b in range(1, bound + 1)
+              if sum(_choose2(part + 1) for part in range(b, b + s + 1)) <= p]
+    rows = {label: i for i, label in enumerate(labels)}
+    columns = labels[-1][0] + 1
+    skew = [[0] * (len(labels) + columns) for _ in range(len(labels) + columns)]
+    for i, (s, b) in enumerate(labels):
+        for t in range(columns):
+            g = _table_entry(table, p - s, b - s + t)
+            skew[i][len(labels) + t] = (b * t, g) if g else 0
+    costs = [_choose2(b + 1) - s * b for s, b in labels]
+
+    def top_of(rowmask: int) -> int:
+        labelmask = rowmask & (1 << len(labels)) - 1
+        s0, b0 = labels[(labelmask & -labelmask).bit_length() - 1]
+        r = s0 + labelmask.bit_count()
+        taken = [c for c in range(r) if not rowmask >> len(labels) + c & 1]
+        top = p - sum(cost for cost, bit in zip(costs, bin(labelmask)[:1:-1]) if bit == "1")
+        return top - sum(_choose2(b0 + s0 - u + 1) + (b0 + s0 - u) * (c - u)
+                         for u, c in enumerate(taken))
+
+    return width, rows, skew, {}, top_of
 
 
 def gf_shifted(
@@ -712,10 +745,10 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     top = p - sum(m + _choose2(m) for m in ms)
     if top < 0:
         return 0
-    width, costs, skew, memo = _shifted_census(p)
+    width, skew, memo, top_of = _shifted_census(p)
     border = len(skew) - 1  # label m sits in row border - 1 - m
     rowmask = sum(1 << border - 1 - m for m in ms) | (r % 2) << border
-    return _digit(_pfaffian(skew, rowmask, memo, top, costs, width), top, width)
+    return _digit(_pfaffian(skew, rowmask, memo, top_of, width), top, width)
 
 
 def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
@@ -729,26 +762,27 @@ def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _shifted_census(p: int) -> tuple[int, list[int], list[list[int]], dict[int, int]]:
+def _shifted_census(p: int) -> tuple:
     """The skew matrix that holds every shape's T A T^t for
     gf_shifted_sum_coefficient at p, and the memo of its sub-Pfaffians, as
-    (width, costs, skew, memo), packed as gauss_table(p).
+    (width, skew, memo, top_of), packed as gauss_table(p).
 
     Its rows are the labels m = M, ..., 0, with M the largest label whose
-    c(M) = M(M+1)/2 is at most p, and a border row last; costs holds c(m)
-    for each label and 0 for the border, so a row set's top is p less its
-    costs.  With T_m(v) = x^v G(v-1, m) and C_m(w) = x^(m+1) G(w, m+1) the
-    sum of T_m(v) over 1 <= v <= w (the q-hockey-stick: q-Pascal
-    telescopes), entry (a, b) for labels a > b is
+    c(m) = m(m+1)/2 is at most p, and a border row last; top_of is p less
+    the c(m) of a row set's labels, which only grows as rows leave it.  With
+    T_m(v) = x^v G(v-1, m) and C_m(w) = x^(m+1) G(w, m+1) the sum of T_m(v)
+    over 1 <= v <= w (the q-hockey-stick: q-Pascal telescopes), entry (a, b)
+    for labels a > b is
 
         sum over w of T_b(w) (2 (C_a(p) - C_a(w)) + T_a(w)) - C_a(p) C_b(p)
             = C_a(p) C_b(p) - F_ab(p),
         F_ab(p) = sum over v <= p of T_b(v) (C_a(v) + C_a(v-1)),
 
-    kept mod x^(p+1-c(a)-c(b)), where T_b(v) vanishes for v <= b and each
-    term of F_ab for v + a + 1 > p - c(a) - c(b).  The border entry of row a
-    is C_a(p) mod x^(p+1-c(a)).  That holds every digit _pfaffian reads, and
-    a pair with c(a) + c(b) > p, in no shape that reaches x^p, is left 0.
+    held as (a+b+2, its quotient by x^(a+b+2)) mod x^(p+1-c(a)-c(b)), where
+    T_b(v) vanishes for v <= b and each term of F_ab for v + a + 1 >
+    p - c(a) - c(b).  The border entry of row a is (a+1, C_a(p) / x^(a+1)).
+    That holds every digit _pfaffian reads, and a pair that no shape reaching
+    x^p holds is left 0.
     """
     width, table = gauss_table(p)
     labels = range((isqrt(8 * p + 1) - 1) // 2, -1, -1)
@@ -757,15 +791,17 @@ def _shifted_census(p: int) -> tuple[int, list[int], list[list[int]], dict[int, 
     skew = [[0] * (border + 1) for _ in range(border + 1)]
     at_p = [_table_entry(table, p, m + 1) for m in labels]  # C_m(p) / x^(m+1)
     for i, a in enumerate(labels):
-        top_a = p - costs[i]
-        skew[i][border] = (at_p[i] << (a + 1) * width) & ((1 << (top_a + 1) * width) - 1)
+        skew[i][border] = (a + 1, at_p[i])
         for j in range(i + 1, border):
-            b, prec = labels[j], top_a - costs[j]
-            if prec < 0:
+            b = labels[j]
+            top = p - costs[i] - costs[j] - (a + b + 2)  # the quotient's last digit read
+            if top < 0:
                 continue
-            acc = _low_product(at_p[i], at_p[j], a + b + 2, prec, width)
-            for v in range(b + 1, prec - a):
+            acc = _low_product(at_p[i], at_p[j], 0, top, width)
+            for v in range(b + 1, top + b + 2):
                 pair = _table_entry(table, v, a + 1) + _table_entry(table, v - 1, a + 1)
-                acc -= _low_product(_table_entry(table, v - 1, b), pair, v + a + 1, prec, width)
-            skew[i][j] = acc & ((1 << (prec + 1) * width) - 1)
-    return width, costs, skew, {}
+                acc -= _low_product(_table_entry(table, v - 1, b), pair, v - b - 1, top, width)
+            acc &= (1 << (top + 1) * width) - 1
+            skew[i][j] = (a + b + 2, acc) if acc else 0
+    return width, skew, {}, lambda rowmask: p - sum(
+        cost for cost, bit in zip(costs, bin(rowmask)[:1:-1]) if bit == "1")

@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from escalier import counting
+from escalier import counting, qpolys
 from escalier.counting import (
     STABLE,
     STRONGLY_STABLE,
@@ -32,7 +32,10 @@ from escalier.partitions import (
 )
 from escalier.qpolys import (
     _plane_partition_count,
+    _strict_census,
     _strict_entries,
+    _table_entry,
+    gauss_table,
     gf_shifted,
     gf_strict,
 )
@@ -354,31 +357,48 @@ class TestStableCensus:
                     assert sc.count == _arrays(sc.shape, None, p, memo, False), (p, sc.shape)
 
     def test_closed_form_rows_match_the_strict_entries(self):
-        # gf_strict_coefficient writes entry (s, t) of gf_strict's matrix as
-        # x^(R_s + beta_s t) G(a_t - s + t, beta_s - s + t); the general
-        # builder gives the same n, k and power on every census shape
+        # with first parts p - t, entry (s, t) of gf_strict's matrix is
+        # x^(R_s + beta_s t) G(p - s, beta_s - s + t); the general builder
+        # gives the same n, k and power on every census shape that fits p,
+        # and the census matrix holds (beta_s t, G) on the label of row s
         shapes = 0
         for p in range(1, 61):
+            width, table = gauss_table(p)
+            _, labels, skew, _, _ = _strict_census(p)
             for (_, h, k) in bar_lists_3vars(p):
                 if k < 2:
                     continue
                 for beta in enumerate_distinct(h, k):
-                    a = a_vector_stable(beta, p)
-                    if a[-1] < 1:
+                    if minimal_sum(beta) > p:
                         continue
-                    rows = _strict_entries(beta, (0,) * k, a, (1,) * k, 1, 1)
+                    first = [p - t for t in range(k)]
+                    rows = _strict_entries(beta, (0,) * k, first, (1,) * k, 1, 1)
                     for s, row in enumerate(rows):
                         base = beta[s] * (beta[s] + 1) // 2 - s * beta[s]
                         assert row == [
-                            (base + beta[s] * t, a[t] - s + t, beta[s] - s + t) for t in range(k)
+                            (base + beta[s] * t, p - s, beta[s] - s + t) for t in range(k)
                         ], (p, beta, s)
+                        held = skew[labels[s, beta[s]]][len(labels):len(labels) + k]
+                        entries = [_table_entry(table, p - s, beta[s] - s + t) for t in range(k)]
+                        assert held == [(beta[s] * t, g) if g else 0
+                                        for t, g in enumerate(entries)], (p, beta, s)
                     shapes += 1
-        assert shapes == 3062
+        assert shapes == 2628
+
+    def test_census_takes_no_bound_vector_and_no_determinant(self, monkeypatch):
+        # every stable shape reads its count from the census-wide matrix
+        def refuse(*args):
+            raise AssertionError("called")
+        monkeypatch.setattr(counting, "a_vector_stable", refuse)
+        monkeypatch.setattr(qpolys, "_minor", refuse)
+        _strict_census.cache_clear()
+        assert count_stable_3vars(40).total == census(40, 3, STABLE).total > 0
 
     def test_row_powers_leave_the_digit_at_or_below_x_p(self):
         # gf_strict_coefficient reads x^(p - sum of R_s) and refuses a shape
-        # whose R_s sum below zero; every shape of every bar list at p = 300,
-        # hence at every p <= 300, sums to at least 3
+        # that does not strictly decrease, whose R_s can sum below zero;
+        # every shape of every bar list at p = 300, hence at every p <= 300,
+        # sums to at least 3
         sums = {
             beta: sum(part * (part + 1) // 2 - s * part for s, part in enumerate(beta))
             for (_, h, k) in bar_lists_3vars(300) if k > 1

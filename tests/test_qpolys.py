@@ -15,7 +15,7 @@ from escalier.counting import (
     a_vectors_strongly,
     bar_lists_3vars,
 )
-from escalier.partitions import enumerate_distinct, enumerate_plane_partitions
+from escalier.partitions import enumerate_distinct, enumerate_plane_partitions, minimal_sum
 from escalier.qpolys import (
     IntPoly,
     _digit,
@@ -25,6 +25,7 @@ from escalier.qpolys import (
     _plane_partition_count,
     _row_bases,
     _shifted_census,
+    _strict_census,
     _strict_entries,
     _table_entry,
     _unpack,
@@ -330,46 +331,64 @@ class TestPackUnpack:
 
 class TestGfStrictCoefficient:
     @pytest.mark.parametrize("shape,first", [
-        ((2, 1), (4, 3)), ((2, 2), (5, 4)), ((3, 1), (6, 5)), ((3, 2, 1), (5, 4, 3)),
+        ((2, 1), (4, 3)), ((4, 2), (7, 6)), ((3, 1), (6, 5)), ((3, 2, 1), (5, 4, 3)),
         ((4, 3, 2), (7, 6, 5)), ((5, 3, 2, 1), (9, 8, 7, 6)),
     ])
     def test_matches_the_truncated_generating_function(self, shape, first):
+        # against gf_strict with first parts p - t, and with the fixed bounds
+        # first wherever they are at least a_vector_stable's, so cut no array
         r = len(shape)
-        for p in range(max(first[t] + t for t in range(r)), 40):
-            want = gf_strict(shape, (0,) * r, first, (1,) * r, 1, 1, truncate_at=p)
-            assert gf_strict_coefficient(shape, first, p) == want.coefficient(p), (shape, p)
+        fixed = []
+        for p in range(40):
+            want = gf_strict(shape, (0,) * r, [p - t for t in range(r)], (1,) * r, 1, 1,
+                             truncate_at=p).coefficient(p)
+            assert gf_strict_coefficient(shape, p) == want, (shape, p)
+            if all(f >= a for f, a in zip(first, a_vector_stable(shape, p))):
+                got = gf_strict(shape, (0,) * r, first, (1,) * r, 1, 1, truncate_at=p)
+                assert got.coefficient(p) == want, (shape, p)
+                fixed.append(want)
+        assert max(fixed) >= 3
 
-    def test_rejects_bounds_past_the_table(self):
-        with pytest.raises(ValueError):
-            gf_strict_coefficient((2, 1), (4, 3), 3)
+    def test_rejects_an_empty_shape(self):
+        for p in (0, 5):
+            with pytest.raises(ValueError, match="lam must have a positive length"):
+                gf_strict_coefficient((), p)
 
-    def test_rejects_too_few_first_parts(self):
-        with pytest.raises(ValueError, match="share a length"):
-            gf_strict_coefficient((2, 1), (4,), 5)
-
-    def test_rejects_too_many_first_parts(self):
-        with pytest.raises(ValueError):
-            gf_strict_coefficient((2, 1), (4, 3, 9), 5)
+    def test_rejects_a_part_below_one(self):
+        for shape in ((0,), (2, 0), (3, 1, -1)):
+            with pytest.raises(ValueError, match="must strictly decrease"):
+                gf_strict_coefficient(shape, 10)
 
     def test_rejects_row_powers_below_zero(self):
-        # repeated parts: the R_s sum to -2, so x^12 would be read for p = 10
+        # repeated parts: the R_s sum to -2, so x^12 would be read for p = 10;
+        # every strictly decreasing shape sums to at least 1
         with pytest.raises(ValueError, match=r"shape \(1, 1, 1, 1\)"):
-            gf_strict_coefficient((1, 1, 1, 1), (4, 3, 2, 1), 10)
+            gf_strict_coefficient((1, 1, 1, 1), 10)
 
     def test_rejects_a_shape_that_is_not_decreasing(self):
-        # gf_strict refuses it too; read anyway, the determinant gives -1
+        # gf_strict refuses (1, 2); read anyway, the determinant gives -1.  A
+        # weakly decreasing shape has rows the precision rule assumes above
+        # it with a larger part, so it is refused too
         with pytest.raises(ValueError):
             gf_strict((1, 2), (0, 0), (4, 3), (1, 1), 1, 1, truncate_at=6)
-        with pytest.raises(ValueError, match="shape must be weakly decreasing"):
-            gf_strict_coefficient((1, 2), (4, 3), 6)
+        for shape in ((1, 2), (2, 2), (5, 3, 3)):
+            with pytest.raises(ValueError, match="must strictly decrease"):
+                gf_strict_coefficient(shape, 30)
 
-    def test_rejects_first_parts_that_are_not_decreasing(self):
-        # with mu = 0 and c = d = 1, gf_strict's first-part chain is a_i >= a_(i+1);
-        # read anyway, the determinant gives 2
-        with pytest.raises(ValueError):
-            gf_strict((2, 1), (0, 0), (3, 4), (1, 1), 1, 1, truncate_at=6)
-        with pytest.raises(ValueError, match="first-part bounds must be weakly decreasing"):
-            gf_strict_coefficient((2, 1), (3, 4), 6)
+    def test_a_shape_past_p_counts_zero(self):
+        # the least array of shape lam has norm minimal_sum(lam); below it no
+        # label need be in the matrix, and the generating function agrees
+        shapes = 0
+        for h in range(1, 16):
+            for k in range(1, 5):
+                for lam in enumerate_distinct(h, k):
+                    for p in range(max(0, minimal_sum(lam) - 3), minimal_sum(lam)):
+                        want = gf_strict(lam, (0,) * k, [p - t for t in range(k)], (1,) * k, 1, 1,
+                                         truncate_at=p).coefficient(p)
+                        assert gf_strict_coefficient(lam, p) == 0 == want, (lam, p)
+                    assert gf_strict_coefficient(lam, minimal_sum(lam)) == 1, lam
+                    shapes += 1
+        assert shapes == 135
 
 
 def rand_power_rows(rng, r, width, zero_share):
@@ -416,8 +435,10 @@ class TestPrunedMinor:
         assert _minor([[(2, 1)]], 1, width) == 0
 
     def test_census_shapes_match_the_full_precision_route(self):
-        # every stable shape with p <= 60 against its determinant taken with
-        # every minor to the full precision, as the census took it before
+        # every stable shape with p <= 60 against the per-shape route the
+        # census took before: a_vector_stable's bounds, one determinant per
+        # shape by _minor, and that determinant with every minor to the
+        # full precision
         shapes, beyond = 0, 0
         for p in range(1, 61):
             width, table = gauss_table(p)
@@ -426,7 +447,8 @@ class TestPrunedMinor:
                     continue
                 for beta in enumerate_distinct(h, k):
                     a = a_vector_stable(beta, p)
-                    if a[-1] < 1:
+                    if a[-1] < 1:  # the old route's zero without a determinant
+                        assert gf_strict_coefficient(beta, p) == 0, (p, beta)
                         continue
                     entries = _strict_entries(beta, (0,) * k, a, (1,) * k, 1, 1)
                     bases = _row_bases(entries)
@@ -436,7 +458,8 @@ class TestPrunedMinor:
                             for row, base in zip(entries, bases)]
                     assert top >= 0
                     want = _digit(full_det(rows, top, width), top, width)
-                    assert gf_strict_coefficient(beta, a, p) == want, (p, beta)
+                    assert _digit(_minor(rows, top, width), top, width) == want, (p, beta)
+                    assert gf_strict_coefficient(beta, p) == want, (p, beta)
                     least = least_power_sum(rows)
                     if least is None or least > top:  # _minor returns 0 at once
                         beyond += 1
@@ -795,13 +818,18 @@ def skew(upper, size):
     return m
 
 
+def as_pairs(m):
+    """Plain packed entries as _pfaffian's (0, g) pairs, 0 for a zero."""
+    return [[(0, g) if g else 0 for g in row] for row in m]
+
+
 class TestPfaffian:
     MASK = (1 << 64) - 1
 
     @staticmethod
     def pf(m, rowmask):
         # one 64-bit digit, every row at the same precision
-        return _pfaffian(m, rowmask, {}, 0, [0] * len(m), 64)
+        return _pfaffian(as_pairs(m), rowmask, {}, lambda rows: 0, 64)
 
     def test_two_by_two(self):
         for a12 in (0, 1, 7, -3):
@@ -829,15 +857,16 @@ class TestPfaffian:
             m = [[IntPoly.zero()] * 6 for _ in range(6)]
             for (i, j), e in upper.items():
                 m[i][j], m[j][i] = e, e * IntPoly.const(-1)
-            packed = [[_pack(e.coeffs, width) & mask for e in row] for row in m]
-            pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, top, [0] * 6, width),
+            packed = as_pairs([[_pack(e.coeffs, width) & mask for e in row] for row in m])
+            pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, lambda rows: top, width),
                                  top + 1, width))
             assert pf * pf == det(m), seed
 
     def test_rows_with_costs_keep_each_set_at_its_own_precision(self):
         # one memo over the sets of a 6 x 6 matrix, row i costing costs[i]:
         # every set's Pfaffian holds the digits up to x^(t - its costs), read
-        # in any order, with each entry kept only as far as the costs allow
+        # in any order, with each entry x^e g kept only as far as the costs
+        # allow and g cut to the digits that survive x^e
         width, t = 64, 12
         costs = [3, 0, 2, 1, 4, 0]
         for seed in range(5):
@@ -846,21 +875,46 @@ class TestPfaffian:
             packed = [[0] * 6 for _ in range(6)]
             for i in range(6):
                 for j in range(i + 1, 6):
-                    e = rand_poly(rng, 6)
-                    full[i][j], full[j][i] = e, e * IntPoly.const(-1)
-                    keep = t - costs[i] - costs[j]
-                    packed[i][j] = _pack(e.coeffs[:keep + 1], width)
+                    e, g = rng.randint(0, 3), rand_poly(rng, 6)
+                    entry = g.shift(e)
+                    full[i][j], full[j][i] = entry, entry * IntPoly.const(-1)
+                    keep = t - costs[i] - costs[j] - e
+                    if g and keep >= 0:
+                        packed[i][j] = (e, _pack(g.coeffs[:keep + 1], width))
             memo = {}
             sets = [s for s in range(1, 64) if bin(s).count("1") % 2 == 0]
             rng.shuffle(sets)
+            def top_of(rows):
+                return t - sum(costs[i] for i in range(6) if rows >> i & 1)
             for rows in sets:
-                top = t - sum(costs[i] for i in range(6) if rows >> i & 1)
-                got = _pfaffian(packed, rows, memo, top, costs, width)
+                top = top_of(rows)
+                got = _pfaffian(packed, rows, memo, top_of, width)
                 index = [i for i in range(6) if rows >> i & 1]
                 sub = [[full[i][j] for j in index] for i in index]
                 pf = pfaffian_by_expansion(sub)
                 assert _unpack(got, top + 1, width) == [pf.coefficient(k) for k in range(top + 1)]
                 assert pf * pf == det(sub)
+
+    def test_bipartite_matrix_gives_the_determinant(self):
+        # the Pfaffian of [[0, D], [-D^t, 0]] is (-1)^binomial(r, 2) det D,
+        # on (e, g) entries at one precision, against the full-precision
+        # expansion of the determinant
+        rng = random.Random(27)
+        seen = {"zero": 0, "nonzero": 0}
+        for _ in range(300):
+            r = rng.randint(1, 6)
+            width = rng.choice((3, 8, 21))
+            rows, _ = rand_power_rows(rng, r, width, rng.choice((0.0, 0.2, 0.5)))
+            top = rng.randint(0, 14)
+            bipartite = [[0] * (2 * r) for _ in range(2 * r)]
+            for i, row in enumerate(rows):
+                bipartite[i][r:] = [(e, g) if g else 0 for e, g in row]
+            got = _pfaffian(bipartite, (1 << 2 * r) - 1, {}, lambda mask: top, width)
+            want = (-1) ** (r * (r - 1) // 2) * full_det(rows, top, width)
+            digits = _unpack(want, top + 1, width)
+            assert _unpack(got, top + 1, width) == digits, (rows, top)
+            seen["nonzero" if any(digits) else "zero"] += 1
+        assert min(seen.values()) > 50, seen
 
 
 def pfaffian_by_expansion(m):
@@ -950,8 +1004,8 @@ def shape_pfaffian(skew, p, top):
     """The digit at x^top of the Pfaffian of one shape's own matrix, every
     sub-Pfaffian at that one precision: the per-shape route."""
     width, _ = gauss_table(p)
-    size = len(skew)
-    return _digit(_pfaffian(skew, (1 << size) - 1, {}, top, [0] * size, width), top, width)
+    full = (1 << len(skew)) - 1
+    return _digit(_pfaffian(as_pairs(skew), full, {}, lambda rows: top, width), top, width)
 
 
 def shifted_rows(lam):
@@ -961,11 +1015,12 @@ def shifted_rows(lam):
 def census_submatrix(ms, p, top):
     """The principal submatrix of _shifted_census(p)'s matrix on a shape's
     labels, with the border for odd r, reduced mod x^(top+1)."""
-    width, _, skew, _ = _shifted_census(p)
+    width, skew, _, _ = _shifted_census(p)
     border = len(skew) - 1
     index = [border - 1 - m for m in ms] + [border] * (len(ms) % 2)
     mask = (1 << (top + 1) * width) - 1
-    return [[skew[i][j] & mask for j in index] for i in index]
+    return [[(skew[i][j][1] << skew[i][j][0] * width) & mask if skew[i][j] else 0
+             for j in index] for i in index]
 
 
 def census_shapes(p):
@@ -1042,4 +1097,68 @@ class TestHockeyStickEntries:
         backward = [gf_shifted_sum_coefficient(lam, p) for lam in reversed(shapes)][::-1]
         assert gf_shifted_sum_coefficient((4, 4), 28) == vector_sum((4, 4), 28, 28)
         again = [gf_shifted_sum_coefficient(lam, p) for lam in shapes]
+        assert backward == fresh == again and any(fresh)
+
+
+def stable_census_shapes(p):
+    """Every stable census shape with k >= 2 rows at p."""
+    for (_, h, k) in bar_lists_3vars(p):
+        if k > 1:
+            yield from enumerate_distinct(h, k)
+
+
+class TestStrictCensus:
+    def test_labels_are_the_rows_of_the_shapes_that_fit(self):
+        # the matrix holds a label (s, b) exactly when some strictly
+        # decreasing shape whose least array fits p has b in row s
+        for p in range(1, 41):
+            _, rows, _, _, _ = _strict_census(p)
+            want = {(s, part) for h in range(1, p + 1) for k in range(1, h + 1)
+                    for lam in enumerate_distinct(h, k) if minimal_sum(lam) <= p
+                    for s, part in enumerate(lam)}
+            assert set(rows) == want, p
+            assert list(rows.values()) == list(range(len(rows)))
+            assert [s for s, _ in rows] == sorted(s for s, _ in rows)
+
+    def test_tops_hold_every_digit_a_shape_reads(self):
+        # walking each shape's expansion, set by set, the digit each set is
+        # read to is at most its top_of; some sets' tops fall below their
+        # parent's
+        p = 60
+        _, rows, skew, _, top_of = _strict_census(p)
+        falls, reads = 0, 0
+        for beta in stable_census_shapes(p):
+            if minimal_sum(beta) > p:
+                continue
+            r = len(beta)
+            root = sum(1 << rows[s, part] for s, part in enumerate(beta))
+            root |= ((1 << r) - 1) << len(rows)
+            level = {root: top_of(root)}  # set: the last digit any path reads
+            while level:
+                below = {}
+                for rowmask, read in level.items():
+                    assert read <= top_of(rowmask), (beta, rowmask)
+                    low = rowmask & -rowmask
+                    entries = skew[low.bit_length() - 1]
+                    for j in range(len(rows), len(skew)):
+                        if rowmask >> j & 1 and entries[j] and read >= entries[j][0]:
+                            child = rowmask ^ low ^ 1 << j
+                            if child:
+                                below[child] = max(below.get(child, -1), read - entries[j][0])
+                                falls += top_of(child) < top_of(rowmask)
+                                reads += 1
+                level = below
+        assert falls > 0 and reads > 1000, (falls, reads)
+
+    def test_memo_does_not_depend_on_call_order(self):
+        # the memo of one p filled backwards, then rebuilt after a call at
+        # another p, against counts from a cleared cache
+        p = 60
+        shapes = list(stable_census_shapes(p))
+        _strict_census.cache_clear()
+        fresh = [gf_strict_coefficient(beta, p) for beta in shapes]
+        _strict_census.cache_clear()
+        backward = [gf_strict_coefficient(beta, p) for beta in reversed(shapes)][::-1]
+        assert gf_strict_coefficient((3, 1), 10) == 6
+        again = [gf_strict_coefficient(beta, p) for beta in shapes]
         assert backward == fresh == again and any(fresh)
