@@ -16,10 +16,7 @@ censuses instead read theirs from gauss_table, one table per p of every
 G(n, k) mod x^(p+1), built by q-Pascal and packed at one width for both
 classes: one bit more than the bit length of the number of plane partitions
 of p, which bounds every coefficient up to x^p of either class's generating
-functions.  gf_strict_coefficient and gf_shifted_sum_coefficient take a
-stable and a strongly stable shape's count as one digit of one packed
-sub-Pfaffian of one matrix per p and class (_strict_census, _shifted_census),
-built from that table, whose sub-Pfaffians one memo keeps for every shape.
+functions.
 
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
@@ -28,20 +25,22 @@ collected power t is reapplied at the end.  gf_strict and gf_shifted work
 modulo x^(top+1), top the degree bound clipped to T - t, T their truncation
 degree, and ask each Gaussian binomial only for the degree its place reaches;
 _packed_det packs the entries into Python integers by x -> 2^B (Kronecker
-substitution), so the memoised cofactor expansion (_minor) runs on plain
-integers and CPython's Karatsuba does the products.  Each entry reaches _minor
-as its packed value and its power apart, and _minor keeps of every minor only
-the digits that can still reach x^top: the minor on a column set S is
-multiplied by entries of the rows above it, which carry at least x^P(S)
-together, so it is taken mod x^(top+1-P(S)), and its own terms carry at least
-x^Q(S), which is factored out.  That is exact because P(S - c) <= P(S) + e for
-every entry x^e g that multiplies the minor on S - c, so each minor holds
-every digit its parent reads.  det is the same route with every power 0.  The
-censuses run no cofactor expansion: the minor summation formula makes a
-stable shape's determinant, and a strongly stable shape's sum of shifted ones
-over its first-part vectors, one Pfaffian each, on entries x^e g held as
-(e, g); _pfaffian keeps each sub-Pfaffian mod x^(top_of(T)+1), one rule per
-census for the most any shape reads of a row set T, so one memo serves all.
+substitution), so the expansion runs on plain integers and CPython's
+Karatsuba does the products.  det is the same route with every power 0.
+
+There is one expansion, the memoised Pfaffian _pfaffian, on entries x^e g
+held as (e, g).  Its memo keeps the sub-Pfaffian on a row set T as x^q times
+a value cut to the digits up to x^top_of(T), q the least power among its
+terms, and each caller's rule top_of bounds what it reads of T.  There are
+three rules.  A determinant D (_packed_minor) is (-1)^binomial(r, 2) times
+the Pfaffian of [[0, D], [-D^t, 0]] (the minor summation formula: Ishikawa
+and Wakayama; Stembridge); its set on the column set S is multiplied by
+entries of the rows above it, which carry at least x^P(S), so its top_of is
+top - P(S).  The stable census reads each shape's determinant, and the
+strongly stable census each shape's sum of shifted ones over its first-part
+vectors, as one digit of one sub-Pfaffian of one matrix per p built from
+gauss_table (_strict_census, _shifted_census), whose top_of is the most any
+shape reads of T, so one memo serves every shape.
 """
 
 from __future__ import annotations
@@ -309,14 +308,14 @@ def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[
     row's largest entry degree, a bound on the degree.
 
     The ring map x -> 2^B takes Z[x]/(x^(top+1)) onto Z/2^((top+1)B), so
-    each poly is packed once into an integer, unshifted, and _minor takes
-    the determinant on those, with no division.  Each coefficient of the
-    determinant is at most the permanent of the entries' norms (sums of |c|
-    over degrees <= top), hence at most the product over rows of each row's
-    summed norms.  B is one bit more than that product's bit length, so each
-    coefficient is one digit of the result in balanced base 2^B: _minor's
-    value is congruent to the determinant mod x^(top+1), which fixes those
-    digits.
+    each poly is packed once into an integer, unshifted, and _packed_minor
+    takes the determinant on those, with no division.  Each coefficient of
+    the determinant is at most the permanent of the entries' norms (sums of
+    |c| over degrees <= top), hence at most the product over rows of each
+    row's summed norms.  B is one bit more than that product's bit length,
+    so each coefficient is one digit of the result in balanced base 2^B:
+    _packed_minor's value is congruent to the determinant mod x^(top+1),
+    which fixes those digits.
     """
     reach = sum(max((e + poly.degree for e, poly in row if poly), default=0) for row in rows)
     top = reach if top is None else min(top, reach)
@@ -328,7 +327,7 @@ def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[
          for e, poly in row]
         for row in rows
     ]
-    return _unpack(_minor(packed, top, width), top + 1, width)
+    return _unpack(_packed_minor(packed, top, width), top + 1, width)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -368,35 +367,20 @@ def _digit(value: int, index: int, width: int) -> int:
     return digit - (1 << width) if digit >> (width - 1) else digit
 
 
-def _minor(rows: list[list[tuple[int, int]]], top: int, width: int) -> int:
-    """A value congruent mod x^(top+1) to the determinant of the matrix of
+def _packed_minor(rows: list[list[tuple[int, int]]], top: int, width: int) -> int:
+    """A value congruent mod x^(top+1) to the determinant D of the matrix of
     entries x^e g, given as rows of (e, g) with g packed at width and e >= 0
-    where g is nonzero (g = 0 is a zero entry), by cofactor expansion along
-    the first row, memoised over the minors on the last |S| rows and a
-    column set S.
-
-    Each minor keeps only the digits that can still reach x^top.  From
-    above: the minor on S is multiplied by entries of the rows above it,
-    which take the other columns, so it carries at least x^P(S), with P(S)
-    the least sum of their powers over the ways those rows can take those
-    columns through nonzero entries.  One pass over the column masks in
-    decreasing numeric order fills P, from P(all) = 0 by P(S - c) =
-    min(P(S - c), P(S) + e) over the nonzero entries x^e g in row r - |S|:
-    removing a column always gives a smaller mask, so every parent comes
-    first.  The minor on S is then taken mod x^(top+1-P(S)), d digits, and a
-    term with e >= d is left out.  From below: the terms of the minor on S
-    carry at least x^Q(S), Q(S) the least of e + Q(S - c) over them, so it is
-    kept as x^Q(S) times a value of d - Q(S) digits, and each term multiplies
-    g and the kept value on S - c, both cut to the d - e - Q(S - c) digits
-    that survive their shift.
-
-    That is exact because P(S - c) <= P(S) + e: the minor on S - c holds
-    d(S - c) >= d - e digits, every digit its parent reads.  If P(empty) >
-    top, no term reaches x^top and the value is 0 without an expansion.
-    Each minor is cut to its digits once its terms are summed, so cutting a
-    term's factors, and a product before its shift, only saves time; a
-    factor already that short is left as it is, since a cut copies it.
-    """
+    where g is nonzero (g = 0 is a zero entry): (-1)^binomial(r, 2) times
+    the Pfaffian of [[0, D], [-D^t, 0]].  Each set _pfaffian reaches is the
+    rows of D from r - |S| on and a column set S; the rows above took the
+    other columns, so they carry at least x^P(S), P(S) the least sum of
+    their powers through nonzero entries, and the set is kept mod
+    x^(top+1-P(S)).  One pass over the column masks in decreasing numeric
+    order fills P, from P(all) = 0 by P(S - c) = min(P(S - c), P(S) + e) over
+    the nonzero entries x^e g in row r - |S|: removing a column always gives
+    a smaller mask, so every parent comes first.  That is exact because
+    P(S - c) <= P(S) + e: the set on S - c holds every digit its parent
+    reads.  If P(empty) > top, no term reaches x^top and the value is 0."""
     r = len(rows)
     full = (1 << r) - 1
     least = [top + 1] * (full + 1)  # P, with top + 1 standing for "beyond x^top"
@@ -414,71 +398,50 @@ def _minor(rows: list[list[tuple[int, int]]], top: int, width: int) -> int:
                     least[colmask ^ bit] = base + e
     if least[0] > top:
         return 0
-    minors = {0: (0, 1)}  # colmask: (Q, the minor / x^Q mod x^(top+1-P-Q))
-    keeps: dict[int, int] = {}  # 2^bits - 1 for each bits, built once per call
-    for colmask in range(1, full + 1):
-        digits = top + 1 - least[colmask]
-        if digits <= 0:
-            continue
-        row = rows[r - bin(colmask).count("1")]
-        low = digits
-        acc = 0
-        sign = 1
-        for col in range(r):
-            bit = 1 << col
-            if not colmask & bit:
-                continue
-            e, g = row[col]
-            if g and e < digits:
-                q, minor = minors[colmask ^ bit]
-                power = e + q
-                if power < digits:
-                    span = (digits - power) * width
-                    keep = keeps.get(span) or keeps.setdefault(span, (1 << span) - 1)
-                    if minor.bit_length() > span:
-                        minor &= keep
-                    if g.bit_length() > span:
-                        g &= keep
-                    term = g * minor
-                    if power:  # a shift by 0 would still copy
-                        term = (term & keep) << power * width
-                    acc = acc + term if sign > 0 else acc - term
-                    if power < low:
-                        low = power
-            sign = -sign
-        if low:  # every term is a multiple of x^low, so the shift divides exactly
-            acc >>= low * width
-        span = (digits - low) * width
-        minors[colmask] = low, acc & (keeps.get(span) or keeps.setdefault(span, (1 << span) - 1))
-    low, value = minors[full]
+    skew = [[0] * r + [(e, g) if g else 0 for e, g in row] for row in rows] + [[0] * (2 * r)] * r
+    value = _pfaffian(skew, (1 << 2 * r) - 1, {}, lambda rowmask: top - least[rowmask >> r], width)
+    return -value if _choose2(r) % 2 else value
+
+
+def _pfaffian(skew: list[list], rowmask: int, memo: dict[int, tuple], top_of, width: int) -> int:
+    """Packed Pfaffian, as a nonnegative residue mod x^(top_of(rowmask)+1) at
+    x = 2^width, of the skew matrix skew restricted to the rows and columns
+    in rowmask.  Entries are (e, g) for x^e g, g packed at width, or 0; only
+    those above the diagonal are read.  memo keeps each sub-Pfaffian as
+    _kept_pfaffian leaves it, at its own top_of.  It is exact if no caller
+    reads a set past its top_of, though a child's top_of may lie below its
+    parent's, and every entry holds the digits its row's sets read."""
+    low, value = _kept_pfaffian(skew, rowmask, memo, top_of, width)
+    if value < 0:
+        value += 1 << (top_of(rowmask) + 1 - low) * width
     return value << low * width
 
 
-def _pfaffian(skew: list[list], rowmask: int, memo: dict[int, int], top_of, width: int) -> int:
-    """Packed Pfaffian, mod x^(top_of(rowmask)+1) at x = 2^width, of the skew
-    matrix skew restricted to the rows and columns in rowmask, expanded along
-    its lowest row i: the sum over the other rows j in rowmask, the n-th of
-    them with sign (-1)^(n-1), of skew[i][j] times the Pfaffian without i and
-    j.  Entries are (e, g) for x^e g, g packed at width, or 0; only those
-    above the diagonal are read.  An odd set, or one whose top_of is below
-    0, gives 0.  Each product runs on the top + 1 - e digits that survive
-    x^e (_low_product), and memo keeps each sub-Pfaffian at its own top_of.
-    Digits of a set up to d need only those of the child without i and j up
-    to d - e, which its callers read too.  So it is exact if no caller reads
-    a set past its top_of, though a child's top_of may lie below its
-    parent's, and every entry holds the digits its row's sets read.
+def _kept_pfaffian(
+    skew: list[list], rowmask: int, memo: dict[int, tuple], top_of, width: int
+) -> tuple[int, int]:
+    """The Pfaffian on rowmask as memo keeps it: (q, v), congruent to x^q v
+    mod x^(top+1), top = top_of(rowmask), v cut to top + 1 - q digits by
+    _cut, so a negative v stays short; a zero one, such as that of an odd
+    set or of one whose top is below 0, is (0, 0).  Expanded along its
+    lowest row i: the sum over the other rows j in rowmask, the n-th of them
+    with sign (-1)^(n-1), of skew[i][j] times the Pfaffian without i and j.
+    A term x^e g x^q' v' runs on the digits of g and v' that survive
+    x^(e + q'), and q is the least such power.  Digits of a set up to d need
+    only those of the child up to d - e, which its callers read too.
     Module-level, so that no reference cycle keeps the memo alive."""
     if rowmask == 0:
-        return 1
+        return 0, 1
     got = memo.get(rowmask)
     if got is not None:
         return got
     top = top_of(rowmask)
+    low = top + 1  # acc is the sum over x^low
     acc = 0
     if top >= 0:
-        low = rowmask & -rowmask
-        rest = rowmask ^ low
-        entries = skew[low.bit_length() - 1]
+        first = rowmask & -rowmask
+        rest = rowmask ^ first
+        entries = skew[first.bit_length() - 1]
         sign = 1
         left = rest
         while left:
@@ -486,13 +449,40 @@ def _pfaffian(skew: list[list], rowmask: int, memo: dict[int, int], top_of, widt
             left ^= bit
             entry = entries[bit.bit_length() - 1]
             if entry and entry[0] <= top:
-                child = _pfaffian(skew, rest ^ bit, memo, top_of, width)
-                term = _low_product(entry[1], child, entry[0], top, width)
-                acc = acc + term if sign > 0 else acc - term
+                e, g = entry
+                q, child = _kept_pfaffian(skew, rest ^ bit, memo, top_of, width)
+                power = e + q
+                if child and power <= top:
+                    if power < low:
+                        acc <<= (low - power) * width
+                        low = power
+                    term = _low_product(g, child, power - low, top - low, width)
+                    acc = acc + term if sign > 0 else acc - term
             sign = -sign
-        acc &= (1 << (top + 1) * width) - 1
-    memo[rowmask] = acc
-    return acc
+    memo[rowmask] = kept = (low, _cut(acc, (top + 1 - low) * width)) if acc else (0, 0)
+    return kept
+
+
+def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
+    """A value congruent to x^power f g mod x^(top+1), for f and g packed at
+    width: the product runs on the top + 1 - power digits that survive the
+    shift, each factor cut by _cut, so a negative one stays negative."""
+    span = (top + 1 - power) * width
+    if span <= 0:
+        return 0
+    product = _cut(f, span) * _cut(g, span)
+    if power:  # a shift by 0 would still copy
+        product = _cut(product, span) << power * width
+    return product
+
+
+def _cut(value: int, bits: int) -> int:
+    """value mod 2^bits, with value's sign, so a negative value does not fill
+    all bits; a value already that short is left as is, as a cut copies."""
+    if value.bit_length() <= bits:
+        return value
+    keep = (1 << bits) - 1
+    return value & keep if value >= 0 else -(-value & keep)
 
 
 def _choose2(m: int) -> int:
@@ -622,7 +612,8 @@ def gf_strict_coefficient(lam: Sequence[int], p: int) -> int:
     width, rows, skew, memo, top_of = _strict_census(p)
     rowmask = sum(1 << rows[s, part] for s, part in enumerate(lam)) | ((1 << r) - 1) << len(rows)
     top = top_of(rowmask)
-    return (-1) ** _choose2(r) * _digit(_pfaffian(skew, rowmask, memo, top_of, width), top, width)
+    pf = _pfaffian(skew, rowmask, memo, top_of, width)
+    return _guarded((-1) ** _choose2(r) * _digit(pf, top, width), lam, p)
 
 
 @lru_cache(maxsize=1)
@@ -748,17 +739,18 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     width, skew, memo, top_of = _shifted_census(p)
     border = len(skew) - 1  # label m sits in row border - 1 - m
     rowmask = sum(1 << border - 1 - m for m in ms) | (r % 2) << border
-    return _digit(_pfaffian(skew, rowmask, memo, top_of, width), top, width)
+    pf = _pfaffian(skew, rowmask, memo, top_of, width)
+    return _guarded(_digit(pf, top, width), lam, p)
 
 
-def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
-    """x^power f g mod x^(top+1), for f and g packed at width: the product
-    runs on the top + 1 - power digits that survive the shift."""
-    digits = top + 1 - power
-    if digits <= 0:
-        return 0
-    keep = (1 << digits * width) - 1
-    return ((f & keep) * (g & keep) & keep) << power * width
+def _guarded(count: int, lam: tuple, p: int) -> int:
+    """A shape's count as read from its digit, refused if negative: the
+    only way a count that overflowed gauss_table's width can show."""
+    if count < 0:
+        raise ArithmeticError(
+            f"shape {lam} at p = {p} read the count {count}: a digit overflowed the packed width"
+        )
+    return count
 
 
 @lru_cache(maxsize=1)

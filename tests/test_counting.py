@@ -32,6 +32,7 @@ from escalier.partitions import (
 )
 from escalier.qpolys import (
     _plane_partition_count,
+    _shifted_census,
     _strict_census,
     _strict_entries,
     _table_entry,
@@ -390,7 +391,7 @@ class TestStableCensus:
         def refuse(*args):
             raise AssertionError("called")
         monkeypatch.setattr(counting, "a_vector_stable", refuse)
-        monkeypatch.setattr(qpolys, "_minor", refuse)
+        monkeypatch.setattr(qpolys, "_packed_minor", refuse)
         _strict_census.cache_clear()
         assert count_stable_3vars(40).total == census(40, 3, STABLE).total > 0
 
@@ -505,6 +506,24 @@ class TestStronglyStableCensus:
                         lam, True, 1, 0, None, (1,) * k, p
                     ):
                         assert pp.rows in strict_flats
+
+
+class TestCensusMemos:
+    def test_each_sub_pfaffian_is_kept_short(self):
+        # every memo entry is (q, v), the sub-Pfaffian over x^q, with v cut
+        # to the top_of(T) + 1 - q digits its readers can reach; a negative
+        # v stays negative, so it does not fill all of them
+        for census_of, kind, total in ((_strict_census, STABLE, 9720037),
+                                       (_shifted_census, STRONGLY_STABLE, 2732870)):
+            census_of.cache_clear()
+            assert census(60, 3, kind).total == total
+            width, *_, memo, top_of = census_of(60)
+            assert len(memo) > 100
+            negative = 0
+            for rowmask, (q, v) in memo.items():
+                assert v == 0 or abs(v).bit_length() <= (top_of(rowmask) + 1 - q) * width, rowmask
+                negative += v < 0
+            assert negative, kind
 
 
 class TestClosedForm:

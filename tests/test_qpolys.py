@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escalier import qpolys
 from escalier.counting import (
     _first_part_window,
     a_vector_stable,
@@ -19,8 +21,8 @@ from escalier.partitions import enumerate_distinct, enumerate_plane_partitions, 
 from escalier.qpolys import (
     IntPoly,
     _digit,
-    _minor,
     _pack,
+    _packed_minor,
     _pfaffian,
     _plane_partition_count,
     _row_bases,
@@ -72,8 +74,8 @@ def det_by_permutations(matrix):
 
 
 def full_minor(packed, colmask, cache, mask):
-    """_minor's oracle: the cofactor expansion with every minor to the full
-    precision of mask, on entries packed with their power shifted in."""
+    """_packed_minor's oracle: the cofactor expansion with every minor to the
+    full precision of mask, on entries packed with their power shifted in."""
     if colmask == 0:
         return 1
     if colmask not in cache:
@@ -90,7 +92,7 @@ def full_minor(packed, colmask, cache, mask):
 
 
 def full_det(rows, top, width):
-    """full_minor's determinant of the (e, g) rows that _minor takes."""
+    """full_minor's determinant of the (e, g) rows that _packed_minor takes."""
     mask = (1 << (top + 1) * width) - 1
     packed = [[(g << e * width) & mask if g else 0 for e, g in row] for row in rows]
     return full_minor(packed, (1 << len(rows)) - 1, {}, mask)
@@ -391,6 +393,34 @@ class TestGfStrictCoefficient:
         assert shapes == 135
 
 
+def read_as(digit):
+    """A stand-in for _pfaffian whose digit at the set's top is digit: what a
+    count that overflowed gauss_table's width would read."""
+    def pfaffian(skew, rowmask, memo, top_of, width):
+        top = top_of(rowmask)
+        return (digit << top * width) & (1 << (top + 1) * width) - 1
+    return pfaffian
+
+
+class TestDigitGuard:
+    def test_stable_reader_refuses_a_negative_count(self, monkeypatch):
+        # the guard reads the count after the sign (-1)^binomial(r, 2)
+        for shape, sign in (((3,), 1), ((2, 1), -1), ((3, 2, 1), -1), ((4, 3, 2, 1), 1)):
+            monkeypatch.setattr(qpolys, "_pfaffian", read_as(sign))
+            assert gf_strict_coefficient(shape, 20) == 1
+            monkeypatch.setattr(qpolys, "_pfaffian", read_as(-sign))
+            with pytest.raises(ArithmeticError, match=rf"shape {re.escape(str(shape))} at p = 20"):
+                gf_strict_coefficient(shape, 20)
+
+    def test_strongly_stable_reader_refuses_a_negative_count(self, monkeypatch):
+        for shape in ((3,), (4, 3), (5, 4, 3)):
+            monkeypatch.setattr(qpolys, "_pfaffian", read_as(1))
+            assert gf_shifted_sum_coefficient(shape, 20) == 1
+            monkeypatch.setattr(qpolys, "_pfaffian", read_as(-1))
+            with pytest.raises(ArithmeticError, match=rf"shape {re.escape(str(shape))} at p = 20"):
+                gf_shifted_sum_coefficient(shape, 20)
+
+
 def rand_power_rows(rng, r, width, zero_share):
     """An r x r matrix of x^power g with powers from -4 to 12 and random
     packed g, some zero, factored like _row_bases: (rows of (e, g), the
@@ -413,7 +443,7 @@ class TestPrunedMinor:
             top = rng.randint(0, 14) - taken  # reading x^T of the unfactored matrix
             if top < 0:
                 continue
-            got, want = _minor(rows, top, width), full_det(rows, top, width)
+            got, want = _packed_minor(rows, top, width), full_det(rows, top, width)
             assert _unpack(got, top + 1, width) == _unpack(want, top + 1, width), (rows, top)
             entries = [e for row in rows for e in row]
             seen["zero"] += any(g == 0 for _, g in entries)
@@ -429,15 +459,15 @@ class TestPrunedMinor:
     def test_a_matrix_whose_terms_all_lie_past_top(self):
         width = 8
         rows = [[(3, 1), (5, 1)], [(4, 1), (2, 1)]]  # the determinant is x^5 - x^9
-        assert _minor(rows, 4, width) == 0 == full_det(rows, 4, width)
-        assert _unpack(_minor(rows, 5, width), 6, width) == [0] * 5 + [1]
-        assert _minor([[(0, 0), (0, 7)], [(0, 0), (0, 5)]], 3, width) == 0
-        assert _minor([[(2, 1)]], 1, width) == 0
+        assert _packed_minor(rows, 4, width) == 0 == full_det(rows, 4, width)
+        assert _unpack(_packed_minor(rows, 5, width), 6, width) == [0] * 5 + [1]
+        assert _packed_minor([[(0, 0), (0, 7)], [(0, 0), (0, 5)]], 3, width) == 0
+        assert _packed_minor([[(2, 1)]], 1, width) == 0
 
     def test_census_shapes_match_the_full_precision_route(self):
         # every stable shape with p <= 60 against the per-shape route the
         # census took before: a_vector_stable's bounds, one determinant per
-        # shape by _minor, and that determinant with every minor to the
+        # shape by _packed_minor, and that determinant with every minor to the
         # full precision
         shapes, beyond = 0, 0
         for p in range(1, 61):
@@ -458,10 +488,10 @@ class TestPrunedMinor:
                             for row, base in zip(entries, bases)]
                     assert top >= 0
                     want = _digit(full_det(rows, top, width), top, width)
-                    assert _digit(_minor(rows, top, width), top, width) == want, (p, beta)
+                    assert _digit(_packed_minor(rows, top, width), top, width) == want, (p, beta)
                     assert gf_strict_coefficient(beta, p) == want, (p, beta)
                     least = least_power_sum(rows)
-                    if least is None or least > top:  # _minor returns 0 at once
+                    if least is None or least > top:  # _packed_minor returns 0 at once
                         beyond += 1
                         assert want == 0, (p, beta)
                     shapes += 1
@@ -846,6 +876,13 @@ class TestPfaffian:
             assert self.pf(m, 0b1010) == a24 & self.MASK
             # odd order: no perfect matching
             assert self.pf(m, 0b0111) == 0
+
+    def test_a_set_whose_top_lies_below_x0_is_zero(self):
+        m = as_pairs(skew({(0, 1): 2, (0, 2): 3, (0, 3): 5, (1, 2): 7, (1, 3): 11, (2, 3): 13}, 4))
+        for top in (-1, -2, -5):
+            memo = {}
+            assert _pfaffian(m, 0b1111, memo, lambda rows: top, 64) == 0
+            assert set(memo.values()) == {(0, 0)}
 
     def test_six_by_six_squares_to_det(self):
         # polynomial entries, packed as det packs them; Pf^2 = det
