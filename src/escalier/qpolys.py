@@ -4,9 +4,10 @@ functions.
 
 Polynomials are dense coefficient lists over Python integers (index = degree,
 trailing zeros stripped).  A polynomial may carry a truncation degree T, in
-which case all arithmetic happens modulo x^(T+1); the counting pipelines use
-this to cap work at the one coefficient they consume, and truncated results
-agree with full arithmetic up to degree T.
+which case all arithmetic happens modulo x^(T+1), and truncated results agree
+with full arithmetic up to degree T; a truncated gf answer is one.  The
+censuses build no polynomial: each shape's count is one digit of a packed
+sub-Pfaffian, kept only to the digits any shape reads.
 
 Gaussian binomials are built in place on one coefficient list by additions
 alone, one factor (1-x^m)/(1-x^i) at a time: each partial product is itself a
@@ -29,18 +30,21 @@ substitution), so the expansion runs on plain integers and CPython's
 Karatsuba does the products.  det is the same route with every power 0.
 
 There is one expansion, the memoised Pfaffian _pfaffian, on entries x^e g
-held as (e, g).  Its memo keeps the sub-Pfaffian on a row set T as x^q times
-a value cut to the digits up to x^top_of(T), q the least power among its
-terms, and each caller's rule top_of bounds what it reads of T.  There are
-three rules.  A determinant D (_packed_minor) is (-1)^binomial(r, 2) times
-the Pfaffian of [[0, D], [-D^t, 0]] (the minor summation formula: Ishikawa
-and Wakayama; Stembridge); its set on the column set S is multiplied by
-entries of the rows above it, which carry at least x^P(S), so its top_of is
-top - P(S).  The stable census reads each shape's determinant, and the
-strongly stable census each shape's sum of shifted ones over its first-part
-vectors, as one digit of one sub-Pfaffian of one matrix per p built from
-gauss_table (_strict_census, _shifted_census), whose top_of is the most any
-shape reads of T, so one memo serves every shape.
+held as (e, g), with one bitmask per row of its partners above the diagonal
+whose entry is nonzero, built with the matrix, so the expansion walks only
+those.  Its memo keeps the sub-Pfaffian on a row set T as x^q times a value
+cut to the digits up to x^top_of(T), q the least power among its terms, and
+each caller's rule top_of bounds what it reads of T, walking only T's own
+bits.  There are three rules.  A determinant D (_packed_minor) is
+(-1)^binomial(r, 2) times the Pfaffian of [[0, D], [-D^t, 0]] (the minor
+summation formula: Ishikawa and Wakayama; Stembridge); its set on the
+column set S is multiplied by entries of the rows above it, which carry at
+least x^P(S), so its top_of is top - P(S).  The stable census reads each
+shape's determinant, and the strongly stable census each shape's sum of
+shifted ones over its first-part vectors, as one digit of one sub-Pfaffian
+of one matrix per p built from gauss_table (_strict_census,
+_shifted_census), whose top_of is the most any shape reads of T, so one
+memo serves every shape.
 """
 
 from __future__ import annotations
@@ -398,67 +402,87 @@ def _packed_minor(rows: list[list[tuple[int, int]]], top: int, width: int) -> in
                     least[colmask ^ bit] = base + e
     if least[0] > top:
         return 0
-    skew = [[0] * r + [(e, g) if g else 0 for e, g in row] for row in rows] + [[0] * (2 * r)] * r
-    value = _pfaffian(skew, (1 << 2 * r) - 1, {}, lambda rowmask: top - least[rowmask >> r], width)
+    skew = [[0] * r + [(e, g) if g else 0 for e, g in row] for row in rows]
+    skew += [[] for _ in range(r)]  # the rows of -D^t: no partner above the diagonal
+    value = _pfaffian(skew, _partner_masks(skew), (1 << 2 * r) - 1, top, {},
+                      lambda rowmask: top - least[rowmask >> r], width)
     return -value if _choose2(r) % 2 else value
 
 
-def _pfaffian(skew: list[list], rowmask: int, memo: dict[int, tuple], top_of, width: int) -> int:
-    """Packed Pfaffian, as a nonnegative residue mod x^(top_of(rowmask)+1) at
-    x = 2^width, of the skew matrix skew restricted to the rows and columns
-    in rowmask.  Entries are (e, g) for x^e g, g packed at width, or 0; only
-    those above the diagonal are read.  memo keeps each sub-Pfaffian as
-    _kept_pfaffian leaves it, at its own top_of.  It is exact if no caller
-    reads a set past its top_of, though a child's top_of may lie below its
-    parent's, and every entry holds the digits its row's sets read."""
-    low, value = _kept_pfaffian(skew, rowmask, memo, top_of, width)
+def _partner_masks(skew: list[list]) -> list[int]:
+    """Each row's partners for _pfaffian: the bitmask of the columns j > i
+    whose entry skew[i][j] is nonzero."""
+    return [sum(1 << j for j in range(i + 1, len(row)) if row[j]) for i, row in enumerate(skew)]
+
+
+def _pfaffian(
+    skew: list[list], partners: list[int], rowmask: int, top: int, memo: dict[int, tuple],
+    top_of, width: int
+) -> int:
+    """Packed Pfaffian, as a nonnegative residue mod x^(top+1) at x = 2^width,
+    top = top_of(rowmask), which the caller passes, of the skew matrix skew
+    restricted to the rows and columns in rowmask.  Entries are (e, g) for
+    x^e g, g packed at width, or 0; partners[i] (_partner_masks) holds the
+    columns j > i of row i whose entry is nonzero, and only those entries
+    are read, so a row without partners may be empty.  memo keeps each
+    sub-Pfaffian as _kept_pfaffian leaves it, at its own top_of, which runs
+    once per set the memo lacks; each census's rule walks only that set's
+    bits (_masked_sum).  It is exact if no caller reads a set past its
+    top_of, though a child's top_of may lie below its parent's, and every
+    entry holds the digits its row's sets read."""
+    kept = memo.get(rowmask) if rowmask else (0, 1)
+    if kept is None:
+        kept = _kept_pfaffian(skew, partners, rowmask, top, memo, top_of, width)
+    low, value = kept
     if value < 0:
-        value += 1 << (top_of(rowmask) + 1 - low) * width
+        value += 1 << (top + 1 - low) * width
     return value << low * width
 
 
 def _kept_pfaffian(
-    skew: list[list], rowmask: int, memo: dict[int, tuple], top_of, width: int
+    skew: list[list], partners: list[int], rowmask: int, top: int, memo: dict[int, tuple],
+    top_of, width: int
 ) -> tuple[int, int]:
-    """The Pfaffian on rowmask as memo keeps it: (q, v), congruent to x^q v
-    mod x^(top+1), top = top_of(rowmask), v cut to top + 1 - q digits by
-    _cut, so a negative v stays short; a zero one, such as that of an odd
-    set or of one whose top is below 0, is (0, 0).  Expanded along its
-    lowest row i: the sum over the other rows j in rowmask, the n-th of them
-    with sign (-1)^(n-1), of skew[i][j] times the Pfaffian without i and j.
-    A term x^e g x^q' v' runs on the digits of g and v' that survive
-    x^(e + q'), and q is the least such power.  Digits of a set up to d need
-    only those of the child up to d - e, which its callers read too.
-    Module-level, so that no reference cycle keeps the memo alive."""
-    if rowmask == 0:
-        return 0, 1
-    got = memo.get(rowmask)
-    if got is not None:
-        return got
-    top = top_of(rowmask)
+    """The Pfaffian on a nonempty rowmask not yet in memo, stored there as
+    memo keeps it: (q, v), congruent to x^q v mod x^(top+1), top =
+    top_of(rowmask), v cut to top + 1 - q digits by _cut, so a negative v
+    stays short; a zero one, such as that of an odd set or of one whose top
+    is below 0, is (0, 0).  Expanded along its lowest row i: the sum over
+    the other rows j in rowmask, the n-th of them with sign (-1)^(n-1), of
+    skew[i][j] times the Pfaffian without i and j.  Only the partners of i
+    in the set are walked, partners[i] & rowmask, and n - 1 is the number of
+    rows of the set below j, skipped or not.  A child the memo lacks is
+    expanded at its own top_of, asked of it then alone.  A term x^e g x^q'
+    v' runs on the digits of g and v' that survive x^(e + q'), and q is the
+    least such power.  Digits of a set up to d need only those of the child
+    up to d - e, which its callers read too.  Module-level, so that no
+    reference cycle keeps the memo alive."""
     low = top + 1  # acc is the sum over x^low
     acc = 0
     if top >= 0:
         first = rowmask & -rowmask
         rest = rowmask ^ first
-        entries = skew[first.bit_length() - 1]
-        sign = 1
-        left = rest
+        i = first.bit_length() - 1
+        entries = skew[i]
+        left = rest & partners[i]
         while left:
             bit = left & -left
             left ^= bit
-            entry = entries[bit.bit_length() - 1]
-            if entry and entry[0] <= top:
-                e, g = entry
-                q, child = _kept_pfaffian(skew, rest ^ bit, memo, top_of, width)
-                power = e + q
-                if child and power <= top:
-                    if power < low:
-                        acc <<= (low - power) * width
-                        low = power
-                    term = _low_product(g, child, power - low, top - low, width)
-                    acc = acc + term if sign > 0 else acc - term
-            sign = -sign
+            e, g = entries[bit.bit_length() - 1]
+            if e > top:
+                continue
+            child = rest ^ bit
+            got = memo.get(child) if child else (0, 1)
+            if got is None:
+                got = _kept_pfaffian(skew, partners, child, top_of(child), memo, top_of, width)
+            q, v = got
+            power = e + q
+            if v and power <= top:
+                if power < low:
+                    acc <<= (low - power) * width
+                    low = power
+                term = _low_product(g, v, power - low, top - low, width)
+                acc = acc - term if (rest & (bit - 1)).bit_count() & 1 else acc + term
     memo[rowmask] = kept = (low, _cut(acc, (top + 1 - low) * width)) if acc else (0, 0)
     return kept
 
@@ -609,30 +633,33 @@ def gf_strict_coefficient(lam: Sequence[int], p: int) -> int:
         raise ValueError(f"shape {lam} must strictly decrease to a part of at least 1")
     if sum(_choose2(part + 1) for part in lam) > p:
         return 0
-    width, rows, skew, memo, top_of = _strict_census(p)
+    width, rows, skew, partners, memo, top_of = _strict_census(p)
     rowmask = sum(1 << rows[s, part] for s, part in enumerate(lam)) | ((1 << r) - 1) << len(rows)
     top = top_of(rowmask)
-    pf = _pfaffian(skew, rowmask, memo, top_of, width)
+    pf = _pfaffian(skew, partners, rowmask, top, memo, top_of, width)
     return _guarded((-1) ** _choose2(r) * _digit(pf, top, width), lam, p)
 
 
 @lru_cache(maxsize=1)
 def _strict_census(p: int) -> tuple:
     """The matrix that holds every stable shape's determinant D at p, and
-    the memo of its sub-Pfaffians, as (width, rows, skew, memo, top_of),
-    packed as gauss_table(p).  Its rows are the labels (s, b), ordered by s,
-    of the parts b that row s of a shape that fits p can hold, rows[s, b]
-    the index of each, then one column t per row of the tallest such shape.
-    Entry (s, b; t) is x^(b t) G(p - s, b - s + t).  D is (-1)^binomial(r, 2)
-    times the sub-Pfaffian of [[0, D], [-D^t, 0]] on the shape's labels and
-    first r columns (Ishikawa and Wakayama; Stembridge).
+    the memo of its sub-Pfaffians, as (width, rows, skew, partners, memo,
+    top_of), packed as gauss_table(p).  Its rows are the labels (s, b),
+    ordered by s, of the parts b that row s of a shape that fits p can hold,
+    rows[s, b] the index of each, then one column t per row of the tallest
+    such shape.  Entry (s, b; t) is x^(b t) G(p - s, b - s + t).  D is
+    (-1)^binomial(r, 2) times the sub-Pfaffian of [[0, D], [-D^t, 0]] on the
+    shape's labels and first r columns (Ishikawa and Wakayama; Stembridge).
 
     A set T, its first label (s0, b0), lacks the columns c_0 < ... < c_(s0-1)
     below s0 plus its label count, which the rows above it took.  Parts
-    strictly decrease, so those rows hold b_u >= b0 + s0 - u, and by the
-    rearrangement inequality they carry at least x^(the sum over u < s0 of
-    binomial(b_u + 1, 2) + b_u (c_u - u)), with their R.  top_of(T) is p
-    less that and the R of T's labels: no shape reads T past it.
+    strictly decrease, so those rows hold b_u >= B - u, B = b0 + s0, and by
+    the rearrangement inequality they carry at least x^(the sum over u < s0
+    of binomial(B - u + 1, 2) - (B - u) u + (B - u) c_u), with their R.
+    top_of(T) is p less that and the R of T's labels: no shape reads T past
+    it.  Per first label it keeps p less the sum of the parts that do not
+    depend on c_u, and the slopes B - u, so it walks only T's own labels and
+    its first s0 absent columns.
     """
     width, table = gauss_table(p)
     bound = isqrt(2 * p)  # no part, and no row index, reaches past it
@@ -646,17 +673,31 @@ def _strict_census(p: int) -> tuple:
             g = _table_entry(table, p - s, b - s + t)
             skew[i][len(labels) + t] = (b * t, g) if g else 0
     costs = [_choose2(b + 1) - s * b for s, b in labels]
+    slopes = [range(b0 + s0, b0, -1) for s0, b0 in labels]  # B - u for u < s0
+    fixed = [p - sum(_choose2(b + 1) - b * u for u, b in enumerate(steps)) for steps in slopes]
+    labelbits = (1 << len(labels)) - 1
 
     def top_of(rowmask: int) -> int:
-        labelmask = rowmask & (1 << len(labels)) - 1
-        s0, b0 = labels[(labelmask & -labelmask).bit_length() - 1]
-        r = s0 + labelmask.bit_count()
-        taken = [c for c in range(r) if not rowmask >> len(labels) + c & 1]
-        top = p - sum(cost for cost, bit in zip(costs, bin(labelmask)[:1:-1]) if bit == "1")
-        return top - sum(_choose2(b0 + s0 - u + 1) + (b0 + s0 - u) * (c - u)
-                         for u, c in enumerate(taken))
+        first = (rowmask & -rowmask).bit_length() - 1
+        top = fixed[first] - _masked_sum(costs, rowmask & labelbits)
+        absent = ~rowmask >> len(labels)  # c_0, c_1, ... as its lowest bits
+        for slope in slopes[first]:
+            bit = absent & -absent
+            absent ^= bit
+            top -= slope * (bit.bit_length() - 1)
+        return top
 
-    return width, rows, skew, {}, top_of
+    return width, rows, skew, _partner_masks(skew), {}, top_of
+
+
+def _masked_sum(values: list[int], mask: int) -> int:
+    """The sum of values[i] over the bits i of mask, walking only those."""
+    total = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        total += values[bit.bit_length() - 1]
+    return total
 
 
 def gf_shifted(
@@ -736,10 +777,10 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     top = p - sum(m + _choose2(m) for m in ms)
     if top < 0:
         return 0
-    width, skew, memo, top_of = _shifted_census(p)
+    width, skew, partners, memo, top_of = _shifted_census(p)
     border = len(skew) - 1  # label m sits in row border - 1 - m
     rowmask = sum(1 << border - 1 - m for m in ms) | (r % 2) << border
-    pf = _pfaffian(skew, rowmask, memo, top_of, width)
+    pf = _pfaffian(skew, partners, rowmask, top, memo, top_of, width)
     return _guarded(_digit(pf, top, width), lam, p)
 
 
@@ -757,14 +798,14 @@ def _guarded(count: int, lam: tuple, p: int) -> int:
 def _shifted_census(p: int) -> tuple:
     """The skew matrix that holds every shape's T A T^t for
     gf_shifted_sum_coefficient at p, and the memo of its sub-Pfaffians, as
-    (width, skew, memo, top_of), packed as gauss_table(p).
+    (width, skew, partners, memo, top_of), packed as gauss_table(p).
 
     Its rows are the labels m = M, ..., 0, with M the largest label whose
     c(m) = m(m+1)/2 is at most p, and a border row last; top_of is p less
-    the c(m) of a row set's labels, which only grows as rows leave it.  With
-    T_m(v) = x^v G(v-1, m) and C_m(w) = x^(m+1) G(w, m+1) the sum of T_m(v)
-    over 1 <= v <= w (the q-hockey-stick: q-Pascal telescopes), entry (a, b)
-    for labels a > b is
+    the c(m) of a row set's labels, summed over its bits alone, which only
+    grows as rows leave it.  With T_m(v) = x^v G(v-1, m) and C_m(w) =
+    x^(m+1) G(w, m+1) the sum of T_m(v) over 1 <= v <= w (the
+    q-hockey-stick: q-Pascal telescopes), entry (a, b) for labels a > b is
 
         sum over w of T_b(w) (2 (C_a(p) - C_a(w)) + T_a(w)) - C_a(p) C_b(p)
             = C_a(p) C_b(p) - F_ab(p),
@@ -795,5 +836,4 @@ def _shifted_census(p: int) -> tuple:
                 acc -= _low_product(_table_entry(table, v - 1, b), pair, v - b - 1, top, width)
             acc &= (1 << (top + 1) * width) - 1
             skew[i][j] = (a + b + 2, acc) if acc else 0
-    return width, skew, {}, lambda rowmask: p - sum(
-        cost for cost, bit in zip(costs, bin(rowmask)[:1:-1]) if bit == "1")
+    return width, skew, _partner_masks(skew), {}, lambda rowmask: p - _masked_sum(costs, rowmask)

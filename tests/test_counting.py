@@ -365,7 +365,7 @@ class TestStableCensus:
         shapes = 0
         for p in range(1, 61):
             width, table = gauss_table(p)
-            _, labels, skew, _, _ = _strict_census(p)
+            _, labels, skew, _, _, _ = _strict_census(p)
             for (_, h, k) in bar_lists_3vars(p):
                 if k < 2:
                     continue

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from escalier import qpolys
 from escalier.counting import (
+    STABLE,
+    STRONGLY_STABLE,
     _first_part_window,
     a_vector_stable,
     a_vectors_strongly,
     bar_lists_3vars,
+    census,
 )
 from escalier.partitions import enumerate_distinct, enumerate_plane_partitions, minimal_sum
 from escalier.qpolys import (
@@ -23,6 +26,7 @@ from escalier.qpolys import (
     _digit,
     _pack,
     _packed_minor,
+    _partner_masks,
     _pfaffian,
     _plane_partition_count,
     _row_bases,
@@ -396,8 +400,7 @@ class TestGfStrictCoefficient:
 def read_as(digit):
     """A stand-in for _pfaffian whose digit at the set's top is digit: what a
     count that overflowed gauss_table's width would read."""
-    def pfaffian(skew, rowmask, memo, top_of, width):
-        top = top_of(rowmask)
+    def pfaffian(skew, partners, rowmask, top, memo, top_of, width):
         return (digit << top * width) & (1 << (top + 1) * width) - 1
     return pfaffian
 
@@ -455,6 +458,41 @@ class TestPrunedMinor:
                 assert got == 0
             seen["nonzero"] += any(_unpack(want, top + 1, width))
         assert min(seen.values()) > 100, seen
+
+    def test_sparse_matrices_match_the_full_precision_expansion(self):
+        # most entries zero, down to one per row, half the matrices with a
+        # planted permutation of nonzero entries: each term's sign comes
+        # from the rows the partner walk skips
+        rng = random.Random(2929)
+        seen = {"zero": 0, "nonzero": 0}
+        for _ in range(800):
+            r = rng.randint(1, 7)
+            width = rng.choice((3, 8, 21))
+            rows, taken = rand_power_rows(rng, r, width, rng.choice((0.6, 0.75, 0.9)))
+            if rng.random() < 0.5:
+                for row, col in zip(rows, rng.sample(range(r), r)):
+                    row[col] = (rng.randint(0, 3), rng.getrandbits(width * rng.randint(1, 4)) | 1)
+            top = rng.randint(0, 14) - taken
+            if top < 0:
+                continue
+            got, want = _packed_minor(rows, top, width), full_det(rows, top, width)
+            digits = _unpack(want, top + 1, width)
+            assert _unpack(got, top + 1, width) == digits, (rows, top)
+            seen["nonzero" if any(digits) else "zero"] += 1
+        assert min(seen.values()) > 50, seen
+        # a permutation matrix's determinant is the sign of the permutation
+        # times its entries' product
+        width, top = 16, 20
+        for r in range(1, 6):
+            for perm in permutations(range(r)):
+                rows = [[(0, 0)] * r for _ in range(r)]
+                for s, col in enumerate(perm):
+                    rows[s][col] = (s % 3, s + 2)
+                digits = [0] * (top + 1)
+                sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+                digits[sum(s % 3 for s in range(r))] = sign * math.prod(range(2, r + 2))
+                assert _unpack(full_det(rows, top, width), top + 1, width) == digits, perm
+                assert _unpack(_packed_minor(rows, top, width), top + 1, width) == digits, perm
 
     def test_a_matrix_whose_terms_all_lie_past_top(self):
         width = 8
@@ -853,13 +891,63 @@ def as_pairs(m):
     return [[(0, g) if g else 0 for g in row] for row in m]
 
 
+def pfaffian(skew, rowmask, memo, top_of, width):
+    """_pfaffian with each row's partners read off skew and the set's own
+    top_of."""
+    return _pfaffian(skew, _partner_masks(skew), rowmask, top_of(rowmask), memo, top_of, width)
+
+
+def every_partner_pfaffian(skew, rowmask, memo, top_of, width):
+    """_pfaffian's oracle: the walk it replaced, which takes every other row
+    of the set as a partner of its lowest row and flips the sign at each,
+    zero entry or not.  Its memo keeps each set as _pfaffian's does."""
+    low, value = kept_by_every_partner(skew, rowmask, memo, top_of, width)
+    if value < 0:
+        value += 1 << (top_of(rowmask) + 1 - low) * width
+    return value << low * width
+
+
+def kept_by_every_partner(skew, rowmask, memo, top_of, width):
+    if rowmask == 0:
+        return 0, 1
+    got = memo.get(rowmask)
+    if got is not None:
+        return got
+    top = top_of(rowmask)
+    low = top + 1  # acc is the sum over x^low
+    acc = 0
+    if top >= 0:
+        first = rowmask & -rowmask
+        rest = rowmask ^ first
+        entries = skew[first.bit_length() - 1]
+        sign = 1
+        left = rest
+        while left:
+            bit = left & -left
+            left ^= bit
+            entry = entries[bit.bit_length() - 1]
+            if entry and entry[0] <= top:
+                e, g = entry
+                q, child = kept_by_every_partner(skew, rest ^ bit, memo, top_of, width)
+                power = e + q
+                if child and power <= top:
+                    if power < low:
+                        acc <<= (low - power) * width
+                        low = power
+                    term = qpolys._low_product(g, child, power - low, top - low, width)
+                    acc = acc + term if sign > 0 else acc - term
+            sign = -sign
+    memo[rowmask] = kept = (low, qpolys._cut(acc, (top + 1 - low) * width)) if acc else (0, 0)
+    return kept
+
+
 class TestPfaffian:
     MASK = (1 << 64) - 1
 
     @staticmethod
     def pf(m, rowmask):
         # one 64-bit digit, every row at the same precision
-        return _pfaffian(as_pairs(m), rowmask, {}, lambda rows: 0, 64)
+        return pfaffian(as_pairs(m), rowmask, {}, lambda rows: 0, 64)
 
     def test_two_by_two(self):
         for a12 in (0, 1, 7, -3):
@@ -881,7 +969,7 @@ class TestPfaffian:
         m = as_pairs(skew({(0, 1): 2, (0, 2): 3, (0, 3): 5, (1, 2): 7, (1, 3): 11, (2, 3): 13}, 4))
         for top in (-1, -2, -5):
             memo = {}
-            assert _pfaffian(m, 0b1111, memo, lambda rows: top, 64) == 0
+            assert pfaffian(m, 0b1111, memo, lambda rows: top, 64) == 0
             assert set(memo.values()) == {(0, 0)}
 
     def test_six_by_six_squares_to_det(self):
@@ -895,7 +983,7 @@ class TestPfaffian:
             for (i, j), e in upper.items():
                 m[i][j], m[j][i] = e, e * IntPoly.const(-1)
             packed = as_pairs([[_pack(e.coeffs, width) & mask for e in row] for row in m])
-            pf = IntPoly(_unpack(_pfaffian(packed, 0b111111, {}, lambda rows: top, width),
+            pf = IntPoly(_unpack(pfaffian(packed, 0b111111, {}, lambda rows: top, width),
                                  top + 1, width))
             assert pf * pf == det(m), seed
 
@@ -925,12 +1013,58 @@ class TestPfaffian:
                 return t - sum(costs[i] for i in range(6) if rows >> i & 1)
             for rows in sets:
                 top = top_of(rows)
-                got = _pfaffian(packed, rows, memo, top_of, width)
+                got = pfaffian(packed, rows, memo, top_of, width)
                 index = [i for i in range(6) if rows >> i & 1]
                 sub = [[full[i][j] for j in index] for i in index]
                 pf = pfaffian_by_expansion(sub)
                 assert _unpack(got, top + 1, width) == [pf.coefficient(k) for k in range(top + 1)]
                 assert pf * pf == det(sub)
+
+    def test_matches_the_every_partner_walk(self):
+        # seeded sparse skew matrices of 1 to 10 rows, some rows with no
+        # nonzero partner and some entries past their sets' tops, rows
+        # costing as the census rules do: every value and every memo entry
+        # of the partner walk equals the every-partner walk's
+        rng = random.Random(29)
+        sizes = set()
+        seen = {"no_partner": 0, "past_top": 0, "zero": 0, "nonzero": 0}
+        for _ in range(300):
+            size = rng.randint(1, 10)
+            width = rng.choice((3, 8, 21))
+            zero_share = rng.choice((0.2, 0.5, 0.8))
+            skew = [[0] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i + 1, size):
+                    if rng.random() >= zero_share:
+                        skew[i][j] = (rng.randint(0, 6), rng.getrandbits(width * rng.randint(1, 6)) | 1)
+            if rng.random() < 0.5:  # a row with no partner, and now and then its column too
+                lone = rng.randrange(size)
+                skew[lone] = [0] * size
+                if rng.random() < 0.5:
+                    for row in skew:
+                        row[lone] = 0
+            costs = [rng.randint(0, 3) for _ in range(size)]
+            t = rng.randint(0, 12)
+
+            def top_of(rows):
+                return t - sum(costs[i] for i in range(size) if rows >> i & 1)
+
+            partners = _partner_masks(skew)
+            masks = list(range(1, 1 << size))
+            rng.shuffle(masks)
+            memo, oracle_memo = {}, {}
+            for rowmask in masks[:40] + [(1 << size) - 1]:
+                top = top_of(rowmask)
+                got = _pfaffian(skew, partners, rowmask, top, memo, top_of, width)
+                assert got == every_partner_pfaffian(skew, rowmask, oracle_memo, top_of, width)
+                seen["nonzero" if got else "zero"] += 1
+            assert memo == oracle_memo
+            sizes.add(size)
+            seen["no_partner"] += any(not m for m in partners[:-1])
+            seen["past_top"] += any(row[j] and row[j][0] > top_of(1 << i | 1 << j)
+                                    for i, row in enumerate(skew) for j in range(size))
+        assert sizes == set(range(1, 11))
+        assert min(seen.values()) > 50, seen
 
     def test_bipartite_matrix_gives_the_determinant(self):
         # the Pfaffian of [[0, D], [-D^t, 0]] is (-1)^binomial(r, 2) det D,
@@ -946,7 +1080,7 @@ class TestPfaffian:
             bipartite = [[0] * (2 * r) for _ in range(2 * r)]
             for i, row in enumerate(rows):
                 bipartite[i][r:] = [(e, g) if g else 0 for e, g in row]
-            got = _pfaffian(bipartite, (1 << 2 * r) - 1, {}, lambda mask: top, width)
+            got = pfaffian(bipartite, (1 << 2 * r) - 1, {}, lambda mask: top, width)
             want = (-1) ** (r * (r - 1) // 2) * full_det(rows, top, width)
             digits = _unpack(want, top + 1, width)
             assert _unpack(got, top + 1, width) == digits, (rows, top)
@@ -1042,7 +1176,7 @@ def shape_pfaffian(skew, p, top):
     sub-Pfaffian at that one precision: the per-shape route."""
     width, _ = gauss_table(p)
     full = (1 << len(skew)) - 1
-    return _digit(_pfaffian(as_pairs(skew), full, {}, lambda rows: top, width), top, width)
+    return _digit(pfaffian(as_pairs(skew), full, {}, lambda rows: top, width), top, width)
 
 
 def shifted_rows(lam):
@@ -1052,7 +1186,7 @@ def shifted_rows(lam):
 def census_submatrix(ms, p, top):
     """The principal submatrix of _shifted_census(p)'s matrix on a shape's
     labels, with the border for odd r, reduced mod x^(top+1)."""
-    width, skew, _, _ = _shifted_census(p)
+    width, skew, _, _, _ = _shifted_census(p)
     border = len(skew) - 1
     index = [border - 1 - m for m in ms] + [border] * (len(ms) % 2)
     mask = (1 << (top + 1) * width) - 1
@@ -1149,7 +1283,7 @@ class TestStrictCensus:
         # the matrix holds a label (s, b) exactly when some strictly
         # decreasing shape whose least array fits p has b in row s
         for p in range(1, 41):
-            _, rows, _, _, _ = _strict_census(p)
+            _, rows, _, _, _, _ = _strict_census(p)
             want = {(s, part) for h in range(1, p + 1) for k in range(1, h + 1)
                     for lam in enumerate_distinct(h, k) if minimal_sum(lam) <= p
                     for s, part in enumerate(lam)}
@@ -1162,7 +1296,7 @@ class TestStrictCensus:
         # read to is at most its top_of; some sets' tops fall below their
         # parent's
         p = 60
-        _, rows, skew, _, top_of = _strict_census(p)
+        _, rows, skew, _, _, top_of = _strict_census(p)
         falls, reads = 0, 0
         for beta in stable_census_shapes(p):
             if minimal_sum(beta) > p:
@@ -1199,3 +1333,52 @@ class TestStrictCensus:
         assert gf_strict_coefficient((3, 1), 10) == 6
         again = [gf_strict_coefficient(beta, p) for beta in shapes]
         assert backward == fresh == again and any(fresh)
+
+
+
+def strict_top_oracle(p):
+    """_strict_census(p)'s precision rule in the form it was first written:
+    the costs of every label zipped against the set's bits, and the list of
+    the columns the rows above took."""
+    _, rows, _, _, _, _ = _strict_census(p)
+    labels = list(rows)
+    costs = [b * (b + 1) // 2 - s * b for s, b in labels]
+
+    def top_of(rowmask):
+        labelmask = rowmask & (1 << len(labels)) - 1
+        s0, b0 = labels[(labelmask & -labelmask).bit_length() - 1]
+        r = s0 + labelmask.bit_count()
+        taken = [c for c in range(r) if not rowmask >> len(labels) + c & 1]
+        top = p - sum(cost for cost, bit in zip(costs, bin(labelmask)[:1:-1]) if bit == "1")
+        return top - sum((b0 + s0 - u + 1) * (b0 + s0 - u) // 2 + (b0 + s0 - u) * (c - u)
+                         for u, c in enumerate(taken))
+
+    return top_of
+
+
+def shifted_top_oracle(p):
+    """_shifted_census(p)'s precision rule in the form it was first written."""
+    labels = range((math.isqrt(8 * p + 1) - 1) // 2, -1, -1)
+    costs = [m * (m + 1) // 2 for m in labels] + [0]
+    return lambda rowmask: p - sum(cost for cost, bit in zip(costs, bin(rowmask)[:1:-1])
+                                   if bit == "1")
+
+
+class TestCensusPrecisionRules:
+    @pytest.mark.parametrize("kind, census_of, oracle_of, sets", [
+        (STABLE, _strict_census, strict_top_oracle, 7832),
+        (STRONGLY_STABLE, _shifted_census, shifted_top_oracle, 3816),
+    ])
+    def test_match_the_first_form_on_every_memo_entry(self, kind, census_of, oracle_of, sets):
+        # after a full census at each p <= 60, every row set its memo holds
+        # has the top_of of the comprehension form
+        held = 0
+        for p in range(1, 61):
+            census_of.cache_clear()
+            census(p, 3, kind)
+            *_, memo, top_of = census_of(p)
+            oracle = oracle_of(p)
+            for rowmask in memo:
+                assert top_of(rowmask) == oracle(rowmask), (p, rowmask)
+            held += len(memo)
+        assert held == sets
