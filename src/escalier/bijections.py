@@ -38,12 +38,15 @@ class ListedIdeal(Record):
 
     def to_json(self) -> dict:
         """The item's document; the tests hold the text that ``escalier list``
-        writes without building it to ``json.dumps`` of this."""
+        writes without building it to ``json.dumps`` of this.  It sorts the
+        generator set itself rather than read the construction order that the
+        writer reads."""
         part = self.partition
+        gens = sorted(self.ideal.generators, key=Term.lex_key)
         return {
             "partition": list(part) if isinstance(part, tuple) else part.to_json(),
             "barcode": self.barcode.to_json(),
-            "generators": [list(t.exponents) for t in self.ideal.sorted()],
+            "generators": [list(t.exponents) for t in gens],
         }
 
 
@@ -128,12 +131,18 @@ def _rows_ideal(rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
     another and the set is already minimal.  In a shifted array the weak
     column rule gives rows[i-1][j+1] >= rows[i][j], so rows[i-1][j] > rows[i][j]
     and every x3-predecessor of a corner still lies in the escalier.
+
+    Lex compares the x3 exponent first, then x2, then x1, so building row i's
+    cells (v, j, i) for increasing j, then its corner (0, len(row), i), with
+    the pure power (0, 0, len(rows)) last, gives the generators in Lex order:
+    they go to the ideal as that tuple, with no sort and no hashing.
     """
-    gens = {Term((0, 0, len(rows)))}
+    gens = []
     for i, row in enumerate(rows):
-        gens.add(Term((0, len(row), i)))
-        gens.update(Term((v, j, i)) for j, v in enumerate(row))
-    return MonomialIdeal(frozenset(gens), 3)
+        gens += [Term((v, j, i)) for j, v in enumerate(row)]
+        gens.append(Term((0, len(row), i)))
+    gens.append(Term((0, 0, len(rows))))
+    return MonomialIdeal(tuple(gens), 3)
 
 
 def barcode_from_strict_pp(pp: PlanePartition) -> BarCode:
@@ -189,11 +198,12 @@ def ideal_from_partition_2vars(parts: IntPartition) -> MonomialIdeal:
 
     The parts are distinct, so x1 falls and x2 rises strictly along the
     staircase and no generator divides another: the set is already minimal.
+    Lex compares the x2 exponent first, and it rises along the staircase, so
+    the construction order is Lex order and the generators go to the ideal as
+    that tuple, with no sort and no hashing.
     """
     h = len(parts)
-    gens = {Term((parts[i], i)) for i in range(h)}
-    gens.add(Term((0, h)))
-    return MonomialIdeal(frozenset(gens), 2)
+    return MonomialIdeal((*map(Term, zip(parts, range(h))), Term((0, h))), 2)
 
 
 def _class_arrays(alpha: IntPartition, kind: str, norm: int) -> list[PlanePartition]:

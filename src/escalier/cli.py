@@ -6,7 +6,8 @@ writer, ``_write``: to the ``--out`` file, or to stdout.  ``run`` builds only
 the parser of the subcommand that its first argument names.  JSON mode emits a
 single document, whose bytes are those of ``json.dumps(doc, indent=2)`` plus a
 newline, streamed a top-level item at a time; a listing writes each item's
-text straight from the ideal as it is built.  Text mode prints tables shaped
+text straight from the ideal as it is built, by one ``%`` on a template made
+once for each item layout.  Text mode prints tables shaped
 like the ones people actually diff against, plus a newline.
 Errors land on stderr with exit code 2; negative check results (a code that is
 not admissible, an ideal that is not stable, a verification mismatch) exit 1.
@@ -20,6 +21,7 @@ import json
 # it with the module keeps that start-up cost out of run().
 import locale  # noqa: F401
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import barcode as bc
@@ -105,27 +107,50 @@ def _framed(texts):
 
 def _listing_texts(items):
     """Each ``ListedIdeal``'s item text in ``json.dumps(listing.to_json(), indent=2)``,
-    given int entries and a generator.  Row 1, ``width`` unit bars, is rendered
-    once per width, and the generators through one template per arity."""
-    ones, terms = {}, {}
+    given int entries and a generator.  The items of one layout share the
+    template that ``_listing_template`` builds from the first of them; the
+    layout is the partition's kind, a ``PlanePartition``'s shape, ``shifted``
+    and ``inner`` (which fix its row lengths), the lengths of the Bar Code's
+    rows, and the generators' count and arity.  Each item's text is then one
+    ``%`` on its template with its ints: the partition's in ``to_json`` order,
+    the Bar Code's rows 2 to n, then the generators' exponents in Lex order."""
+    templates = {}
     for item in items:
         part, rows, ideal = item.partition, item.barcode.rows, item.ideal
-        width, n = len(rows[0]), ideal.n
-        if width not in ones:
-            ones[width] = _indented(rows[0], _P8)
-        if n not in terms:
-            terms[n] = "[" + _P8 + ("," + _P8).join(["%d"] * n) + _P6 + "]"
-        yield _LISTED % (
-            _indented(part if isinstance(part, tuple) else part.to_json(), _P4), len(rows), width,
-            ("," + _P8).join([ones[width], *[_indented(row, _P8) for row in rows[1:]]]),
-            ("," + _P6).join([terms[n] % t.exponents for t in ideal.sorted()]))
+        gens = ideal.sorted()
+        if isinstance(part, tuple):
+            head, values = len(part), part
+        else:
+            inner = part.inner if any(part.inner) else ()
+            head = (part.shape, part.shifted, inner)
+            values = (*part.shape, part.c, part.d, *part.flat(), *inner)
+        key = (head, tuple(map(len, rows)), len(gens), ideal.n)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _listing_template(part, rows, len(gens), ideal.n)
+        yield template % (*values, *chain.from_iterable(rows[1:]),
+                          *chain.from_iterable([t.exponents for t in gens]))
 
 
-# the line starts 4, 6 and 8 spaces in, inside a listed item
-_P4, _P6, _P8 = "\n    ", "\n      ", "\n        "
-_LISTED = ('{\n    "partition": %s,\n    "barcode": {\n      "n": %d,\n      "width": %d,'
-           '\n      "rows": [\n        %s\n      ]\n    },'
-           '\n    "generators": [\n      %s\n    ]\n  }')
+def _listing_template(part, rows, count: int, arity: int) -> str:
+    """The item text of a listed ideal, with the unit bars of row 1, the Bar
+    Code's n and width and a ``PlanePartition``'s ``shifted`` written out and
+    every other int a ``%d``."""
+    doc = {
+        "partition": _masked(list(part) if isinstance(part, tuple) else part.to_json()),
+        "barcode": {"n": len(rows), "width": len(rows[0]), "rows": [rows[0], *_masked(rows[1:])]},
+        "generators": [[None] * arity] * count,
+    }
+    return _indented(doc, "\n  ").replace("null", "%d")
+
+
+def _masked(obj):
+    """``obj`` with every int in its lists and dicts, at any depth, made ``None``."""
+    if isinstance(obj, dict):
+        return {k: _masked(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_masked(x) for x in obj]
+    return None if type(obj) is int else obj
 
 
 def _parse_terms(raw: list[str], vars_: int | None) -> list[Term]:

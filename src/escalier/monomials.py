@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Set
+from functools import cached_property
 from itertools import product
 from operator import le
 
@@ -232,12 +233,31 @@ class OrderIdeal(Record):
 
 
 class MonomialIdeal(Record):
-    """A monomial ideal, held by its minimal generating set."""
+    """A monomial ideal, held by its minimal generating set.
+
+    ``generators`` may also be a tuple, which must already be in Lex order
+    (``Term.lex_key``) with no repeats; the listings build their generators in
+    that order and hand them over this way.  The tuple is kept, ``len`` reads
+    it and ``sorted()`` returns it without a key call.  The frozenset field
+    that equality and hashing read is then built on first use and kept in the
+    instance dict, so the ideal equals, and hashes as, the one built from that
+    frozenset.  A frozenset-built ideal sorts on its first ``sorted()`` and
+    keeps the tuple.
+    """
 
     _fields = ("generators", "n")
 
-    def __init__(self, generators: frozenset[Term], n: int):
-        self.__dict__.update(generators=generators, n=n)
+    def __init__(self, generators: frozenset[Term] | tuple[Term, ...], n: int):
+        self.__dict__.update(n=n)
+        self.__dict__["_lex" if type(generators) is tuple else "generators"] = generators
+
+    @cached_property
+    def generators(self) -> frozenset[Term]:
+        return frozenset(self._lex)
+
+    @cached_property
+    def _lex(self) -> tuple[Term, ...]:
+        return tuple(sorted(self.generators, key=Term.lex_key))
 
     @classmethod
     def of(cls, terms: Iterable[Term], n: int | None = None) -> MonomialIdeal:
@@ -254,10 +274,11 @@ class MonomialIdeal(Record):
         return any(g.divides(t) for g in self.generators)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        d = self.__dict__
+        return len(d["_lex"] if "_lex" in d else d["generators"])
 
     def sorted(self) -> list[Term]:
-        return sorted(self.generators, key=Term.lex_key)
+        return list(self._lex)
 
 
 def border_terms(terms: Set[Term], n: int) -> set[Term]:

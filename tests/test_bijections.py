@@ -398,7 +398,7 @@ class TestListings:
 
 def decode_route(code):
     """The ideal whose escalier is the decoded Bar Code, rebuilt from its border."""
-    return minimal_generators(OrderIdeal.of(decode(code), 3))
+    return minimal_generators(OrderIdeal.of(decode(code), code.n))
 
 
 @st.composite
@@ -454,6 +454,34 @@ class TestRowReading:
         assert len(N) == pp.norm
         assert encode(N.terms) == code
         assert from_code(code) == pp
+
+
+class TestLexConstruction:
+    # Listed ideals keep their generators in construction order, and the
+    # writer reads that as Lex order: check it against a sort of each
+    # generator set, and the ideal against its frozenset-built twin and the
+    # decode route.
+    @pytest.mark.parametrize("n, kind, top", [(2, STABLE, 50), (3, STABLE, 20),
+                                              (3, STRONGLY_STABLE, 20)])
+    def test_every_listed_item(self, n, kind, top):
+        for p in range(1, top + 1):
+            for item in list_ideals(p, n, kind):
+                ideal, part = item.ideal, item.partition
+                cells = len(part) if n == 2 else sum(map(len, part.rows)) + len(part.rows)
+                assert len(ideal) == cells + 1
+                assert ideal.sorted() == sorted(ideal.generators, key=Term.lex_key)
+                assert len(ideal) == len(ideal.generators)
+                twin = MonomialIdeal(frozenset(ideal.generators), n)
+                assert ideal == twin and twin == ideal and hash(ideal) == hash(twin)
+                assert ideal == decode_route(item.barcode)
+
+    def test_tuple_and_frozenset_ideals_agree(self):
+        gens = (Term((2, 0)), Term((1, 1)), Term((0, 2)))
+        listed, built = MonomialIdeal(gens, 2), MonomialIdeal(frozenset(gens), 2)
+        assert hash(listed) == hash(built) and {listed, built} == {built}
+        assert listed.sorted() == built.sorted() == list(gens)
+        assert len(listed) == len(built) == 3
+        assert repr(listed) == repr(built)
 
 
 class TestValidator:

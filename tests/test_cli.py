@@ -87,9 +87,12 @@ class TestList:
 
 
 def whole_text_listing(listing):
-    """The text form of a listing as whole-document code wrote it."""
-    lines = [f"({', '.join(format_term(t) for t in item.ideal.sorted())})"
-             for item in listing.items]
+    """The text form of a listing as whole-document code wrote it, each
+    generator set sorted here rather than read in its construction order."""
+    lines = []
+    for item in listing.items:
+        gens = sorted(item.ideal.generators, key=Term.lex_key)
+        lines.append(f"({', '.join(map(format_term, gens))})")
     return "\n".join(lines + [f"count: {len(listing)}"]) + "\n"
 
 
@@ -130,15 +133,35 @@ class TestStreamedList:
             assert target.read_bytes() == text.encode("utf-8"), (p, fmt)
 
     def test_hand_built_items(self):
-        # a skew partition, whose document carries "inner", then items of
-        # other widths and arities, which take their own row 1 and templates
+        # a skew partition, whose document carries "inner", and a straight one
+        # of the same shape, Bar Code row lengths and generator count; then
+        # items of other widths and arities, which take their own templates
         skew = ListedIdeal(
             PlanePartition((3, 3), ((2,), (2, 1)), 1, 1, inner=(2, 1)),
             BarCode(((1,) * 4, (3, 1), (4,))),
             MonomialIdeal(frozenset({Term((0, 0, 1)), Term((1, 0, 0)), Term((0, 4, 0))}), 3),
         )
-        items = [skew, *list_ideals(4, 2, "stable"), skew, *list_ideals(3, 3, "stable")]
+        straight = ListedIdeal(
+            PlanePartition((3, 3), ((5, 4, 3), (3, 2, 1)), 1, 1),
+            BarCode(((1,) * 4, (1, 3), (4,))),
+            MonomialIdeal(frozenset({Term((2, 0, 0)), Term((0, 1, 0)), Term((0, 0, 3))}), 3),
+        )
+        # two items of one layout that differ in every value written, the
+        # second with a Bar Code whose row 2 is not its partition
+        first = ListedIdeal(
+            (4, 1), BarCode(((1,) * 5, (4, 1))),
+            MonomialIdeal(frozenset({Term((4, 0)), Term((1, 1)), Term((0, 2))}), 2),
+        )
+        second = ListedIdeal(
+            (3, 2), BarCode(((1,) * 5, (2, 3))),
+            MonomialIdeal(frozenset({Term((3, 1)), Term((2, 2)), Term((1, 3))}), 2),
+        )
+        # and one that differs from them in its partition's length only
+        third = ListedIdeal((5,), second.barcode, second.ideal)
+        items = [skew, first, straight, *list_ideals(4, 2, "stable"), second, third, skew,
+                 straight, first, *list_ideals(3, 3, "stable"), third, second]
         assert '"inner"' in json.dumps(skew.to_json())
+        assert '"inner"' not in json.dumps(straight.to_json())
         want = json.dumps([item.to_json() for item in items], indent=2) + "\n"
         assert "".join(cli._framed(cli._listing_texts(items))) == want
         assert "".join(cli._framed(cli._listing_texts([]))) == "[]\n"
