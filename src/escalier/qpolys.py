@@ -14,10 +14,10 @@ alone, one factor (1-x^m)/(1-x^i) at a time: each partial product is itself a
 Gaussian binomial, a polynomial of degree at most the final one, so the
 power-series division by 1-x^i is exact on the kept coefficients.  The
 censuses instead read theirs from gauss_table, one table per p of every
-G(n, k) mod x^(p+1), built by q-Pascal and packed at one width for both
-classes: one bit more than the bit length of the number of plane partitions
-of p, which bounds every coefficient up to x^p of either class's generating
-functions.
+G(n, k) mod x^(p+1) whose column min(k, n - k) either census can read, built
+by q-Pascal and packed at one width for both classes: one bit more than the
+bit length of the number of row-strict plane partitions of p, which bounds
+every coefficient up to x^p of either class's generating functions.
 
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
@@ -44,14 +44,15 @@ shape's determinant, and the strongly stable census each shape's sum of
 shifted ones over its first-part vectors, as one digit of one sub-Pfaffian
 of one matrix per p built from gauss_table (_strict_census,
 _shifted_census), whose top_of is the most any shape reads of T, so one
-memo serves every shape.
+memo serves every shape.  A stable shape's own set is read once and dropped
+from the memo: it holds a label of row 0, which no child of any set holds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from math import isqrt, prod
+from math import comb, isqrt, prod
 
 _Entries = list[list[tuple[int, int, int]]]
 
@@ -243,54 +244,77 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
     return IntPoly(c, trunc)
 
 
-def _plane_partition_count(n: int) -> int:
-    """The number of plane partitions of n, by MacMahon's recurrence
-    n pp(n) = sum over k of sigma_2(k) pp(n - k), with sigma_2(k) the sum of
-    the squares of the divisors of k."""
-    sigma2 = [0] * (n + 1)
+def _row_strict_count(n: int) -> int:
+    """The number of row-strict plane partitions of n, whose generating
+    function is the product over i of (1 - x^i)^(-ceil(i/2)) (Gordon; Bender
+    and Knuth, J. Combin. Theory A 13, 1972), by the recurrence
+    n a(n) = sum over k of sigma(k) a(n - k), sigma(k) the sum of d ceil(d/2)
+    over the divisors d of k.  It is nondecreasing in n: adding 1 to the
+    corner entry maps those of n - 1 one-to-one into those of n."""
+    sigma = [0] * (n + 1)
     for d in range(1, n + 1):
         for m in range(d, n + 1, d):
-            sigma2[m] += d * d
-    pp = [1]
+            sigma[m] += d * ((d + 1) // 2)
+    counts = [1]
     for m in range(1, n + 1):
-        pp.append(sum(sigma2[k] * pp[m - k] for k in range(1, m + 1)) // m)
-    return pp[n]
+        counts.append(sum(sigma[k] * counts[m - k] for k in range(1, m + 1)) // m)
+    return counts[n]
 
 
 @lru_cache(maxsize=1)
 def gauss_table(p: int) -> tuple[int, list[list[int]]]:
-    """Every Gaussian binomial G(n, k) mod x^(p+1) with 0 <= k <= n/2 <= p/2,
-    packed at x = 2^width, as (width, rows) with rows[n][k] = G(n, k).
+    """Every Gaussian binomial G(n, k) mod x^(p+1) with 0 <= k <= n/2 <= p/2
+    and k at most the column cap M + max(S, 1), packed at x = 2^width, as
+    (width, rows) with rows[n][k] = G(n, k).  M is the largest label whose
+    M(M+1)/2 is at most p and S the largest row index s whose least shape,
+    s + 1 rows of parts 1 to s + 1, has binomial(s + 3, 3) <= p, so the
+    column min(k, n - k) of every entry either census reads is at most the
+    cap: the stable census reads columns b - s + t <= M + S, with t <= S,
+    and the strongly stable census columns up to M + 1.
 
     Built bottom-up by q-Pascal, G(n, k) = G(n-1, k-1) + x^k G(n-1, k), with
-    G(n-1, k) = G(n-1, n-1-k): one shift, one add and one mask per entry.
-    The width is one bit more than the bit length of the number of plane
-    partitions of p.  It is exact for every packed determinant or Pfaffian
-    the censuses take at p: each digit they read is a coefficient, at a norm
-    n <= p, of a generating function of arrays with positive entries whose
-    rows and columns decrease (a shifted array read left-justified), so each
-    array is a distinct plane partition of n, and there are at most as many
-    as plane partitions of p.
+    G(n-1, k) = G(n-1, n-1-k): one shift, one add and one mask per entry,
+    and both columns it reads lie within the cap.  The width is one bit more
+    than the bit length of the number of row-strict plane partitions of p.
+    It is exact for every packed determinant or Pfaffian the censuses take
+    at p: each digit a shape reads, the lower digits of its own set
+    included, is a coefficient, at a norm n <= p, of a generating function
+    of arrays with positive entries whose rows strictly decrease and whose
+    columns decrease (a shifted array read left-justified), so each array is
+    a distinct row-strict plane partition of n, and there are at most as
+    many as row-strict plane partitions of p.  The other sets' values are
+    only ring elements: x -> 2^width maps Z[x]/x^(p+1) onto the integers mod
+    2^((p+1) width), so they stay congruent to the true sub-Pfaffians
+    whatever their digits.
     """
-    width = _plane_partition_count(p).bit_length() + 1
+    width = _row_strict_count(p).bit_length() + 1
+    tallest = 0  # S
+    while comb(tallest + 4, 3) <= p:
+        tallest += 1
+    cap = (isqrt(8 * p + 1) - 1) // 2 + max(tallest, 1)
     mask = (1 << (p + 1) * width) - 1
     rows = [[1]]
     for n in range(1, p + 1):
         prev = rows[-1]
         rows.append([1] + [
             (prev[k - 1] + (prev[min(k, n - 1 - k)] << k * width)) & mask
-            for k in range(1, n // 2 + 1)
+            for k in range(1, min(n // 2, cap) + 1)
         ])
     return width, rows
 
 
 def _table_entry(rows: list[list[int]], n: int, k: int) -> int:
-    """G(n, k) from gauss_table's rows, total like gauss_binomial."""
+    """G(n, k) from gauss_table's rows, total like gauss_binomial; a column
+    past the table's cap raises IndexError."""
     if k == 0:
         return 1
     if k < 0 or n < k:
         return 0
-    return rows[n][min(k, n - k)]
+    kept = rows[n]
+    column = min(k, n - k)
+    if column >= len(kept):
+        raise IndexError(f"G({n}, {k}) lies past gauss_table's column cap {len(kept) - 1}")
+    return kept[column]
 
 
 def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
@@ -624,6 +648,8 @@ def gf_strict_coefficient(lam: Sequence[int], p: int) -> int:
     cell (s, j), j < s, pairs with cell (j - 1, s + 1), of weight s - j + 2.
     So each digit up to x^top counts arrays of norm below p.  A shape whose
     least array has norm past p gives 0; the others have rows in the matrix.
+    The shape's own set is popped from the memo once its digit is read: no
+    expansion reads it again (_strict_census), so that changes only cost.
     """
     lam = tuple(lam)
     r = len(lam)
@@ -637,6 +663,7 @@ def gf_strict_coefficient(lam: Sequence[int], p: int) -> int:
     rowmask = sum(1 << rows[s, part] for s, part in enumerate(lam)) | ((1 << r) - 1) << len(rows)
     top = top_of(rowmask)
     pf = _pfaffian(skew, partners, rowmask, top, memo, top_of, width)
+    memo.pop(rowmask, None)
     return _guarded((-1) ** _choose2(r) * _digit(pf, top, width), lam, p)
 
 
@@ -660,6 +687,10 @@ def _strict_census(p: int) -> tuple:
     it.  Per first label it keeps p less the sum of the parts that do not
     depend on c_u, and the slopes B - u, so it walks only T's own labels and
     its first s0 absent columns.
+
+    Rows are ordered by s, so an expansion removes a set's label of row 0
+    first and no child holds one: the memo keeps only the sets without one,
+    as gf_strict_coefficient pops each shape's own set once it is read.
     """
     width, table = gauss_table(p)
     bound = isqrt(2 * p)  # no part, and no row index, reaches past it
@@ -764,7 +795,7 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     It runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B), with the
     entries and the width B of gauss_table(p).  The width is exact: the
     coefficient of x^n counts arrays of norm n <= p, and each array, read
-    left-justified, is a distinct plane partition of n.
+    left-justified, is a distinct row-strict plane partition of n.
     """
     lam = tuple(lam)
     r = len(lam)

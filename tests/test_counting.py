@@ -31,7 +31,7 @@ from escalier.partitions import (
     minimal_sum,
 )
 from escalier.qpolys import (
-    _plane_partition_count,
+    _row_strict_count,
     _shifted_census,
     _strict_census,
     _strict_entries,
@@ -409,8 +409,9 @@ class TestStableCensus:
         assert [beta for beta, total in sums.items() if total == 3] == [(2, 1)]
 
     def test_shape_counts_stay_below_the_plane_partition_count(self):
-        # the bound the packed table's width is sized from
-        bound = _plane_partition_count(60)
+        # the bound the packed table's width is sized from: every shape's
+        # arrays are row-strict plane partitions of 60
+        bound = _row_strict_count(60)
         for kind in (STABLE, STRONGLY_STABLE):
             for row in census(60, 3, kind).rows:
                 assert all(0 <= sc.count <= bound for sc in row.shapes), (kind, row.bar_list)

@@ -28,8 +28,8 @@ from escalier.qpolys import (
     _packed_minor,
     _partner_masks,
     _pfaffian,
-    _plane_partition_count,
     _row_bases,
+    _row_strict_count,
     _shifted_census,
     _strict_census,
     _strict_entries,
@@ -217,15 +217,57 @@ class TestGaussBinomial:
                         assert capped.coefficient(d) == full.coefficient(d)
 
 
+def row_strict_plane_partitions(n):
+    """Every plane partition of n whose rows strictly decrease, by brute
+    force: rows of distinct positive parts, each row no longer than the one
+    above it and each part at most the one above it."""
+    def rows_under(above, most, row=()):
+        if row:
+            yield row
+        if len(row) < len(above):
+            high = min(above[len(row)], row[-1] - 1) if row else above[0]
+            for part in range(1, min(high, most - sum(row)) + 1):
+                yield from rows_under(above, most, row + (part,))
+
+    def arrays(above, left):
+        if left == 0:
+            yield ()
+            return
+        for row in rows_under(above, left):
+            for rest in arrays(row, left - sum(row)):
+                yield (row,) + rest
+
+    return list(arrays((n,) * n, n))
+
+
+def column_cap(p):
+    """gauss_table(p)'s cap M + max(S, 1): M the largest label with
+    M(M+1)/2 <= p, S the largest s with binomial(s + 3, 3) <= p."""
+    labels = max(m for m in range(p + 1) if m * (m + 1) // 2 <= p)
+    tallest = max((s for s in range(p + 1) if math.comb(s + 3, 3) <= p), default=0)
+    return labels, tallest, labels + max(tallest, 1)
+
+
 class TestGaussTable:
     @pytest.mark.parametrize("top", [0, 1, 2, 7, 30])
     def test_digits_match_gauss_binomial(self, top):
+        # every kept column is the Gaussian binomial; a read past the cap
+        # raises and names the entry and the cap
         width, rows = gauss_table(top)
+        cap = column_cap(top)[2]
+        past = 0
         for n in range(top + 1):
+            assert len(rows[n]) == min(n // 2, cap) + 1
             for k in range(n + 1):
+                if min(k, n - k) > cap:
+                    with pytest.raises(IndexError, match=rf"G\({n}, {k}\) .* cap {cap}$"):
+                        _table_entry(rows, n, k)
+                    past += 1
+                    continue
                 want = gauss_binomial(n, k, top)
                 got = _unpack(_table_entry(rows, n, k), top + 1, width)
                 assert got == [want.coefficient(d) for d in range(top + 1)], (n, k)
+        assert (past > 0) == (top == 30)
 
     def test_total_conventions(self):
         _, rows = gauss_table(7)
@@ -233,24 +275,52 @@ class TestGaussTable:
         assert _table_entry(rows, -1, 2) == _table_entry(rows, 3, -1) == 0
         assert _table_entry(rows, 2, 3) == 0
 
-    def test_plane_partition_counts(self):
-        # OEIS A000219, and the series prod 1/(1 - x^k)^k up to x^100
-        assert [_plane_partition_count(n) for n in range(13)] == [
-            1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479]
+    def test_row_strict_counts(self):
+        # the brute-force enumeration, and the series of the product of
+        # 1/(1 - x^i)^ceil(i/2) up to x^100
+        want = [1, 1, 2, 4, 7, 12, 21, 34, 56, 90, 143, 223, 348, 532, 811, 1224, 1834]
+        assert [_row_strict_count(n) for n in range(17)] == want
+        arrays = [row_strict_plane_partitions(n) for n in range(17)]
+        assert [len(set(found)) for found in arrays] == [len(found) for found in arrays] == want
         top = 100
         series = [1] + [0] * top
-        for k in range(1, top + 1):
-            for _ in range(k):  # times 1/(1 - x^k)
-                for j in range(k, top + 1):
-                    series[j] += series[j - k]
-        assert _plane_partition_count(top) == series[top] == 59206066030052023
-        assert [_plane_partition_count(n) for n in (20, 50, 99)] == [
-            series[20], series[50], series[99]]
+        for i in range(1, top + 1):
+            for _ in range((i + 1) // 2):  # times 1/(1 - x^i)
+                for j in range(i, top + 1):
+                    series[j] += series[j - i]
+        assert [_row_strict_count(n) for n in range(top + 1)] == series
+        assert all(a <= b for a, b in zip(series, series[1:]))
 
-    def test_width_holds_the_plane_partition_count(self):
-        for p in (0, 1, 10, 60, 100):
+    def test_width_holds_the_row_strict_count(self):
+        for p, bits in ((0, 2), (1, 2), (10, 9), (60, 32), (100, 47), (200, 76)):
             width, _ = gauss_table(p)
-            assert _plane_partition_count(p) < 1 << (width - 1) <= 2 * _plane_partition_count(p)
+            assert width == bits
+            assert _row_strict_count(p) < 1 << (width - 1) <= 2 * _row_strict_count(p)
+
+    def test_censuses_read_no_column_past_the_cap(self, monkeypatch):
+        # the largest column min(k, n - k) each census reads at every
+        # p <= 60 and at p = 100: at most the cap, for the stable census
+        # M + S once the columns it reads lie below n/2, for the strongly
+        # stable one M + 1
+        read = []
+
+        def entry(rows, n, k):
+            if 0 < k <= n:
+                read.append(min(k, n - k))
+            return _table_entry(rows, n, k)
+
+        monkeypatch.setattr(qpolys, "_table_entry", entry)
+        for p in [*range(1, 61), 100]:
+            labels, tallest, cap = column_cap(p)
+            for kind, census_of, most in ((STABLE, _strict_census, labels + tallest),
+                                          (STRONGLY_STABLE, _shifted_census, labels + 1)):
+                census_of.cache_clear()
+                read.clear()
+                census(p, 3, kind)
+                census_of.cache_clear()
+                assert max(read, default=0) <= most <= cap, (p, kind)
+                if p >= 12:
+                    assert max(read) == most, (p, kind)
 
 
 class TestDigit:
@@ -1364,15 +1434,34 @@ def shifted_top_oracle(p):
                                    if bit == "1")
 
 
+def shape_sets(kind, p):
+    """The row set each census shape with k >= 2 rows reads its count from
+    at p, for the shapes that reach a digit: the root of its expansion."""
+    if kind == STABLE:
+        _, rows, _, _, _, _ = _strict_census(p)
+        for beta in stable_census_shapes(p):
+            if minimal_sum(beta) <= p:
+                r = len(beta)
+                yield sum(1 << rows[s, part] for s, part in enumerate(beta)) | ((1 << r) - 1) << len(rows)
+        return
+    _, skew, _, _, _ = _shifted_census(p)
+    border = len(skew) - 1
+    for lam in census_shapes(p):
+        ms = shifted_rows(lam)
+        if sum(m * (m + 1) // 2 for m in ms) <= p:
+            yield sum(1 << border - 1 - m for m in ms) | (len(ms) % 2) << border
+
+
 class TestCensusPrecisionRules:
     @pytest.mark.parametrize("kind, census_of, oracle_of, sets", [
-        (STABLE, _strict_census, strict_top_oracle, 7832),
+        (STABLE, _strict_census, strict_top_oracle, 5204),
         (STRONGLY_STABLE, _shifted_census, shifted_top_oracle, 3816),
     ])
     def test_match_the_first_form_on_every_memo_entry(self, kind, census_of, oracle_of, sets):
-        # after a full census at each p <= 60, every row set its memo holds
-        # has the top_of of the comprehension form
-        held = 0
+        # after a full census at each p <= 60, every row set its memo holds,
+        # and every shape's own set, which the stable memo drops, has the
+        # top_of of the comprehension form
+        held, roots = 0, 0
         for p in range(1, 61):
             census_of.cache_clear()
             census(p, 3, kind)
@@ -1380,5 +1469,39 @@ class TestCensusPrecisionRules:
             oracle = oracle_of(p)
             for rowmask in memo:
                 assert top_of(rowmask) == oracle(rowmask), (p, rowmask)
+            for rowmask in shape_sets(kind, p):
+                assert top_of(rowmask) == oracle(rowmask), (p, rowmask)
+                roots += 1
             held += len(memo)
-        assert held == sets
+        assert (held, roots) == (sets, {STABLE: 2628, STRONGLY_STABLE: 3584}[kind])
+
+
+class TestShapeSetsInTheMemo:
+    def test_stable_memo_drops_every_set_with_a_label_of_row_0(self):
+        # each shape's own set holds its label of row 0, and none stays in
+        # the memo after a census, nor any other set with such a label
+        for p in (10, 30, 60, 100):
+            _strict_census.cache_clear()
+            census(p, 3, STABLE)
+            _, rows, _, _, memo, _ = _strict_census(p)
+            row0 = sum(1 << i for (s, _), i in rows.items() if s == 0)
+            roots = list(shape_sets(STABLE, p))
+            assert roots and all(rowmask & row0 for rowmask in roots), p
+            assert memo and not any(rowmask & row0 for rowmask in memo), p
+
+    def test_strongly_stable_memo_keeps_every_shape_set(self):
+        # some shape's set is a child of another's: the other set less its
+        # lowest row and one of that row's partners
+        for p in (10, 30, 60, 100):
+            _shifted_census.cache_clear()
+            census(p, 3, STRONGLY_STABLE)
+            _, skew, _, memo, _ = _shifted_census(p)
+            roots = set(shape_sets(STRONGLY_STABLE, p))
+            assert roots <= set(memo), p
+            children = {
+                root for root in roots
+                for i in range((root & -root).bit_length() - 1)
+                for j in range(i + 1, len(skew))
+                if skew[i][j] and not root >> j & 1 and root | 1 << i | 1 << j in roots
+            }
+            assert children, p
