@@ -16,11 +16,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from ._record import Record
 from .monomials import Term, _is_closed, format_term, p_operator
+
+
+@lru_cache(maxsize=1, typed=True)
+def _unit_row(width: int) -> tuple[int, ...]:
+    """Row 1 of every Bar Code of this width: width unit bars.
+
+    The listings pass this one tuple as row 1 of each code they build, and
+    ``BarCode`` skips the checks of that row when it is this very object.
+    One width is kept, as a listing builds codes of one width; a code of
+    another width only builds the row again."""
+    return (1,) * width
 
 
 class BarCode(Record):
@@ -30,15 +41,20 @@ class BarCode(Record):
         self.__dict__["rows"] = rows
         if not rows:
             raise ValueError("a Bar Code needs at least one row")
-        for row in rows:
+        first = rows[0]
+        # the cached unit row is a valid row 1 by construction; any other row
+        # 1, even one equal to it, is checked in full.  An empty row is never
+        # the cached one: (1,) * 0 is the empty tuple, a singleton.
+        unit = type(first) is tuple and first and first is _unit_row(len(first))
+        for row in rows[1:] if unit else rows:
             # exact types: a bool is not a bar length; an empty row fails here too
             if set(map(type, row)) != {int} or min(row) < 1:
                 raise ValueError(f"bar lengths must be positive integers: {row}")
-        width = sum(rows[0])
-        if set(map(sum, rows)) != {width}:
+        width = len(first) if unit else sum(first)
+        if any(sum(row) != width for row in rows[1:]):
             raise ValueError("all rows must cover the same number of columns")
         # the entries are positive, so they are all 1 exactly when there are width of them
-        if len(rows[0]) != width:
+        if len(first) != width:
             raise ValueError("row 1 must consist of unit bars")
         # row 1 starts a bar at every column, so nesting is checked from row 2 on
         for upper, lower in zip(rows[1:], rows[2:]):

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import islice
 
 from ._record import Record
-from .barcode import BarCode, length
+from .barcode import BarCode, _unit_row, length
 from .counting import STRONGLY_STABLE, _check_kind, bar_lists_3vars, max_h_2vars
 from .monomials import MonomialIdeal, Term
 from .partitions import (
@@ -112,7 +112,7 @@ def _rows_barcode(rows: tuple[tuple[int, ...], ...]) -> BarCode:
     """Each entry is the 1-length of a 2-bar, each row the 2-bars over a 3-bar."""
     two_bars = tuple(v for row in rows for v in row)
     three_bars = tuple(sum(row) for row in rows)
-    return BarCode(((1,) * sum(three_bars), two_bars, three_bars))
+    return BarCode((_unit_row(sum(three_bars)), two_bars, three_bars))
 
 
 def _barcode_rows(B: BarCode) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +190,7 @@ def partition_2vars(B: BarCode) -> IntPartition:
 def barcode_from_partition_2vars(parts: IntPartition) -> BarCode:
     if not parts or any(a <= b for a, b in zip(parts, parts[1:])) or parts[-1] < 1:
         raise ValueError("need a strictly decreasing positive partition")
-    return BarCode(((1,) * sum(parts), tuple(parts)))
+    return BarCode((_unit_row(sum(parts)), tuple(parts)))
 
 
 def ideal_from_partition_2vars(parts: IntPartition) -> MonomialIdeal:

@@ -192,9 +192,11 @@ def _bar(bar_list) -> str:
 def _cmd_count(args) -> int:
     census = counting.census(args.hilbert, args.vars, _kind(args.klass))
     if args.format == "json":
-        doc = census.to_json()
-        if not args.breakdown:
-            doc.pop("rows")
+        # without a breakdown, only the head and total of census.to_json()
+        doc = census.to_json() if args.breakdown else {
+            "p": census.p, "vars": census.n, "class": census.kind.replace("_", "-"),
+            "total": census.total,
+        }
         _write(args, _json_chunks(doc))
         return 0
     lines = []

@@ -1,8 +1,11 @@
 """Integer partitions, plane partitions with strictness parameters, and their
 higher-dimensional relatives.
 
-Counting goes through one table of distinct-part counts Q(m,i), filled
-bottom-up by additions; P(n,k) is read from it through the staircase shift.
+Counting reads Q(p,i), the partitions of p into i distinct parts, as the
+partitions of p - i(i+1)/2 into parts of size at most i (take off the
+staircase, then conjugate), from one list of counts that each part size
+updates by running sums over its residue classes; P(n,k) is read from Q
+through the staircase shift.
 Distinct-part, plane and solid partitions are enumerated by one cell filler,
 a single loop over the cells: each cell carries static bounds and the earlier
 cells that cap it, and the search prunes on the norm left, which is plenty at
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 from ._record import Record
 
@@ -43,7 +46,10 @@ def count_P(n: int, k: int) -> int:
 
 
 def count_Q(p: int, i: int) -> int:
-    """Number of partitions of p into i distinct positive parts."""
+    """Number of partitions of p into i distinct positive parts.
+
+    Read from the column of all Q(p, i) that ``_distinct_part_counts`` keeps
+    per p, so the counts of one p share one pass."""
     if p < 1 or i < 1:
         return 0
     column = _distinct_part_counts(p)
@@ -54,19 +60,23 @@ def count_Q(p: int, i: int) -> int:
 def _distinct_part_counts(p: int) -> tuple[int, ...]:
     """Q(p, i) for i = 0 up to the largest i with i(i+1)/2 <= p.
 
-    Fills the table Q(m, i) = Q(m-i, i) + Q(m-i, i-1) (take 1 from every
-    part; a part equal to 1 drops out) one row i at a time over m = 0..p,
-    keeping only the column m = p.
+    Taking the staircase i, ..., 1 off i distinct parts leaves a partition of
+    n_i = p - i(i+1)/2 into at most i parts, and by conjugation into parts of
+    size at most i.  So one list a[m] counts the partitions of m into parts
+    of size at most i, stage i adding parts of size i: a[m] += a[m - i] for
+    ascending m, which is a running sum along each residue class mod i, one
+    ``accumulate`` per class.  Q(p, i) is then a[n_i].  The n_i fall as i
+    grows and no later stage reads past n_i, so stage i updates a[0..n_i]
+    only.
     """
-    row = [1] + [0] * p  # Q(m, 0)
-    column = [row[p]]
+    a = [1] + [0] * p
+    column = [a[p]]  # Q(p, 0)
     i = 1
-    while i * (i + 1) // 2 <= p:
-        nxt = [0] * (p + 1)
-        for m in range(i * (i + 1) // 2, p + 1):
-            nxt[m] = nxt[m - i] + row[m - i]
-        row = nxt
-        column.append(row[p])
+    while (n := p - i * (i + 1) // 2) >= 0:
+        # a class with one entry in a[0..n] (r > n - i) is its own running sum
+        for r in range(min(i, n - i + 1)):
+            a[r:n + 1:i] = accumulate(a[r:n + 1:i])
+        column.append(a[n])
         i += 1
     return tuple(column)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from escalier import barcode
 from escalier.barcode import (
     BarCode,
+    _unit_row,
     bar_list,
     decode,
     e_list,
@@ -19,7 +20,7 @@ from escalier.barcode import (
     length,
     render,
 )
-from escalier.bijections import barcode_from_partition_2vars
+from escalier.bijections import barcode_from_partition_2vars, list_ideals
 from escalier.monomials import OrderIdeal, Term, is_order_ideal, parse_term, term
 from escalier.starset import star_set_direct, star_set_from_barcode
 from randgen import random_barcode, random_order_ideal
@@ -257,6 +258,70 @@ class TestWideCode:
         assert code == FIVE_CODE and hash(code) == hash(FIVE_CODE)
         assert repr(code) == repr(FIVE_CODE)
         assert code.to_json() == FIVE_CODE.to_json()
+
+
+class TestUnitRow:
+    """The listings pass one cached row 1 per width, which the constructor
+    does not check again; every other row 1 is checked in full."""
+
+    def test_listings_share_the_cached_row(self):
+        for n, kind, p in ((2, "stable", 12), (3, "stable", 9), (3, "strongly_stable", 9)):
+            codes = [item.barcode for item in list_ideals(p, n, kind)]
+            assert all(code.rows[0] is codes[0].rows[0] for code in codes)
+            assert codes[0].rows[0] == (1,) * p
+
+    @pytest.mark.parametrize("first", [(1, True, 1), (True, 1, 1), (1, 1, 1.0)])
+    def test_an_equal_row_of_other_types_is_still_refused(self, first):
+        # equal in value to the cached unit row, but not that object
+        cached = _unit_row(3)
+        assert first == cached and first is not cached
+        with pytest.raises(ValueError) as caught:
+            BarCode((first, (2, 1)))
+        assert str(caught.value) == f"bar lengths must be positive integers: {first}"
+
+    def test_an_empty_row_is_not_a_unit_row(self):
+        # (1,) * 0 is the empty tuple, a singleton
+        assert _unit_row(0) is ()
+        with pytest.raises(ValueError, match="positive integers"):
+            BarCode(((),))
+        with pytest.raises(ValueError, match="positive integers"):
+            BarCode(((), ()))
+
+    @pytest.mark.parametrize("rest, message", [
+        (((2, True),), "bar lengths must be positive integers: (2, True)"),
+        (((2, 0, 1),), "bar lengths must be positive integers: (2, 0, 1)"),
+        (((2, 2),), "all rows must cover the same number of columns"),
+        (((1, 2), (3,), (4,)), "all rows must cover the same number of columns"),
+        (((1, 2), (2, 1)), "each bar must lie under exactly one bar below"),
+    ])
+    def test_the_rows_under_the_cached_row_are_checked(self, rest, message):
+        with pytest.raises(ValueError) as caught:
+            BarCode((_unit_row(3), *rest))
+        assert str(caught.value) == message
+
+    def test_listed_codes_equal_codes_of_fresh_rows(self):
+        for n, kind, p in ((2, "stable", 15), (3, "stable", 10), (3, "strongly_stable", 10)):
+            for item in list_ideals(p, n, kind):
+                listed = item.barcode
+                fresh = BarCode(tuple(tuple(list(row)) for row in listed.rows))
+                assert fresh.rows[0] is not listed.rows[0]
+                assert listed == fresh and hash(listed) == hash(fresh)
+                assert decode(listed) == decode(fresh)
+                assert is_admissible(listed) == is_admissible(fresh)
+                assert star_set_from_barcode(listed) == star_set_from_barcode(fresh)
+
+    def test_a_code_of_another_width_between_listings(self):
+        def rows(listing):
+            return [item.barcode.rows for item in listing]
+
+        first = rows(list_ideals(20, 2, "stable"))
+        other = barcode_from_partition_2vars((4, 2, 1))
+        assert other.rows[0] == (1,) * 7
+        BarCode(((1,) * 5, (3, 2)))  # a fresh row 1 of a third width
+        second = rows(list_ideals(20, 2, "stable"))
+        assert first == second
+        assert all(r[0] == (1,) * 20 for r in second)
+        assert other == BarCode(((1,) * 7, (4, 2, 1)))
 
 
 class TestRender:

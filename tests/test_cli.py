@@ -17,6 +17,7 @@ from escalier import cli
 from escalier.barcode import BarCode
 from escalier.bijections import ListedIdeal, list_ideals
 from escalier.cli import run
+from escalier.counting import census
 from escalier.monomials import MonomialIdeal, Term, format_term
 from escalier.partitions import PlanePartition
 
@@ -61,6 +62,15 @@ class TestCount:
         assert run(["count", "--vars", "2", "--hilbert", str(p),
                     "--class", "stable"]) == 0
         assert out_of(capsys) == f"total: {coeffs[p]}"
+
+    @pytest.mark.parametrize("n, klass, p", [(2, "stable", 1), (2, "strongly-stable", 30),
+                                             (3, "stable", 12), (3, "strongly-stable", 12)])
+    def test_json_total_is_the_census_document_without_rows(self, capsys, n, klass, p):
+        doc = census(p, n, klass.replace("-", "_")).to_json()
+        del doc["rows"]
+        assert run(["count", "--vars", str(n), "--hilbert", str(p), "--class", klass,
+                    "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
     def test_deterministic_output(self, capsys):
         run(["count", "--vars", "3", "--hilbert", "9", "--class", "stable",

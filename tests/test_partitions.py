@@ -8,6 +8,7 @@ import pytest
 
 from escalier.partitions import (
     PlanePartition,
+    _distinct_part_counts,
     SolidPartition,
     count_P,
     count_Q,
@@ -71,7 +72,55 @@ def brute_plane_partitions(shape, shifted, c, d, first, last_min, norm, inner=No
     return out
 
 
+def rowwise_distinct_part_counts(p):
+    """Q(p, i) for i = 0 up to the largest i with i(i+1)/2 <= p, by the
+    route the strided accumulation replaced.
+
+    Fills the table Q(m, i) = Q(m-i, i) + Q(m-i, i-1) (take 1 from every
+    part; a part equal to 1 drops out) one row i at a time over m = 0..p,
+    keeping only the column m = p.
+    """
+    row = [1] + [0] * p  # Q(m, 0)
+    column = [row[p]]
+    i = 1
+    while i * (i + 1) // 2 <= p:
+        nxt = [0] * (p + 1)
+        for m in range(i * (i + 1) // 2, p + 1):
+            nxt[m] = nxt[m - i] + row[m - i]
+        row = nxt
+        column.append(row[p])
+        i += 1
+    return tuple(column)
+
+
+@lru_cache(maxsize=None)
+def parts_count(n, k):
+    """Partitions of n into exactly k parts: remove a part 1, or take 1
+    from each of the k parts."""
+    if n == k == 0:
+        return 1
+    if n < k or k < 1:
+        return 0
+    return parts_count(n - 1, k - 1) + parts_count(n - k, k)
+
+
 class TestCounts:
+    def test_Q_column_matches_the_rowwise_table(self):
+        for p in range(0, 301):
+            assert _distinct_part_counts(p) == rowwise_distinct_part_counts(p)
+
+    def test_Q_past_the_column_is_zero(self):
+        for p in range(1, 60):
+            column = _distinct_part_counts(p)
+            assert count_Q(p, len(column)) == 0
+            assert all(count_Q(p, i) == column[i] for i in range(1, len(column)))
+
+    def test_P_matches_the_parts_recurrence(self):
+        # largest part exactly k, by conjugation exactly k parts
+        for n in range(0, 61):
+            for k in range(0, n + 2):
+                assert count_P(n, k) == parts_count(n, k), (n, k)
+
     def test_P_base_cases(self):
         for n in range(0, 12):
             assert count_P(n, n) == 1
