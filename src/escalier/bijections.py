@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
+from operator import gt
 
 from ._record import Record
 from .barcode import BarCode, _unit_row, length
 from .counting import STRONGLY_STABLE, _check_kind, bar_lists_3vars, max_h_2vars
-from .monomials import MonomialIdeal, Term
+from .monomials import MonomialIdeal, Term, _term_of
 from .partitions import (
     IntPartition,
     PlanePartition,
@@ -67,20 +68,21 @@ class IdealListing(Record):
         # Look for kept items when the stream starts, not when it is made:
         # list() and tuple() take iter() first and len() after it, and len()
         # keeps the items.
-        p = self.p
+        # One Term per exponent vector per pass: the ideals share them.
+        p, seen = self.p, {}
         if "items" in self.__dict__:
             yield from self.items
         elif self.n == 2:
             yield from (
                 ListedIdeal(parts, barcode_from_partition_2vars(parts),
-                            ideal_from_partition_2vars(parts))
+                            _staircase_ideal(parts, seen))
                 for h in range(1, max_h_2vars(p) + 1) for parts in enumerate_distinct(p, h)
             )
         else:
             # the enumerated arrays are of the class already: their rows need no
             # _pp_rows check
             yield from (
-                ListedIdeal(pp, _rows_barcode(pp.rows), _rows_ideal(pp.rows))
+                ListedIdeal(pp, _rows_barcode(pp.rows), _rows_ideal(pp.rows, seen))
                 for _, h, k in bar_lists_3vars(p) for alpha in enumerate_distinct(h, k)
                 for pp in _class_arrays(alpha, self.kind, p)
             )
@@ -123,9 +125,10 @@ def _barcode_rows(B: BarCode) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(islice(two_bars, length(B, 3, j, 2))) for j in range(1, B.mu(3) + 1))
 
 
-def _rows_ideal(rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
+def _rows_ideal(rows: tuple[tuple[int, ...], ...], seen: dict) -> MonomialIdeal:
     """Generators read straight off the rows: the pure x3 power, one mixed x2
-    corner per row, and one x1 corner per cell.
+    corner per row, and one x1 corner per cell, each vector's Term taken from
+    ``seen`` (``monomials._term_of``).
 
     Rows and row lengths both decrease strictly, so no generator divides
     another and the set is already minimal.  In a shifted array the weak
@@ -139,9 +142,9 @@ def _rows_ideal(rows: tuple[tuple[int, ...], ...]) -> MonomialIdeal:
     """
     gens = []
     for i, row in enumerate(rows):
-        gens += [Term((v, j, i)) for j, v in enumerate(row)]
-        gens.append(Term((0, len(row), i)))
-    gens.append(Term((0, 0, len(rows))))
+        gens += [_term_of((v, j, i), seen) for j, v in enumerate(row)]
+        gens.append(_term_of((0, len(row), i), seen))
+    gens.append(_term_of((0, 0, len(rows)), seen))
     return MonomialIdeal(tuple(gens), 3)
 
 
@@ -160,7 +163,7 @@ def strict_pp_from_barcode(B: BarCode) -> PlanePartition:
 
 def ideal_from_strict_pp(pp: PlanePartition) -> MonomialIdeal:
     """The stable ideal whose escalier has the Bar Code of pp."""
-    return _rows_ideal(_pp_rows(pp, shifted=False))
+    return _rows_ideal(_pp_rows(pp, shifted=False), {})
 
 
 def barcode_from_shifted_pp(pp: PlanePartition) -> BarCode:
@@ -182,19 +185,25 @@ def partition_2vars(B: BarCode) -> IntPartition:
     if B.n != 2:
         raise ValueError("expected a two-row Bar Code")
     parts = B.rows[1]
-    if any(a <= b for a, b in zip(parts, parts[1:])):
+    if not all(map(gt, parts, parts[1:])):
         raise ValueError("code does not come from a stable ideal")
     return parts
 
 
 def barcode_from_partition_2vars(parts: IntPartition) -> BarCode:
-    if not parts or any(a <= b for a, b in zip(parts, parts[1:])) or parts[-1] < 1:
+    if not parts or not all(map(gt, parts, parts[1:])) or parts[-1] < 1:
         raise ValueError("need a strictly decreasing positive partition")
     return BarCode((_unit_row(sum(parts)), tuple(parts)))
 
 
 def ideal_from_partition_2vars(parts: IntPartition) -> MonomialIdeal:
-    """The staircase ideal (x1^a1, x1^a2 x2, ..., x2^h).
+    """The staircase ideal (x1^a1, x1^a2 x2, ..., x2^h) of distinct parts."""
+    return _staircase_ideal(parts, {})
+
+
+def _staircase_ideal(parts: IntPartition, seen: dict) -> MonomialIdeal:
+    """The staircase ideal (x1^a1, x1^a2 x2, ..., x2^h), each vector's Term
+    taken from ``seen`` (``monomials._term_of``).
 
     The parts are distinct, so x1 falls and x2 rises strictly along the
     staircase and no generator divides another: the set is already minimal.
@@ -203,7 +212,8 @@ def ideal_from_partition_2vars(parts: IntPartition) -> MonomialIdeal:
     that tuple, with no sort and no hashing.
     """
     h = len(parts)
-    return MonomialIdeal((*map(Term, zip(parts, range(h))), Term((0, h))), 2)
+    return MonomialIdeal((*map(_term_of, zip(parts, range(h)), repeat(seen)),
+                          _term_of((0, h), seen)), 2)
 
 
 def _class_arrays(alpha: IntPartition, kind: str, norm: int) -> list[PlanePartition]:

@@ -39,16 +39,34 @@ from .qpolys import gf_shifted, gf_strict
 
 
 def _write(args, chunks) -> None:
-    """Write the chunks of an answer to the ``--out`` file, or to stdout.
+    """Write the chunks of an answer to the ``--out`` file, or to stdout, in
+    ``_blocks``: an unbuffered stdout makes one system call per write.
 
     Text goes in as ``(text, "\\n")`` or by lines, JSON as ``_json_chunks(doc)``.
     Handlers check their request first, so a rejected one leaves no ``--out`` file.
     """
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            fh.writelines(_blocks(chunks))
     else:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(_blocks(chunks))
+
+
+_BLOCK = 1 << 16  # characters
+
+
+def _blocks(chunks):
+    """The chunks joined in order into blocks of at least ``_BLOCK`` characters,
+    all but the last; each block is yielded as soon as it is full."""
+    block, held = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        held += len(chunk)
+        if held >= _BLOCK:
+            yield "".join(block)
+            block, held = [], 0
+    if block:
+        yield "".join(block)
 
 
 # ``json.dumps`` with any ``indent`` falls back to the pure-Python encoder,

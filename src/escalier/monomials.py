@@ -183,6 +183,13 @@ def _check_uniform(terms: Iterable[Term]) -> int | None:
     return arity
 
 
+def _term_of(e: tuple[int, ...], seen: dict) -> Term:
+    """The Term of exponent vector e, one Term per vector across calls with
+    the same dict ``seen``; Terms are immutable, so sharing one changes no
+    equality, hash or order."""
+    return seen.get(e) or seen.setdefault(e, Term(e))
+
+
 def is_order_ideal(terms: Iterable[Term]) -> bool:
     """True iff the set is closed under taking predecessors (divisor-closed)."""
     ts = set(terms)
@@ -198,6 +205,15 @@ def _is_closed(vectors: Set[tuple[int, ...]]) -> bool:
     return True
 
 
+def _check_order_ideal(vectors: Set[tuple[int, ...]], n: int) -> None:
+    """ValueError unless the exponent vectors all have arity n and are closed
+    under division, which also rules out negative exponents."""
+    if not {n}.issuperset(map(len, vectors)):
+        raise ValueError("term arity differs from ambient arity")
+    if not _is_closed(vectors):
+        raise ValueError("set is not closed under division")
+
+
 class OrderIdeal(Record):
     """A finite divisor-closed set of terms (a Groebner escalier)."""
 
@@ -205,11 +221,7 @@ class OrderIdeal(Record):
 
     def __init__(self, terms: frozenset[Term], n: int):
         self.__dict__.update(terms=terms, n=n)
-        vectors = {t.exponents for t in terms}
-        if not {n}.issuperset(map(len, vectors)):
-            raise ValueError("term arity differs from ambient arity")
-        if not _is_closed(vectors):
-            raise ValueError("set is not closed under division")
+        _check_order_ideal({t.exponents for t in terms}, n)
 
     @classmethod
     def of(cls, terms: Iterable[Term], n: int | None = None) -> OrderIdeal:

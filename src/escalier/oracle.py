@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from functools import cached_property
 
 from ._record import Record
 from .barcode import bar_list, encode
@@ -50,7 +51,9 @@ from .monomials import (
     MonomialIdeal,
     OrderIdeal,
     Term,
+    _check_order_ideal,
     _stability_moves,
+    _term_of,
     is_stable,
     is_strongly_stable,
 )
@@ -85,7 +88,11 @@ def check_size(n: int, p: int) -> None:
 
 class EscalierEnumeration(Record):
     """Order ideals of one size, each with the minimal generators of the
-    ideal it is the escalier of: generators[i] belongs to items[i]."""
+    ideal it is the escalier of: generators[i] belongs to items[i].
+
+    ``enumerate_order_ideals`` checks the escaliers and builds the generators
+    at once, but keeps the escaliers as sets of exponent vectors and builds
+    ``items`` on first read; ``len`` reads the generators."""
 
     _fields = ("n", "p", "items", "generators")
 
@@ -94,8 +101,13 @@ class EscalierEnumeration(Record):
     ):
         self.__dict__.update(n=n, p=p, items=items, generators=generators)
 
+    @cached_property
+    def items(self) -> tuple[OrderIdeal, ...]:
+        term_of: dict[tuple[int, ...], Term] = {}
+        return tuple(OrderIdeal(_as_terms(terms, term_of), self.n) for terms in self._escaliers)
+
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.generators)
 
     def __iter__(self):
         return iter(self.items)
@@ -181,7 +193,7 @@ def _canonical_growth(
 
 def _as_terms(vectors, term_of: dict) -> frozenset[Term]:
     """The Terms of some exponent vectors, one Term per vector across calls."""
-    return frozenset({term_of.get(e) or term_of.setdefault(e, Term(e)) for e in vectors})
+    return frozenset([_term_of(e, term_of) for e in vectors])
 
 
 def enumerate_order_ideals(n: int, p: int, kind: str | None = None) -> EscalierEnumeration:
@@ -196,12 +208,15 @@ def enumerate_order_ideals(n: int, p: int, kind: str | None = None) -> EscalierE
         _check_kind(kind)
     check_size(n, p)
     leaves = _canonical_growth(n, p, None if kind is None else kind != STABLE)
+    for terms, _ in leaves:
+        _check_order_ideal(terms, n)  # what OrderIdeal checks, before any is built
     term_of: dict[tuple[int, ...], Term] = {}
-    items = tuple(OrderIdeal(_as_terms(terms, term_of), n) for terms, _ in leaves)
     generators = tuple(
         MonomialIdeal(_as_terms(corners, term_of), n) for _, corners in leaves
     )
-    return EscalierEnumeration(n, p, items, generators)
+    en = EscalierEnumeration.__new__(EscalierEnumeration)  # items: built on first read
+    en.__dict__.update(n=n, p=p, generators=generators, _escaliers=tuple(t for t, _ in leaves))
+    return en
 
 
 def _stability_test(kind: str):

@@ -363,16 +363,17 @@ class TestListings:
             assert tuple(items) == listing.items
             assert tuple(listing) == listing.items and len(built) == len(items)
 
-    @pytest.mark.parametrize("n, kind, p", [(2, STABLE, 20), (3, STABLE, 12),
+    @pytest.mark.parametrize("n, kind, p", [(2, STABLE, 20), (2, STABLE, 50), (3, STABLE, 12),
                                             (3, STRONGLY_STABLE, 12)])
     def test_json_list_runs_every_constructor(self, monkeypatch, capsys, n, kind, p):
         # the CLI writes each item's JSON straight from its built objects: one
-        # checked Bar Code and ideal per item and one Term per generator, none
-        # of them made past its constructor
-        calls = Counter()
-        for cls in (BarCode, MonomialIdeal, Term):
-            def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
-                calls[_name] += 1
+        # checked Bar Code and ideal per item, and one checked Term per distinct
+        # exponent vector of the listing, shared by every ideal that has it;
+        # none of them made past its constructor
+        made = {BarCode: [], MonomialIdeal: [], Term: []}
+        for cls, seen in made.items():
+            def counted(self, *args, _init=cls.__init__, _seen=seen):
+                _seen.append((self, args))
                 _init(self, *args)
             monkeypatch.setattr(cls, "__init__", counted)
         argv = ["list", "--vars", str(n), "--hilbert", str(p),
@@ -380,8 +381,14 @@ class TestListings:
         assert run(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == census(p, n, kind).total
-        assert calls == {"BarCode": len(doc), "MonomialIdeal": len(doc),
-                         "Term": sum(len(item["generators"]) for item in doc)}
+        assert len(made[BarCode]) == len(made[MonomialIdeal]) == len(doc)
+        terms = [t for t, _ in made[Term]]
+        vectors = {tuple(e) for item in doc for e in item["generators"]}
+        assert sorted(t.exponents for t in terms) == sorted(vectors)
+        assert (n, p) != (2, 50) or len(terms) == 120
+        listed = [g for _, (gens, _) in made[MonomialIdeal] for g in gens]
+        assert len(listed) == sum(len(item["generators"]) for item in doc)
+        assert {id(t) for t in terms}.issuperset(map(id, listed))
 
     def test_agrees_with_determinants_beyond_oracle_sizes(self):
         # the listing never touches a determinant, so this is an independent
@@ -445,7 +452,7 @@ class TestRowReading:
             else (barcode_from_strict_pp, strict_pp_from_barcode)
         )
         code = to_code(pp)
-        ideal = _rows_ideal(pp.rows)
+        ideal = _rows_ideal(pp.rows, {})
         if not shifted:
             assert ideal_from_strict_pp(pp) == ideal
         assert ideal == decode_route(code)

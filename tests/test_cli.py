@@ -142,6 +142,45 @@ class TestStreamedList:
             assert capsys.readouterr().out == ""
             assert target.read_bytes() == text.encode("utf-8"), (p, fmt)
 
+    @pytest.mark.parametrize("vars_, p", [(2, 20), (3, 12), (2, 30)])
+    @pytest.mark.parametrize("klass", ["stable", "strongly-stable"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_blocks_reach_stdout_and_out_alike(self, tmp_path, vars_, p, klass, fmt):
+        # through a real, unbuffered stdout, which takes one write per block;
+        # at p = 30 the JSON listing takes several blocks
+        listing = list_ideals(p, vars_, klass.replace("-", "_"))
+        want = (json.dumps(listing.to_json(), indent=2) + "\n" if fmt == "json"
+                else whole_text_listing(listing)).encode("utf-8")
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "escalier.cli", "list", "--vars", str(vars_),
+                "--hilbert", str(p), "--class", klass, "--format", fmt]
+        target = tmp_path / "listing"
+        shown, written = (subprocess.run(argv + out, env=env, capture_output=True, timeout=60)
+                          for out in ([], ["--out", str(target)]))
+        assert shown.returncode == written.returncode == 0
+        assert shown.stderr == written.stderr == written.stdout == b""
+        assert shown.stdout == target.read_bytes() == want
+
+    def test_blocks(self):
+        size = cli._BLOCK
+        assert size == 1 << 16
+        assert list(cli._blocks([])) == []
+        assert list(cli._blocks(["ab"])) == ["ab"]
+        assert list(cli._blocks(["a" * size, "b"])) == ["a" * size, "b"]
+        assert list(cli._blocks(["a" * (size + 1)])) == ["a" * (size + 1)]
+        # chunks that straddle the size: every block is the chunks read since
+        # the last one, and every block but the last leaves on the chunk that
+        # takes it to 64 KiB, before the next chunk is read
+        chunks = [chr(97 + i % 26) * (1000 + 37 * i) for i in range(200)]
+        read, done, blocks = [], 0, 0
+        for block in cli._blocks(read.append(c) or c for c in chunks):
+            assert block == "".join(read[done:])
+            if len(read) < len(chunks):
+                assert len(block) - len(read[-1]) < size <= len(block)
+            done, blocks = len(read), blocks + 1
+        assert done == len(chunks) and blocks > 3
+
     def test_hand_built_items(self):
         # a skew partition, whose document carries "inner", and a straight one
         # of the same shape, Bar Code row lengths and generator count; then

@@ -6,6 +6,7 @@ from escalier import oracle
 from escalier.barcode import bar_list, encode, is_admissible, length
 from escalier.counting import STABLE, STRONGLY_STABLE, bar_lists_3vars, census, count_2vars
 from escalier.monomials import (
+    OrderIdeal,
     Term,
     corner_terms,
     is_stable,
@@ -156,6 +157,47 @@ class TestClassGrowth:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             enumerate_order_ideals(2, 3, kind="borel")
+
+
+class TestLazyItems:
+    """The enumeration checks every escalier and builds the generators at
+    once, and builds its order ideals only when ``items`` is read."""
+
+    @pytest.mark.parametrize("n, p", [(2, 12), (3, 8)])
+    @pytest.mark.parametrize("kind", [STABLE, STRONGLY_STABLE])
+    def test_counts_build_no_order_ideal(self, monkeypatch, n, p, kind):
+        built = []
+        init = OrderIdeal.__init__
+        monkeypatch.setattr(OrderIdeal, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        assert count_by_definition(n, p, kind) == census(p, n, kind).total
+        en = enumerate_order_ideals(n, p, kind)
+        assert len(en) == len(en.generators) > 0
+        assert "items" not in vars(en) and built == []
+        assert len(en.items) == len(en) == len(built)
+
+    @pytest.mark.parametrize("n, top", [(2, 10), (3, 8)])
+    def test_items_match_eager_construction(self, n, top):
+        for kind in (None, STABLE, STRONGLY_STABLE):
+            for p in range(1, top + 1):
+                oracle._kept_levels.clear()
+                en = enumerate_order_ideals(n, p, kind)
+                leaves = oracle._canonical_growth(n, p, None if kind is None else kind != STABLE)
+                eager = tuple(OrderIdeal(frozenset(map(Term, terms)), n) for terms, _ in leaves)
+                assert en.items == eager and en.items is en.items, (kind, p)
+                assert list(en) == list(eager)
+
+    @pytest.mark.parametrize("terms, message", [
+        ({(0, 0), (0, 2)}, "closed"),  # (0, 1) missing
+        ({(0, 0), (-1, 0)}, "closed"),  # no finite closed set has a negative exponent
+        ({(0, 0), (0, 0, 0)}, "arity"),
+    ])
+    def test_unchecked_escalier_raises(self, monkeypatch, terms, message):
+        leaf = (frozenset(terms), frozenset({(1, 0), (0, 1)}))
+        monkeypatch.setattr(oracle, "_canonical_growth", lambda *a: [leaf])
+        for call in (lambda: enumerate_order_ideals(2, 2),
+                     lambda: count_by_definition(2, 2, STABLE)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestResumedGrowth:
