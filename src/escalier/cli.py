@@ -5,12 +5,13 @@ which reads ``args.format`` and ``args.out`` and hands its answer to one
 writer, ``_write``: to the ``--out`` file, or to stdout.  ``run`` builds only
 the parser of the subcommand that its first argument names.  JSON mode emits a
 single document, whose bytes are those of ``json.dumps(doc, indent=2)`` plus a
-newline, streamed a top-level item at a time; a listing writes each item's
-text straight from the ideal as it is built, by one ``%`` on a template made
-once for each item layout.  Text mode prints tables shaped
+newline, streamed a top-level item, or a census row, at a time; a listing
+writes each item's text straight from the ideal as it is built, by one ``%``
+on a template made once for each item layout.  Text mode prints tables shaped
 like the ones people actually diff against, plus a newline.
-Errors land on stderr with exit code 2; negative check results (a code that is
-not admissible, an ideal that is not stable, a verification mismatch) exit 1.
+Errors, running out of memory among them, land on stderr with exit code 2;
+negative check results (a code that is not admissible, an ideal that is not
+stable, a verification mismatch) exit 1.
 """
 
 from __future__ import annotations
@@ -114,13 +115,14 @@ def _json_chunks(doc):
         yield _indented(doc, "\n") + "\n"
 
 
-def _framed(texts):
-    """A top-level list's chunks, given the text of each item."""
-    sep = "[\n  "
+def _framed(texts, pad: str = "\n", end: str = "\n"):
+    """A list's chunks nested where lines start with ``pad``, given the text of
+    each item, then ``end``; by default a top-level list's."""
+    first = sep = "[" + pad + "  "
     for text in texts:
         yield sep + text
-        sep = ",\n  "
-    yield "[]\n" if sep == "[\n  " else "\n]\n"
+        sep = "," + pad + "  "
+    yield ("[]" if sep == first else pad + "]") + end
 
 
 def _listing_texts(items):
@@ -210,12 +212,16 @@ def _bar(bar_list) -> str:
 def _cmd_count(args) -> int:
     census = counting.census(args.hilbert, args.vars, _kind(args.klass))
     if args.format == "json":
-        # without a breakdown, only the head and total of census.to_json()
-        doc = census.to_json() if args.breakdown else {
-            "p": census.p, "vars": census.n, "class": census.kind.replace("_", "-"),
-            "total": census.total,
-        }
-        _write(args, _json_chunks(doc))
+        # census.to_json(), or without a breakdown only its head and total;
+        # a breakdown is written a row at a time, after the head's text cut
+        # before its closing "\n}"
+        head = {"p": census.p, "vars": census.n, "class": census.kind.replace("_", "-")}
+        if not args.breakdown:
+            _write(args, _json_chunks({**head, "total": census.total}))
+            return 0
+        rows = (_indented(counting._row_json(row), "\n    ") for row in census.rows)
+        _write(args, chain((_indented(head, "\n")[:-2] + ',\n  "rows": ',),
+                           _framed(rows, "\n  ", f',\n  "total": {census.total}\n}}\n')))
         return 0
     lines = []
     if args.breakdown:
@@ -515,6 +521,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the request is too large", file=sys.stderr)
         return 2
 
 

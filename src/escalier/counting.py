@@ -66,19 +66,18 @@ class BarListCensus(Record):
             "p": self.p,
             "vars": self.n,
             "class": self.kind.replace("_", "-"),
-            "rows": [
-                {
-                    "bar_list": list(row.bar_list),
-                    "shapes": [
-                        {"shape": list(sc.shape), "count": sc.count}
-                        for sc in row.shapes
-                    ],
-                    "subtotal": row.subtotal,
-                }
-                for row in self.rows
-            ],
+            "rows": [_row_json(row) for row in self.rows],
             "total": self.total,
         }
+
+
+def _row_json(row: CensusRow) -> dict:
+    """A row of BarListCensus.to_json(), which the CLI writes one at a time."""
+    return {
+        "bar_list": list(row.bar_list),
+        "shapes": [{"shape": list(sc.shape), "count": sc.count} for sc in row.shapes],
+        "subtotal": row.subtotal,
+    }
 
 
 def _check_kind(kind: str):

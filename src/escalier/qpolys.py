@@ -27,7 +27,13 @@ modulo x^(top+1), top the degree bound clipped to T - t, T their truncation
 degree, and ask each Gaussian binomial only for the degree its place reaches;
 _packed_det packs the entries into Python integers by x -> 2^B (Kronecker
 substitution), so the expansion runs on plain integers and CPython's
-Karatsuba does the products.  det is the same route with every power 0.
+Karatsuba does the products.  B is one bit more than the bit length of the
+permanent of the entry norms N, N[i][j] the sum of |c| over the coefficients
+of entry (i, j) that can reach x^top: coefficient d <= top of a term
+prod_i x^(e_i) g_i reads only g_i's coefficients up to top - e_i, so it is
+at most prod_i N[i][sigma(i)], and every coefficient of the determinant mod
+x^(top+1) is at most per(N), never more than the product of N's row sums.
+det is the same route with every power 0.
 
 There is one expansion, the memoised Pfaffian _pfaffian, on entries x^e g
 held as (e, g), with one bitmask per row of its partners above the diagonal
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from math import comb, isqrt, prod
+from math import comb, isqrt
 
 _Entries = list[list[tuple[int, int, int]]]
 
@@ -337,18 +343,31 @@ def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[
 
     The ring map x -> 2^B takes Z[x]/(x^(top+1)) onto Z/2^((top+1)B), so
     each poly is packed once into an integer, unshifted, and _packed_minor
-    takes the determinant on those, with no division.  Each coefficient of
-    the determinant is at most the permanent of the entries' norms (sums of
-    |c| over degrees <= top), hence at most the product over rows of each
-    row's summed norms.  B is one bit more than that product's bit length,
+    takes the determinant on those, with no division.  Coefficient d <= top
+    of a term prod_i x^(e_i) poly_i reads only poly_i's coefficients up to
+    top - e_i, so it is at most prod_i N[i][sigma(i)] in absolute value, N
+    the entry norms: the sum of |c| over those coefficients, 0 for a zero
+    entry or e > top.  Summed over the permutations sigma, every
+    coefficient of the determinant mod x^(top+1) is at most the permanent
+    of N, filled in one pass over the column masks S by
+    per(S + j) += per(S) N[|S|][j].  B is one bit more than its bit length,
     so each coefficient is one digit of the result in balanced base 2^B:
     _packed_minor's value is congruent to the determinant mod x^(top+1),
-    which fixes those digits.
+    which fixes those digits.  A zero permanent gives B = 1 and 0.
     """
     reach = sum(max((e + poly.degree for e, poly in row if poly), default=0) for row in rows)
     top = reach if top is None else min(top, reach)
-    bound = prod(sum(sum(map(abs, poly.coeffs[: top + 1 - e])) for e, poly in row) for row in rows)
-    width = bound.bit_length() + 1
+    norms = [[sum(map(abs, poly.coeffs[: top + 1 - e])) if e <= top else 0 for e, poly in row]
+             for row in rows]
+    full = (1 << len(rows)) - 1
+    per = [1] + [0] * full  # per[S]: the permanent of rows 0 .. |S| - 1 on the columns S
+    for colmask in range(full):
+        value = per[colmask]
+        if value:
+            for col, norm in enumerate(norms[colmask.bit_count()]):
+                if norm and not colmask >> col & 1:
+                    per[colmask | 1 << col] += value * norm
+    width = per[full].bit_length() + 1
     mask = (1 << (top + 1) * width) - 1
     packed = [
         [(e, _pack(poly.coeffs[: top + 1 - e], width) & mask) if poly and e <= top else (0, 0)

@@ -17,7 +17,7 @@ from escalier import cli
 from escalier.barcode import BarCode
 from escalier.bijections import ListedIdeal, list_ideals
 from escalier.cli import run
-from escalier.counting import census
+from escalier.counting import BarListCensus, census
 from escalier.monomials import MonomialIdeal, Term, format_term
 from escalier.partitions import PlanePartition
 
@@ -71,6 +71,27 @@ class TestCount:
         assert run(["count", "--vars", str(n), "--hilbert", str(p), "--class", klass,
                     "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("klass", ["stable", "strongly-stable"])
+    @pytest.mark.parametrize("p", [*range(1, 13), 40])
+    def test_breakdown_json_is_the_census_document(self, capsys, klass, p):
+        want = json.dumps(census(p, 3, klass.replace("-", "_")).to_json(), indent=2) + "\n"
+        assert run(["count", "--vars", "3", "--hilbert", str(p), "--class", klass,
+                    "--breakdown", "--format", "json"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_breakdown_json_is_written_row_by_row(self, monkeypatch, capsys):
+        # the whole document is never built: neither to_json nor one string
+        def refuse(self):
+            raise AssertionError("the whole census document was built")
+
+        monkeypatch.setattr(BarListCensus, "to_json", refuse)
+        chunks = []
+        monkeypatch.setattr(cli, "_blocks", lambda parts: chunks.extend(parts) or chunks)
+        assert run(["count", "--vars", "3", "--hilbert", "12", "--class", "stable",
+                    "--breakdown", "--format", "json"]) == 0
+        rows = json.loads("".join(chunks))["rows"]
+        assert len(chunks) == len(rows) + 2
 
     def test_deterministic_output(self, capsys):
         run(["count", "--vars", "3", "--hilbert", "9", "--class", "stable",
@@ -291,6 +312,27 @@ class TestGf:
         assert run(["gf", "strict", "--shape", "3,3", "--inner", "2,2", "--a", "2,2",
                     "--b", "1,1", "--c", "1", "--d", "1", "--truncate-at", "4"]) == 0
         assert out_of(capsys) == "x^3"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("owner, name, argv", [
+        (cli, "gf_strict", ["gf", "strict", "--shape", "3", "--a", "99999999999", "--b", "1",
+                            "--c", "1", "--d", "1"]),
+        (cli.counting, "census", ["count", "--vars", "3", "--hilbert", "5", "--class", "stable",
+                                  "--breakdown", "--format", "json"]),
+    ])
+    def test_memory_error_exits_2_with_one_line(self, monkeypatch, capsys, tmp_path,
+                                                 owner, name, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, name, exhausted)
+        target = tmp_path / "out.txt"
+        assert run([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: the request is too large\n"
+        assert not target.exists()
 
 
 class TestPartitions:

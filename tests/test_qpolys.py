@@ -25,6 +25,7 @@ from escalier.qpolys import (
     IntPoly,
     _digit,
     _pack,
+    _packed_det,
     _packed_minor,
     _partner_masks,
     _pfaffian,
@@ -690,9 +691,10 @@ class TestDet:
                 assert got.coefficient(k) == full.coefficient(k)
 
     def test_coefficient_equal_to_the_width_bound(self):
-        # each determinant has a coefficient equal to the product over rows
-        # of the rows' summed coefficient norms, the bound the packing width
-        # is sized from: one bit narrower, it would decode as a negative digit
+        # each determinant has a coefficient equal to the permanent of its
+        # entry norms, the bound the packing width is sized from (with one
+        # nonzero entry per row, also the product of the rows' summed norms):
+        # one bit narrower, it would decode as a negative digit
         for k in (0, 1, 2, 7, 63, 64, 65, 200):
             assert det([[IntPoly.const(2**k)]]) == IntPoly.const(2**k)
             capped = det([[IntPoly((0, 2**k), trunc=1)]])
@@ -723,6 +725,158 @@ class TestDet:
         finally:
             if enabled:
                 gc.enable()
+
+
+def cofactor_det(rows):
+    """_packed_det's oracle: the whole determinant of the (e, poly) rows, by
+    cofactor expansion along the rows on exact coefficient lists."""
+    r = len(rows)
+    cache = {0: [1]}
+
+    def minor(colmask):
+        if colmask not in cache:
+            row = rows[r - bin(colmask).count("1")]
+            acc, sign = [], 1
+            for col in range(r):
+                if colmask >> col & 1:
+                    e, f = row[col]
+                    sub = minor(colmask & ~(1 << col)) if f else []
+                    acc += [0] * (e + len(f.coeffs) + len(sub) - 1 - len(acc))
+                    for i, a in enumerate(f.coeffs):
+                        for j, b in enumerate(sub):
+                            acc[e + i + j] += sign * a * b
+                    sign = -sign
+            cache[colmask] = acc
+        return cache[colmask]
+
+    return minor((1 << r) - 1)
+
+
+def entry_norms(rows, top):
+    """Each entry's sum of |c| over the degrees that reach x^top, 0 past it."""
+    return [[sum(map(abs, f.coeffs[: top + 1 - e])) if e <= top else 0 for e, f in row]
+            for row in rows]
+
+
+def permanent(norms):
+    return sum(math.prod(row[col] for row, col in zip(norms, perm))
+               for perm in permutations(range(len(norms))))
+
+
+def packed_widths(monkeypatch):
+    """The widths _packed_minor is called with, appended as it is called."""
+    widths = []
+
+    def recorded(rows, top, width):
+        widths.append(width)
+        return _packed_minor(rows, top, width)
+
+    monkeypatch.setattr(qpolys, "_packed_minor", recorded)
+    return widths
+
+
+def rand_entry(rng, e_max=3):
+    f = IntPoly([rng.choice((rng.randint(-9, 9), rng.randint(-(2**40), 2**40)))
+                 for _ in range(rng.randint(1, 4))])
+    return (rng.randint(0, e_max), f)
+
+
+def width_cases(rng, r):
+    """Seeded (e, poly) matrices of r rows: dense, sparse, structurally
+    singular (zero permanent, no zero row) and one-permutation supports
+    whose one term's coefficient is plus or minus the permanent."""
+    zero = (0, IntPoly.zero())
+    yield [[rand_entry(rng) for _ in range(r)] for _ in range(r)]
+    yield [[rand_entry(rng) if rng.random() < 0.4 else zero for _ in range(r)] for _ in range(r)]
+    if r >= 2:  # two rows share one column: Hall's condition fails
+        rows = [[rand_entry(rng) for _ in range(r)] for _ in range(r)]
+        col = rng.randrange(r)
+        for i in rng.sample(range(r), 2):
+            rows[i] = [rand_entry(rng) if j == col else zero for j in range(r)]
+        yield rows
+    # one permutation: after permuting the columns, nonzero only on and above
+    # the diagonal, the diagonal single terms whose product is +-2^k or 2^k - 1
+    perm = rng.sample(range(r), r)
+    k = rng.choice((0, 1, 31, 63, 64))
+    diagonal = [1] * r
+    diagonal[0] = rng.choice((2**k, 2**k - 1 or 1)) * rng.choice((1, -1))
+    rows = [[zero] * r for _ in range(r)]
+    for i in range(r):
+        rows[i][perm[i]] = (rng.randint(0, 3), IntPoly((0,) * rng.randint(0, 2) + (diagonal[i],)))
+        for j in range(i + 1, r):
+            rows[i][perm[j]] = rand_entry(rng)
+    yield rows
+
+
+class TestPackedDetWidth:
+    # _packed_det packs at one bit more than the bit length of the permanent
+    # of the entry norms, which bounds every coefficient up to x^top
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_width_is_the_permanent_of_the_entry_norms(self, monkeypatch, r):
+        widths = packed_widths(monkeypatch)
+        rng = random.Random(1000 + r)
+        kinds = {"zero": 0, "tight": 0}
+        for _ in range(6 if r == 7 else 12):
+            for rows in width_cases(rng, r):
+                whole = cofactor_det(rows)
+                for top in (None, 0, 2, 7):
+                    got = _packed_det(rows, top)
+                    assert IntPoly(got).coeffs == IntPoly(whole, top).coeffs, (rows, top)
+                    reach = sum(max((e + f.degree for e, f in row if f), default=0) for row in rows)
+                    norms = entry_norms(rows, reach if top is None else min(top, reach))
+                    per = permanent(norms)
+                    old = math.prod(map(sum, norms)).bit_length() + 1
+                    assert widths.pop() == per.bit_length() + 1 <= old
+                    kinds["zero"] += per == 0
+                    kinds["tight"] += per > 1 and max(map(abs, got)) == per
+        assert not widths
+        assert kinds["tight"] > 0 and (r == 1 or kinds["zero"] > 0)
+
+    def test_a_coefficient_at_the_permanent_decodes_one_bit_above_it(self, monkeypatch):
+        # a one-permutation support: the one term's coefficient is -2^64, the
+        # permanent of the norms, while the row sums multiply to far more
+        widths = packed_widths(monkeypatch)
+        zero = (0, IntPoly.zero())
+        rows = [[zero, (0, poly(-(2**64))), (0, poly(2**64, 2**64))],
+                [zero, zero, (1, poly(0, 1))],
+                [(0, poly(1)), (0, poly(5)), (0, poly(7))]]
+        got = _packed_det(rows, None)
+        assert got == [0, 0, -(2**64), 0]
+        assert IntPoly(got).coeffs == IntPoly(cofactor_det(rows)).coeffs
+        assert widths == [66]
+
+    def test_zero_permanent_packs_at_one_bit(self, monkeypatch):
+        widths = packed_widths(monkeypatch)
+        zero = (0, IntPoly.zero())
+        # no zero row, but both nonzero entries of rows 0 and 1 share column 0
+        rows = [[(0, poly(3, 1)), zero, zero], [(2, poly(-5)), zero, zero],
+                [(0, poly(1)), (1, poly(2)), (0, poly(9))]]
+        assert _packed_det(rows, None) == [0] * 5
+        # every entry past x^top
+        assert _packed_det([[(4, poly(1))]], 3) == [0, 0, 0, 0]
+        assert widths == [1, 1]
+
+    def test_widths_on_the_benchmark_matrices(self, monkeypatch):
+        # gf-exact's three requests: the permanents' bit lengths are 85, 59
+        # and 79, against 114, 84 and 97 for the products of the row sums;
+        # the answers' largest coefficients need 51, 36 and 56 bits
+        seen = []
+
+        def recorded(rows, top):
+            norms = entry_norms(rows, top)
+            seen.append((math.prod(map(sum, norms)).bit_length(), permanent(norms).bit_length()))
+            return _packed_det(rows, top)
+
+        monkeypatch.setattr(qpolys, "_packed_det", recorded)
+        widths = packed_widths(monkeypatch)
+        answers = [
+            gf_shifted([9] * 8, [24, 21, 18, 15, 12, 9, 6, 3], [1] * 8, 1, 0),
+            gf_shifted([8] * 7, [20, 17, 14, 11, 8, 5, 2], [1] * 7, 1, 0),
+            gf_strict([7, 6, 5, 4, 3, 2, 1], [0] * 7, [20, 19, 18, 17, 16, 15, 14], [1] * 7, 1, 1),
+        ]
+        assert seen == [(114, 85), (84, 59), (97, 79)]
+        assert widths == [86, 60, 80]
+        assert [max(f.coeffs).bit_length() for f in answers] == [51, 36, 56]
 
 
 def brute_counts(shape, shifted, c, d, first, last, top):
