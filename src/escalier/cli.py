@@ -9,7 +9,8 @@ newline, streamed a top-level item, or a census row, at a time; a listing
 writes each item's text straight from the ideal as it is built, by one ``%``
 on a template made once for each item layout.  Text mode prints tables shaped
 like the ones people actually diff against, plus a newline.
-Errors, running out of memory among them, land on stderr with exit code 2;
+Errors, running out of memory and a packed digit that overflowed its width
+among them, land on stderr with exit code 2;
 negative check results (a code that is not admissible, an ideal that is not
 stable, a verification mismatch) exit 1.
 """
@@ -524,6 +525,13 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory: the request is too large", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # a packed digit that overflowed its width; ZeroDivisionError and the
+        # other subclasses are bugs, and keep their traceback
+        if type(exc) is not ArithmeticError:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

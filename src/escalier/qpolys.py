@@ -27,13 +27,20 @@ modulo x^(top+1), top the degree bound clipped to T - t, T their truncation
 degree, and ask each Gaussian binomial only for the degree its place reaches;
 _packed_det packs the entries into Python integers by x -> 2^B (Kronecker
 substitution), so the expansion runs on plain integers and CPython's
-Karatsuba does the products.  B is one bit more than the bit length of the
-permanent of the entry norms N, N[i][j] the sum of |c| over the coefficients
-of entry (i, j) that can reach x^top: coefficient d <= top of a term
-prod_i x^(e_i) g_i reads only g_i's coefficients up to top - e_i, so it is
-at most prod_i N[i][sigma(i)], and every coefficient of the determinant mod
-x^(top+1) is at most per(N), never more than the product of N's row sums.
-det is the same route with every power 0.
+Karatsuba does the products.  B is one bit more than the bit length of a
+bound on every coefficient of the determinant mod x^(top+1).  One bound is
+the permanent of the entry norms N, N[i][j] the sum of |c| over the
+coefficients of entry (i, j) that can reach x^top: coefficient d <= top of
+a term prod_i x^(e_i) g_i reads only g_i's coefficients up to top - e_i, so
+it is at most prod_i N[i][sigma(i)], and summed over sigma at most
+per(N).  A gf determinant (Lindstrom-Gessel-Viennot) counts arrays, so each
+of its coefficients is at most the sum of them all, the count: the
+determinant of the entries at x = 1, where G(n, k) is binomial(n, k).  The
+permanent ignores the cancellation between the determinant's terms, and the
+count does not.  gf_strict and gf_shifted pack at the lesser of the two,
+and refuse an answer with a negative digit, or a whole one whose digits do
+not sum to the count.  det is the same route with every power 0 and the
+permanent alone, since its entries may have negative coefficients.
 
 There is one expansion, the memoised Pfaffian _pfaffian, on entries x^e g
 held as (e, g), with one bitmask per row of its partners above the diagonal
@@ -293,7 +300,7 @@ def gauss_table(p: int) -> tuple[int, list[list[int]]]:
     2^((p+1) width), so they stay congruent to the true sub-Pfaffians
     whatever their digits.
     """
-    width = _row_strict_count(p).bit_length() + 1
+    width = _digit_width(_row_strict_count(p))
     tallest = 0  # S
     while comb(tallest + 4, 3) <= p:
         tallest += 1
@@ -332,14 +339,18 @@ def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
         raise ValueError("determinant needs a non-empty square matrix")
     truncs = [e.trunc for row in matrix for e in row if e.trunc is not None]
     trunc = min(truncs) if truncs else None
-    return IntPoly(_packed_det([[(0, e) for e in row] for row in matrix], trunc), trunc)
+    coeffs, _ = _packed_det([[(0, e) for e in row] for row in matrix], trunc)
+    return IntPoly(coeffs, trunc)
 
 
-def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[int]:
+def _packed_det(
+    rows: list[list[tuple[int, IntPoly]]], top: int | None, sums: list[list[int]] | None = None
+) -> tuple[list[int], int | None]:
     """The coefficients up to x^top of the determinant of the matrix of
     entries x^e poly, given as rows of (e, poly) with e >= 0 where poly is
-    nonzero.  top (None: no cap) is clipped to the sum over rows of the
-    row's largest entry degree, a bound on the degree.
+    nonzero, and the determinant of sums, each entry's whole poly at x = 1,
+    or None without sums.  top (None: no cap) is clipped to the sum over
+    rows of the row's largest entry degree, a bound on the degree.
 
     The ring map x -> 2^B takes Z[x]/(x^(top+1)) onto Z/2^((top+1)B), so
     each poly is packed once into an integer, unshifted, and _packed_minor
@@ -349,32 +360,54 @@ def _packed_det(rows: list[list[tuple[int, IntPoly]]], top: int | None) -> list[
     the entry norms: the sum of |c| over those coefficients, 0 for a zero
     entry or e > top.  Summed over the permutations sigma, every
     coefficient of the determinant mod x^(top+1) is at most the permanent
-    of N, filled in one pass over the column masks S by
-    per(S + j) += per(S) N[|S|][j].  B is one bit more than its bit length,
-    so each coefficient is one digit of the result in balanced base 2^B:
-    _packed_minor's value is congruent to the determinant mod x^(top+1),
-    which fixes those digits.  A zero permanent gives B = 1 and 0.
+    of N.  If no coefficient of the whole determinant is negative, as for a
+    gf determinant, which counts arrays, each is also at most their sum, the
+    count: the determinant of sums.  One pass over the column masks S fills
+    both, per(S + j) += per(S) N[|S|][j] and count(S + j) +=
+    (-1)^popcount(S >> j) count(S) sums[|S|][j]: row |S| takes column j
+    after the rows above it took S, and makes one inversion with each
+    column of S past j.  B is one bit more than the bit length of the
+    lesser, or of the permanent without sums or for a negative count, which
+    counts nothing, so each coefficient is one digit of the result in
+    balanced base 2^B: _packed_minor's value is congruent to the
+    determinant mod x^(top+1), which fixes those digits.  A zero bound
+    gives B = 1 and 0.  That no coefficient is negative is the caller's to
+    check.
     """
+    r = len(rows)
     reach = sum(max((e + poly.degree for e, poly in row if poly), default=0) for row in rows)
     top = reach if top is None else min(top, reach)
     norms = [[sum(map(abs, poly.coeffs[: top + 1 - e])) if e <= top else 0 for e, poly in row]
              for row in rows]
-    full = (1 << len(rows)) - 1
+    full = (1 << r) - 1
     per = [1] + [0] * full  # per[S]: the permanent of rows 0 .. |S| - 1 on the columns S
+    counts = [1] + [0] * full  # counts[S]: the determinant of sums on the same minor
+    weights = sums or [[0] * r] * r
     for colmask in range(full):
-        value = per[colmask]
-        if value:
-            for col, norm in enumerate(norms[colmask.bit_count()]):
-                if norm and not colmask >> col & 1:
+        value, count = per[colmask], counts[colmask]
+        if value or count:
+            row = colmask.bit_count()
+            for col, (norm, weight) in enumerate(zip(norms[row], weights[row])):
+                if not colmask >> col & 1:
                     per[colmask | 1 << col] += value * norm
-    width = per[full].bit_length() + 1
+                    sign = -1 if (colmask >> col).bit_count() & 1 else 1
+                    counts[colmask | 1 << col] += sign * count * weight
+    count = counts[full] if sums else None
+    width = _digit_width(per[full] if count is None or count < 0 else min(per[full], count))
     mask = (1 << (top + 1) * width) - 1
     packed = [
         [(e, _pack(poly.coeffs[: top + 1 - e], width) & mask) if poly and e <= top else (0, 0)
          for e, poly in row]
         for row in rows
     ]
-    return _unpack(_packed_minor(packed, top, width), top + 1, width)
+    return _unpack(_packed_minor(packed, top, width), top + 1, width), count
+
+
+def _digit_width(bound: int) -> int:
+    """One bit more than the bit length of bound: the width B of a packed
+    digit, in balanced base 2^B, that holds every value of absolute value up
+    to bound."""
+    return bound.bit_length() + 1
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -533,13 +566,21 @@ def _kept_pfaffian(
 def _low_product(f: int, g: int, power: int, top: int, width: int) -> int:
     """A value congruent to x^power f g mod x^(top+1), for f and g packed at
     width: the product runs on the top + 1 - power digits that survive the
-    shift, each factor cut by _cut, so a negative one stays negative."""
+    shift, each factor longer than those cut by _cut, so a negative one
+    stays negative.  Most values are already short, so the lengths are
+    checked here rather than by a call each."""
     span = (top + 1 - power) * width
     if span <= 0:
         return 0
-    product = _cut(f, span) * _cut(g, span)
+    if f.bit_length() > span:
+        f = _cut(f, span)
+    if g.bit_length() > span:
+        g = _cut(g, span)
+    product = f * g
     if power:  # a shift by 0 would still copy
-        product = _cut(product, span) << power * width
+        if product.bit_length() > span:
+            product = _cut(product, span)
+        product <<= power * width
     return product
 
 
@@ -574,26 +615,38 @@ def _laurent_det(
     of it).  The rows' bases and the extra shift make up a power t that is
     reapplied at the end; the rest goes to _packed_det up to its degree
     bound, clipped to x^(trunc - t), each Gaussian binomial asked only for
-    the degree its place reaches.  A term below x^0 raises ValueError naming
-    the bound vectors bounds = (a, b): they admit arrays of negative norm."""
+    the degree its place reaches, with every entry's binomial sum G(n, k) at
+    x = 1, so it packs at the count of arrays.  A count cannot be negative:
+    a negative digit raises ArithmeticError, and so do the digits of a whole
+    answer that do not sum to the count.  A term below x^0 raises ValueError
+    naming the bound vectors bounds = (a, b): they admit arrays of negative
+    norm."""
     bases = _row_bases(rows)
     total = sum(bases) + extra_shift
-    top = sum(max((power - base + k * (n - k) for power, n, k in row if k == 0 or 0 < k <= n),
-                  default=0) for row, base in zip(rows, bases))
-    if trunc is not None:
-        top = min(top, trunc - total)
-        if top < 0:
-            return IntPoly.zero(trunc)
+    bound = sum(max((power - base + k * (n - k) for power, n, k in row if k == 0 or 0 < k <= n),
+                    default=0) for row, base in zip(rows, bases))
+    top = bound if trunc is None else min(bound, trunc - total)
+    if top < 0:
+        return IntPoly.zero(trunc)
     matrix = [
         [(power - base, gauss_binomial(n, k, top + base - power))
          if power - base <= top else (0, IntPoly.zero()) for power, n, k in row]
         for row, base in zip(rows, bases)
     ]
-    poly = IntPoly(_packed_det(matrix, top))
+    sums = [[1 if k == 0 else comb(n, k) if 0 < k <= n else 0 for _, n, k in row] for row in rows]
+    coeffs, count = _packed_det(matrix, top, sums)
+    named = f"bounds a={bounds[0]}, b={bounds[1]}"
+    least = min(coeffs, default=0)
+    if least < 0:
+        raise ArithmeticError(f"{named} read {least} arrays of norm {coeffs.index(least) + total}: "
+                              "a digit overflowed the packed width")
+    if top == bound and sum(coeffs) != count:
+        raise ArithmeticError(f"{named} read {sum(coeffs)} arrays, where the determinant at x = 1 "
+                              f"counts {count}: a digit overflowed the packed width")
+    poly = IntPoly(coeffs)
     if total < 0 and any(poly.coeffs[:-total]):
         raise ValueError(
-            f"bounds a={bounds[0]}, b={bounds[1]} give terms below x^0: they admit "
-            "arrays of negative norm"
+            f"{named} give terms below x^0: they admit arrays of negative norm"
         )
     return poly.shift(total).truncated(trunc)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escalier import cli
+from escalier import cli, qpolys
 from escalier.barcode import BarCode
 from escalier.bijections import ListedIdeal, list_ideals
 from escalier.cli import run
@@ -333,6 +333,71 @@ class TestOutOfMemory:
         assert captured.out == ""
         assert captured.err == "error: out of memory: the request is too large\n"
         assert not target.exists()
+
+
+@pytest.fixture
+def clear_census_tables():
+    """A function that clears the census tables, called before and after a
+    test that narrows their width, so no other test reads them."""
+    def clear():
+        for table in (qpolys.gauss_table, qpolys._strict_census, qpolys._shifted_census):
+            table.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+class TestDigitOverflow:
+    # a packed digit that overflows its width is a count that reads
+    # negative: one line on stderr, exit 2 and no --out file
+    def test_gf_one_bit_narrower(self, monkeypatch, capsys, tmp_path):
+        # one array: the count width is 2 bits, and at 1 bit the answer's
+        # one coefficient reads -1
+        argv = ["gf", "strict", "--shape", "3,3,3", "--a", "5,4,3", "--b", "1,1,1",
+                "--c", "1", "--d", "1"]
+        assert run(argv) == 0
+        assert out_of(capsys) == "x^27"
+        monkeypatch.setattr(qpolys, "_digit_width", lambda bound: bound.bit_length())
+        target = tmp_path / "out.txt"
+        assert run([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bounds a=(5, 4, 3), b=(1, 1, 1) read -1 arrays of norm 27: "
+                                "a digit overflowed the packed width\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("klass, bits, total, err", [
+        ("stable", 9, 646, "error: shape (3, 2, 1) at p = 20 read the count -116: "
+                           "a digit overflowed the packed width\n"),
+        ("strongly-stable", 8, 425, "error: shape (3, 2) at p = 20 read the count -55: "
+                                    "a digit overflowed the packed width\n"),
+    ])
+    def test_count_one_bit_narrower(self, monkeypatch, capsys, tmp_path, clear_census_tables,
+                                    klass, bits, total, err):
+        # at p = 20 the census is right at the given width, where the row-
+        # strict count gives 15 bits, and one bit narrower a count overflows
+        argv = ["count", "--vars", "3", "--class", klass, "--hilbert", "20"]
+        for width in (bits, bits - 1):
+            monkeypatch.setattr(qpolys, "_row_strict_count", lambda p: (1 << width - 1) - 1)
+            clear_census_tables()
+            target = tmp_path / f"out{width}.txt"
+            code = run([*argv, "--out", str(target)])
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            if width == bits:
+                assert code == 0
+                assert target.read_text() == f"total: {total}\n" and captured.err == ""
+            else:
+                assert code == 2 and captured.err == err and not target.exists()
+
+    def test_other_arithmetic_errors_keep_their_traceback(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "gf_strict", broken)
+        with pytest.raises(ZeroDivisionError):
+            run(["gf", "strict", "--shape", "1", "--a", "1", "--b", "1", "--c", "1", "--d", "1"])
 
 
 class TestPartitions:

@@ -808,11 +808,42 @@ def width_cases(rng, r):
     yield rows
 
 
+def factored_case(rng, r):
+    """Rows (0, A[i][j]) of A = L U, L lower and U upper triangular with
+    nonnegative coefficients: the determinant is the product of their
+    diagonals, with no negative coefficient, while A's dense terms cancel."""
+    lower = [[rand_poly(rng, 2, 0, 3) if j < i else poly(rng.randint(1, 3), 1) if j == i
+              else IntPoly.zero() for j in range(r)] for i in range(r)]
+    upper = [[rand_poly(rng, 2, 0, 3) if j > i else poly(1, rng.randint(0, 2)) if j == i
+              else IntPoly.zero() for j in range(r)] for i in range(r)]
+    return [[(0, add(*(lower[i][k] * upper[k][j] for k in range(r)))) for j in range(r)]
+            for i in range(r)]
+
+
+def clipped_top(rows, top):
+    """top clipped to the rows' degree bound, as _packed_det clips it."""
+    reach = sum(max((e + f.degree for e, f in row if f), default=0) for row in rows)
+    return reach if top is None else min(top, reach)
+
+
+def leibniz_det(matrix):
+    """The determinant of an integer matrix, term by term."""
+    total = 0
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[col] for row, col in zip(matrix, perm))
+    return total
+
+
 class TestPackedDetWidth:
     # _packed_det packs at one bit more than the bit length of the permanent
-    # of the entry norms, which bounds every coefficient up to x^top
+    # of the entry norms, which bounds every coefficient up to x^top, or of
+    # the count, the determinant of the entries' sums, where that is less
+    # and not negative
     @pytest.mark.parametrize("r", range(1, 8))
     def test_width_is_the_permanent_of_the_entry_norms(self, monkeypatch, r):
+        # without sums, as det passes it: det's matrices may have negative
+        # coefficients, so they keep exactly the permanent's width
         widths = packed_widths(monkeypatch)
         rng = random.Random(1000 + r)
         kinds = {"zero": 0, "tight": 0}
@@ -820,17 +851,52 @@ class TestPackedDetWidth:
             for rows in width_cases(rng, r):
                 whole = cofactor_det(rows)
                 for top in (None, 0, 2, 7):
-                    got = _packed_det(rows, top)
+                    got, count = _packed_det(rows, top)
+                    assert count is None
                     assert IntPoly(got).coeffs == IntPoly(whole, top).coeffs, (rows, top)
-                    reach = sum(max((e + f.degree for e, f in row if f), default=0) for row in rows)
-                    norms = entry_norms(rows, reach if top is None else min(top, reach))
+                    norms = entry_norms(rows, clipped_top(rows, top))
                     per = permanent(norms)
                     old = math.prod(map(sum, norms)).bit_length() + 1
                     assert widths.pop() == per.bit_length() + 1 <= old
                     kinds["zero"] += per == 0
                     kinds["tight"] += per > 1 and max(map(abs, got)) == per
+                    # det on the same matrix, each x^e folded into its entry
+                    matrix = [[f.shift(e).truncated(top) for e, f in row] for row in rows]
+                    assert det(matrix).coeffs == IntPoly(whole, top).coeffs
+                    folded = [[(0, f) for f in row] for row in matrix]
+                    assert widths.pop() == permanent(
+                        entry_norms(folded, clipped_top(folded, top))).bit_length() + 1
         assert not widths
         assert kinds["tight"] > 0 and (r == 1 or kinds["zero"] > 0)
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_width_is_the_lesser_of_the_permanent_and_the_count(self, monkeypatch, r):
+        # sums as the gf route passes them, each entry's value at x = 1; the
+        # digits are exact whenever the whole determinant has no negative
+        # coefficient, and a negative count falls back to the permanent
+        widths = packed_widths(monkeypatch)
+        rng = random.Random(1100 + r)
+        kinds = {"narrower": 0, "negative": 0}
+        for _ in range(12):
+            for rows in [*width_cases(rng, r), factored_case(rng, r)]:
+                if rng.random() < 0.5:  # nonnegative coefficients
+                    rows = [[(e, IntPoly([abs(c) for c in f.coeffs])) for e, f in row]
+                            for row in rows]
+                whole = cofactor_det(rows)
+                sums = [[sum(f.coeffs) for e, f in row] for row in rows]
+                for top in (None, 0, 2, 7):
+                    got, count = _packed_det(rows, top, sums)
+                    assert count == leibniz_det(sums) == sum(whole)
+                    per = permanent(entry_norms(rows, clipped_top(rows, top)))
+                    bound = per if count < 0 else min(per, count)
+                    assert widths.pop() == bound.bit_length() + 1
+                    kinds["negative"] += count < 0
+                    if min(whole, default=0) >= 0:
+                        assert IntPoly(got).coeffs == IntPoly(whole, top).coeffs, (rows, top)
+                        kinds["narrower"] += count < per
+        assert not widths
+        # one row cannot cancel: its count is never below its permanent
+        assert r == 1 or kinds["narrower"] > 0 and kinds["negative"] > 0
 
     def test_a_coefficient_at_the_permanent_decodes_one_bit_above_it(self, monkeypatch):
         # a one-permutation support: the one term's coefficient is -2^64, the
@@ -840,8 +906,8 @@ class TestPackedDetWidth:
         rows = [[zero, (0, poly(-(2**64))), (0, poly(2**64, 2**64))],
                 [zero, zero, (1, poly(0, 1))],
                 [(0, poly(1)), (0, poly(5)), (0, poly(7))]]
-        got = _packed_det(rows, None)
-        assert got == [0, 0, -(2**64), 0]
+        got, count = _packed_det(rows, None)
+        assert (got, count) == ([0, 0, -(2**64), 0], None)
         assert IntPoly(got).coeffs == IntPoly(cofactor_det(rows)).coeffs
         assert widths == [66]
 
@@ -851,21 +917,25 @@ class TestPackedDetWidth:
         # no zero row, but both nonzero entries of rows 0 and 1 share column 0
         rows = [[(0, poly(3, 1)), zero, zero], [(2, poly(-5)), zero, zero],
                 [(0, poly(1)), (1, poly(2)), (0, poly(9))]]
-        assert _packed_det(rows, None) == [0] * 5
+        assert _packed_det(rows, None) == ([0] * 5, None)
         # every entry past x^top
-        assert _packed_det([[(4, poly(1))]], 3) == [0, 0, 0, 0]
-        assert widths == [1, 1]
+        assert _packed_det([[(4, poly(1))]], 3) == ([0, 0, 0, 0], None)
+        # a zero count packs at one bit too, whatever the permanent
+        rows = [[(0, poly(1)), (0, poly(1))], [(0, poly(1)), (0, poly(1))]]
+        assert _packed_det(rows, None, [[1, 1], [1, 1]]) == ([0], 0)
+        assert widths == [1, 1, 1]
 
     def test_widths_on_the_benchmark_matrices(self, monkeypatch):
         # gf-exact's three requests: the permanents' bit lengths are 85, 59
-        # and 79, against 114, 84 and 97 for the products of the row sums;
-        # the answers' largest coefficients need 51, 36 and 56 bits
+        # and 79, the counts' 56, 42 and 62, so the widths are 57, 43 and 63
+        # bits where the permanent gave 86, 60 and 80; the answers' largest
+        # coefficients need 51, 36 and 56 bits
         seen = []
 
-        def recorded(rows, top):
-            norms = entry_norms(rows, top)
-            seen.append((math.prod(map(sum, norms)).bit_length(), permanent(norms).bit_length()))
-            return _packed_det(rows, top)
+        def recorded(rows, top, sums=None):
+            got, count = _packed_det(rows, top, sums)
+            seen.append((permanent(entry_norms(rows, top)).bit_length(), count))
+            return got, count
 
         monkeypatch.setattr(qpolys, "_packed_det", recorded)
         widths = packed_widths(monkeypatch)
@@ -874,9 +944,42 @@ class TestPackedDetWidth:
             gf_shifted([8] * 7, [20, 17, 14, 11, 8, 5, 2], [1] * 7, 1, 0),
             gf_strict([7, 6, 5, 4, 3, 2, 1], [0] * 7, [20, 19, 18, 17, 16, 15, 14], [1] * 7, 1, 1),
         ]
-        assert seen == [(114, 85), (84, 59), (97, 79)]
-        assert widths == [86, 60, 80]
+        assert [count for _, count in seen] == [sum(f.coeffs) for f in answers]
+        assert [(per, count.bit_length()) for per, count in seen] == [(85, 56), (59, 42), (79, 62)]
+        assert widths == [57, 43, 63]
         assert [max(f.coeffs).bit_length() for f in answers] == [51, 36, 56]
+
+    def test_a_single_array_packs_at_two_bits(self, monkeypatch):
+        # one array of norm 27, (5 4 3 / 4 3 2 / 3 2 1): the count is 1, its
+        # largest coefficient, so the width is 2 bits where the permanent
+        # gives 9; one bit narrower, the coefficient reads -1 and the answer
+        # is refused, whole or truncated
+        widths = packed_widths(monkeypatch)
+        args = ((3, 3, 3), (0, 0, 0), (5, 4, 3), (1, 1, 1), 1, 1)
+        assert gf_strict(*args) == IntPoly((0,) * 27 + (1,))
+        assert widths == [2]
+        monkeypatch.setattr(qpolys, "_digit_width", lambda bound: bound.bit_length())
+        for top in (None, 27, 30):
+            with pytest.raises(ArithmeticError, match=r"^bounds a=\(5, 4, 3\), b=\(1, 1, 1\) read -1 "
+                                                      r"arrays of norm 27: a digit overflowed"):
+                gf_strict(*args, truncate_at=top)
+
+    def test_whole_digits_must_sum_to_the_count(self, monkeypatch):
+        # digits that are all nonnegative but one too large: a whole answer
+        # is refused, while a truncated one cannot tell
+        real = qpolys._packed_det
+
+        def off_by_one(rows, top, sums=None):
+            got, count = real(rows, top, sums)
+            return [got[0] + 1, *got[1:]], count
+
+        monkeypatch.setattr(qpolys, "_packed_det", off_by_one)
+        args = ((2, 1), (0, 0), (4, 3), (1, 1), 1, 1)
+        with pytest.raises(ArithmeticError, match=r"^bounds a=\(4, 3\), b=\(1, 1\) read 15 "
+                                                  r"arrays, where the determinant at x = 1 counts 14"):
+            gf_strict(*args)
+        # the answer starts at x^4 and the least power factored out is 3
+        assert gf_strict(*args, truncate_at=9).coeffs == (0, 0, 0, 1, 1, 1, 3, 3, 3, 2)
 
 
 def brute_counts(shape, shifted, c, d, first, last, top):
@@ -1100,6 +1203,68 @@ class TestGfShifted:
 
     def test_truncation_sweep(self):
         assert truncation_sweep(gf_shifted, draw_shifted, 251, 1500) > 1000
+
+
+def binomial_sums(entries):
+    """Each (power, n, k) entry's G(n, k) at x = 1, total like gauss_binomial."""
+    return [[1 if k == 0 else math.comb(n, k) if 0 < k <= n else 0 for _, n, k in row]
+            for row in entries]
+
+
+def shifted_entries(lam, a, b, c, d):
+    """gf_shifted's matrix, entry (s, t) as (0, n, k) for G(n, k): k = m_s =
+    lam_s - s - 1 (0-based s) and n = (1 - c) m_s + (1 - c - d)(s - t) + a_t - b_s."""
+    ms = [part - s - 1 for s, part in enumerate(lam)]
+    return [[(0, (1 - c) * m + (1 - c - d) * (s - t) + a[t] - b[s], m) for t in range(len(lam))]
+            for s, m in enumerate(ms)]
+
+
+class TestCountPremise:
+    # gf_strict and gf_shifted pack at the count of arrays, the determinant
+    # of the entries' binomial sums, which bounds every coefficient only if
+    # none is negative: on seeded draws that reach a determinant, each
+    # answer counts its arrays at every norm up to a cap, has no negative
+    # coefficient, and its coefficients sum to that determinant
+    @pytest.mark.parametrize("gf, draw, draws, cap", [
+        (gf_strict, draw_strict, 2000, 20),
+        (gf_shifted, draw_shifted, 1500, 16),
+    ])
+    def test_answers_count_their_arrays(self, monkeypatch, gf, draw, draws, cap):
+        counts = []
+        real = qpolys._packed_det
+
+        def recorded(rows, top, sums=None):
+            got, count = real(rows, top, sums)
+            counts.append(count)
+            return got, count
+
+        monkeypatch.setattr(qpolys, "_packed_det", recorded)
+        rng = random.Random(263)
+        checked = 0
+        for _ in range(draws):
+            args = draw(rng)
+            counts.clear()
+            try:
+                answer = gf(*args)
+            except ValueError:  # a bound chain fails, or negative norms occur
+                continue
+            if not counts:  # a shifted row that admits no entries: 0 unasked
+                continue
+            if gf is gf_strict:
+                lam, mu, a, b, c, d = args
+                entries = _strict_entries(lam, mu, a, b, c, d)
+                arrays = [enumerate_plane_partitions(lam, False, c, d, a, b, p, inner=mu)
+                          for p in range(cap + 1)]
+            else:
+                lam, a, b, c, d = args
+                entries = shifted_entries(lam, a, b, c, d)
+                arrays = [enumerate_plane_partitions(lam, True, c, d, a, b, p)
+                          for p in range(cap + 1)]
+            assert [answer.coefficient(p) for p in range(cap + 1)] == list(map(len, arrays)), args
+            assert min(answer.coeffs, default=0) >= 0, args
+            assert sum(answer.coeffs) == leibniz_det(binomial_sums(entries)) == counts[0], args
+            checked += 1
+        assert checked > draws // 2
 
 
 def skew(upper, size):
