@@ -14,8 +14,9 @@ row-strict, column-weak arrays over every first-part vector of a window that
 runs on to p.  So each shape's determinant, or sum of them (by the minor
 summation formula), is one sub-Pfaffian of one matrix per p and class, and
 the census reads every shape from that matrix with one memo
-(qpolys._strict_census, qpolys._shifted_census).  Both classes take their
-Gaussian-binomial entries from one packed table per p (qpolys.gauss_table).
+(qpolys._strict_census, qpolys._shifted_census).  Each class streams its own
+packed Gaussian-binomial entries, row by row, and keeps only what it reads
+(qpolys._gauss_rows).
 Counts are plain Python integers, so there is no overflow anywhere.
 """
 

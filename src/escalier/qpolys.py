@@ -12,12 +12,12 @@ sub-Pfaffian, kept only to the digits any shape reads.
 Gaussian binomials are built in place on one coefficient list by additions
 alone, one factor (1-x^m)/(1-x^i) at a time: each partial product is itself a
 Gaussian binomial, a polynomial of degree at most the final one, so the
-power-series division by 1-x^i is exact on the kept coefficients.  The
-censuses instead read theirs from gauss_table, one table per p of every
-G(n, k) mod x^(p+1) whose column min(k, n - k) either census can read, built
-by q-Pascal and packed at one width for both classes: one bit more than the
-bit length of the number of row-strict plane partitions of p, which bounds
-every coefficient up to x^p of either class's generating functions.
+power-series division by 1-x^i is exact on the kept coefficients.  Each
+census instead streams its own, G(n, k) mod x^(p+1) for the columns k it can
+read, row by row by q-Pascal (_gauss_rows), and keeps only what it reads,
+packed at one bit more than the bit length of the number of row-strict
+plane partitions of p, which bounds every coefficient up to x^p of either
+class's generating functions.
 
 Every determinant takes one route.  Its entries are named (power, n, k),
 meaning x^power G(n, k), where the power may be negative.  Each row's least
@@ -55,7 +55,7 @@ column set S is multiplied by entries of the rows above it, which carry at
 least x^P(S), so its top_of is top - P(S).  The stable census reads each
 shape's determinant, and the strongly stable census each shape's sum of
 shifted ones over its first-part vectors, as one digit of one sub-Pfaffian
-of one matrix per p built from gauss_table (_strict_census,
+of one matrix per p built from _gauss_rows (_strict_census,
 _shifted_census), whose top_of is the most any shape reads of T, so one
 memo serves every shape.  A stable shape's own set is read once and dropped
 from the memo: it holds a label of row 0, which no child of any set holds.
@@ -63,7 +63,8 @@ from the memo: it holds a label of row 0, which no child of any set holds.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -239,7 +240,7 @@ def gauss_binomial(n: int, k: int, trunc: int | None = None) -> IntPoly:
     Cached for the repeated calls of one process, which the tests make; no CLI
     request reads an entry twice.  The cache stays since bench/tracing.py
     reads its cache_info.  IntPoly is immutable, so sharing results is safe.
-    The censuses read their entries from gauss_table instead.
+    The censuses stream their entries from _gauss_rows instead.
     """
     if k == 0:
         return IntPoly.const(1, trunc)
@@ -263,7 +264,18 @@ def _row_strict_count(n: int) -> int:
     and Knuth, J. Combin. Theory A 13, 1972), by the recurrence
     n a(n) = sum over k of sigma(k) a(n - k), sigma(k) the sum of d ceil(d/2)
     over the divisors d of k.  It is nondecreasing in n: adding 1 to the
-    corner entry maps those of n - 1 one-to-one into those of n."""
+    corner entry maps those of n - 1 one-to-one into those of n.
+
+    Both censuses pack at its _digit_width at p.  That is exact for every
+    packed determinant or Pfaffian they take at p: each digit a shape reads,
+    the lower digits of its own set included, is a coefficient, at a norm
+    n <= p, of a generating function of arrays with positive entries whose
+    rows strictly decrease and whose columns decrease (a shifted array read
+    left-justified), so each array is a distinct row-strict plane partition
+    of n, and there are at most as many as row-strict plane partitions of p.
+    The other sets' values are only ring elements: x -> 2^width maps
+    Z[x]/x^(p+1) onto the integers mod 2^((p+1) width), so they stay
+    congruent to the true sub-Pfaffians whatever their digits."""
     sigma = [0] * (n + 1)
     for d in range(1, n + 1):
         for m in range(d, n + 1, d):
@@ -274,60 +286,20 @@ def _row_strict_count(n: int) -> int:
     return counts[n]
 
 
-@lru_cache(maxsize=1)
-def gauss_table(p: int) -> tuple[int, list[list[int]]]:
-    """Every Gaussian binomial G(n, k) mod x^(p+1) with 0 <= k <= n/2 <= p/2
-    and k at most the column cap M + max(S, 1), packed at x = 2^width, as
-    (width, rows) with rows[n][k] = G(n, k).  M is the largest label whose
-    M(M+1)/2 is at most p and S the largest row index s whose least shape,
-    s + 1 rows of parts 1 to s + 1, has binomial(s + 3, 3) <= p, so the
-    column min(k, n - k) of every entry either census reads is at most the
-    cap: the stable census reads columns b - s + t <= M + S, with t <= S,
-    and the strongly stable census columns up to M + 1.
-
-    Built bottom-up by q-Pascal, G(n, k) = G(n-1, k-1) + x^k G(n-1, k), with
-    G(n-1, k) = G(n-1, n-1-k): one shift, one add and one mask per entry,
-    and both columns it reads lie within the cap.  The width is one bit more
-    than the bit length of the number of row-strict plane partitions of p.
-    It is exact for every packed determinant or Pfaffian the censuses take
-    at p: each digit a shape reads, the lower digits of its own set
-    included, is a coefficient, at a norm n <= p, of a generating function
-    of arrays with positive entries whose rows strictly decrease and whose
-    columns decrease (a shifted array read left-justified), so each array is
-    a distinct row-strict plane partition of n, and there are at most as
-    many as row-strict plane partitions of p.  The other sets' values are
-    only ring elements: x -> 2^width maps Z[x]/x^(p+1) onto the integers mod
-    2^((p+1) width), so they stay congruent to the true sub-Pfaffians
-    whatever their digits.
-    """
-    width = _digit_width(_row_strict_count(p))
-    tallest = 0  # S
-    while comb(tallest + 4, 3) <= p:
-        tallest += 1
-    cap = (isqrt(8 * p + 1) - 1) // 2 + max(tallest, 1)
+def _gauss_rows(p: int, cap: int, width: int) -> Iterator[list[int]]:
+    """For n = 0, 1, ..., p, the row [G(n, 0), ..., G(n, cap)] of Gaussian
+    binomials mod x^(p+1), packed at x = 2^width, G(n, k) = 0 for k > n.
+    Each row is built from the one before by q-Pascal,
+    G(n, k) = G(n-1, k-1) + x^k G(n-1, k): one shift, one add and one mask
+    per entry, and only the row before is kept.  A reader skips the
+    columns k < 0, whose value is 0, as a list would wrap them; a column
+    past the cap raises IndexError."""
     mask = (1 << (p + 1) * width) - 1
-    rows = [[1]]
-    for n in range(1, p + 1):
-        prev = rows[-1]
-        rows.append([1] + [
-            (prev[k - 1] + (prev[min(k, n - 1 - k)] << k * width)) & mask
-            for k in range(1, min(n // 2, cap) + 1)
-        ])
-    return width, rows
-
-
-def _table_entry(rows: list[list[int]], n: int, k: int) -> int:
-    """G(n, k) from gauss_table's rows, total like gauss_binomial; a column
-    past the table's cap raises IndexError."""
-    if k == 0:
-        return 1
-    if k < 0 or n < k:
-        return 0
-    kept = rows[n]
-    column = min(k, n - k)
-    if column >= len(kept):
-        raise IndexError(f"G({n}, {k}) lies past gauss_table's column cap {len(kept) - 1}")
-    return kept[column]
+    row = [1] + [0] * cap
+    yield row
+    for _ in range(p):
+        row = [1] + [(row[k - 1] + (row[k] << k * width)) & mask for k in range(1, cap + 1)]
+        yield row
 
 
 def det(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
@@ -743,12 +715,15 @@ def gf_strict_coefficient(lam: Sequence[int], p: int) -> int:
 def _strict_census(p: int) -> tuple:
     """The matrix that holds every stable shape's determinant D at p, and
     the memo of its sub-Pfaffians, as (width, rows, skew, partners, memo,
-    top_of), packed as gauss_table(p).  Its rows are the labels (s, b),
-    ordered by s, of the parts b that row s of a shape that fits p can hold,
-    rows[s, b] the index of each, then one column t per row of the tallest
-    such shape.  Entry (s, b; t) is x^(b t) G(p - s, b - s + t).  D is
-    (-1)^binomial(r, 2) times the sub-Pfaffian of [[0, D], [-D^t, 0]] on the
-    shape's labels and first r columns (Ishikawa and Wakayama; Stembridge).
+    top_of), packed at the _digit_width of _row_strict_count(p).  Its rows
+    are the labels (s, b), ordered by s, of the parts b that row s of a
+    shape that fits p can hold, rows[s, b] the index of each, then one
+    column t per row of the tallest such shape.  Entry (s, b; t) is
+    x^(b t) G(p - s, b - s + t), read from the Gaussian rows p - s that
+    _gauss_rows streams up to the last column any label reads, the last
+    rows alone kept.  D is (-1)^binomial(r, 2) times the sub-Pfaffian of
+    [[0, D], [-D^t, 0]] on the shape's labels and first r columns (Ishikawa
+    and Wakayama; Stembridge).
 
     A set T, its first label (s0, b0), lacks the columns c_0 < ... < c_(s0-1)
     below s0 plus its label count, which the rows above it took.  Parts
@@ -764,16 +739,19 @@ def _strict_census(p: int) -> tuple:
     first and no child holds one: the memo keeps only the sets without one,
     as gf_strict_coefficient pops each shape's own set once it is read.
     """
-    width, table = gauss_table(p)
+    width = _digit_width(_row_strict_count(p))
     bound = isqrt(2 * p)  # no part, and no row index, reaches past it
     labels = [(s, b) for s in range(bound) for b in range(1, bound + 1)
               if sum(_choose2(part + 1) for part in range(b, b + s + 1)) <= p]
     rows = {label: i for i, label in enumerate(labels)}
     columns = labels[-1][0] + 1
+    cap = max(b - s for s, b in labels) + columns - 1
+    kept = deque(_gauss_rows(p, cap, width), maxlen=columns)  # the rows p - s, s < columns
     skew = [[0] * (len(labels) + columns) for _ in range(len(labels) + columns)]
     for i, (s, b) in enumerate(labels):
-        for t in range(columns):
-            g = _table_entry(table, p - s, b - s + t)
+        row = kept[-1 - s]
+        for t in range(max(s - b, 0), columns):  # G(n, k) = 0 for k < 0
+            g = row[b - s + t]
             skew[i][len(labels) + t] = (b * t, g) if g else 0
     costs = [_choose2(b + 1) - s * b for s, b in labels]
     slopes = [range(b0 + s0, b0, -1) for s0, b0 in labels]  # B - u for u < s0
@@ -865,7 +843,7 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
     for odd r, and the census's memo serves every shape.
 
     It runs on integers packed by x -> 2^B, reduced mod 2^((N+1)B), with the
-    entries and the width B of gauss_table(p).  The width is exact: the
+    entries and the width B of _shifted_census(p).  The width is exact: the
     coefficient of x^n counts arrays of norm n <= p, and each array, read
     left-justified, is a distinct row-strict plane partition of n.
     """
@@ -889,7 +867,7 @@ def gf_shifted_sum_coefficient(lam: Sequence[int], p: int) -> int:
 
 def _guarded(count: int, lam: tuple, p: int) -> int:
     """A shape's count as read from its digit, refused if negative: the
-    only way a count that overflowed gauss_table's width can show."""
+    only way a count that overflowed the census width can show."""
     if count < 0:
         raise ArithmeticError(
             f"shape {lam} at p = {p} read the count {count}: a digit overflowed the packed width"
@@ -901,7 +879,8 @@ def _guarded(count: int, lam: tuple, p: int) -> int:
 def _shifted_census(p: int) -> tuple:
     """The skew matrix that holds every shape's T A T^t for
     gf_shifted_sum_coefficient at p, and the memo of its sub-Pfaffians, as
-    (width, skew, partners, memo, top_of), packed as gauss_table(p).
+    (width, skew, partners, memo, top_of), packed at the _digit_width of
+    _row_strict_count(p).
 
     Its rows are the labels m = M, ..., 0, with M the largest label whose
     c(m) = m(m+1)/2 is at most p, and a border row last; top_of is p less
@@ -918,25 +897,31 @@ def _shifted_census(p: int) -> tuple:
     T_b(v) vanishes for v <= b and each term of F_ab for v + a + 1 >
     p - c(a) - c(b).  The border entry of row a is (a+1, C_a(p) / x^(a+1)).
     That holds every digit _pfaffian reads, and a pair that no shape reaching
-    x^p holds is left 0.
+    x^p holds is left 0.  Each F_ab adds its term at v as _gauss_rows streams
+    row v, up to the column M + 1, and C_a(p) C_b(p) comes from row p last.
     """
-    width, table = gauss_table(p)
+    width = _digit_width(_row_strict_count(p))
     labels = range((isqrt(8 * p + 1) - 1) // 2, -1, -1)
     costs = [m * (m + 1) // 2 for m in labels] + [0]
     border = len(labels)
-    skew = [[0] * (border + 1) for _ in range(border + 1)]
-    at_p = [_table_entry(table, p, m + 1) for m in labels]  # C_m(p) / x^(m+1)
+    pairs = []  # (i, j, a, b, top), top the quotient's last digit read
     for i, a in enumerate(labels):
-        skew[i][border] = (a + 1, at_p[i])
         for j in range(i + 1, border):
             b = labels[j]
-            top = p - costs[i] - costs[j] - (a + b + 2)  # the quotient's last digit read
-            if top < 0:
-                continue
-            acc = _low_product(at_p[i], at_p[j], 0, top, width)
-            for v in range(b + 1, top + b + 2):
-                pair = _table_entry(table, v, a + 1) + _table_entry(table, v - 1, a + 1)
-                acc -= _low_product(_table_entry(table, v - 1, b), pair, v - b - 1, top, width)
-            acc &= (1 << (top + 1) * width) - 1
-            skew[i][j] = (a + b + 2, acc) if acc else 0
+            top = p - costs[i] - costs[j] - (a + b + 2)
+            if top >= 0:
+                pairs.append((i, j, a, b, top))
+    sums = [0] * len(pairs)  # each pair's F_ab(v), summed as the rows v go by
+    for v, row in enumerate(_gauss_rows(p, labels[0] + 1, width)):
+        for n, (_, _, a, b, top) in enumerate(pairs):
+            if b < v <= top + b + 1:
+                sums[n] += _low_product(prev[b], row[a + 1] + prev[a + 1], v - b - 1, top, width)
+        prev = row
+    at_p = [row[m + 1] for m in labels]  # C_m(p) / x^(m+1), from row p
+    skew = [[0] * (border + 1) for _ in range(border + 1)]
+    for i, a in enumerate(labels):
+        skew[i][border] = (a + 1, at_p[i])
+    for (i, j, a, b, top), f in zip(pairs, sums):
+        acc = (_low_product(at_p[i], at_p[j], 0, top, width) - f) & ((1 << (top + 1) * width) - 1)
+        skew[i][j] = (a + b + 2, acc) if acc else 0
     return width, skew, _partner_masks(skew), {}, lambda rowmask: p - _masked_sum(costs, rowmask)

@@ -337,11 +337,11 @@ class TestOutOfMemory:
 
 @pytest.fixture
 def clear_census_tables():
-    """A function that clears the census tables, called before and after a
-    test that narrows their width, so no other test reads them."""
+    """A function that clears the cached census matrices, called before and
+    after a test that narrows their width, so no other test reads them."""
     def clear():
-        for table in (qpolys.gauss_table, qpolys._strict_census, qpolys._shifted_census):
-            table.cache_clear()
+        for census_of in (qpolys._strict_census, qpolys._shifted_census):
+            census_of.cache_clear()
 
     clear()
     yield clear

@@ -31,12 +31,12 @@ from escalier.partitions import (
     minimal_sum,
 )
 from escalier.qpolys import (
+    _pack,
     _row_strict_count,
     _shifted_census,
     _strict_census,
     _strict_entries,
-    _table_entry,
-    gauss_table,
+    gauss_binomial,
     gf_shifted,
     gf_strict,
 )
@@ -361,11 +361,12 @@ class TestStableCensus:
         # with first parts p - t, entry (s, t) of gf_strict's matrix is
         # x^(R_s + beta_s t) G(p - s, beta_s - s + t); the general builder
         # gives the same n, k and power on every census shape that fits p,
-        # and the census matrix holds (beta_s t, G) on the label of row s
+        # and the census matrix holds (beta_s t, G) on the label of row s,
+        # G packed from gauss_binomial mod x^(p+1)
         shapes = 0
         for p in range(1, 61):
-            width, table = gauss_table(p)
-            _, labels, skew, _, _, _ = _strict_census(p)
+            width, labels, skew, _, _, _ = _strict_census(p)
+            mask = (1 << (p + 1) * width) - 1
             for (_, h, k) in bar_lists_3vars(p):
                 if k < 2:
                     continue
@@ -380,7 +381,8 @@ class TestStableCensus:
                             (base + beta[s] * t, p - s, beta[s] - s + t) for t in range(k)
                         ], (p, beta, s)
                         held = skew[labels[s, beta[s]]][len(labels):len(labels) + k]
-                        entries = [_table_entry(table, p - s, beta[s] - s + t) for t in range(k)]
+                        entries = [_pack(gauss_binomial(p - s, beta[s] - s + t, p).coeffs, width)
+                                   & mask for t in range(k)]
                         assert held == [(beta[s] * t, g) if g else 0
                                         for t, g in enumerate(entries)], (p, beta, s)
                     shapes += 1

@@ -24,6 +24,8 @@ from escalier.partitions import enumerate_distinct, enumerate_plane_partitions, 
 from escalier.qpolys import (
     IntPoly,
     _digit,
+    _digit_width,
+    _gauss_rows,
     _pack,
     _packed_det,
     _packed_minor,
@@ -34,11 +36,9 @@ from escalier.qpolys import (
     _shifted_census,
     _strict_census,
     _strict_entries,
-    _table_entry,
     _unpack,
     det,
     gauss_binomial,
-    gauss_table,
     gf_shifted,
     gf_shifted_sum_coefficient,
     gf_strict,
@@ -241,40 +241,61 @@ def row_strict_plane_partitions(n):
     return list(arrays((n,) * n, n))
 
 
-def column_cap(p):
-    """gauss_table(p)'s cap M + max(S, 1): M the largest label with
-    M(M+1)/2 <= p, S the largest s with binomial(s + 3, 3) <= p."""
+def census_caps(p):
+    """The last Gaussian column each census reads at p: M + S for the
+    stable one and M + 1 for the strongly stable one, M the largest label
+    with M(M+1)/2 <= p and S the largest s with binomial(s + 3, 3) <= p."""
     labels = max(m for m in range(p + 1) if m * (m + 1) // 2 <= p)
     tallest = max((s for s in range(p + 1) if math.comb(s + 3, 3) <= p), default=0)
-    return labels, tallest, labels + max(tallest, 1)
+    return {STABLE: labels + tallest, STRONGLY_STABLE: labels + 1}
+
+
+def packed_binomial(n, k, p, width):
+    """G(n, k) mod x^(p+1) packed at width, from gauss_binomial: the tests'
+    oracle for the entries the censuses stream."""
+    return _pack(gauss_binomial(n, k, p).coeffs, width) & ((1 << (p + 1) * width) - 1)
 
 
 class TestGaussTable:
     @pytest.mark.parametrize("top", [0, 1, 2, 7, 30])
     def test_digits_match_gauss_binomial(self, top):
-        # every kept column is the Gaussian binomial; a read past the cap
-        # raises and names the entry and the cap
-        width, rows = gauss_table(top)
-        cap = column_cap(top)[2]
-        past = 0
-        for n in range(top + 1):
-            assert len(rows[n]) == min(n // 2, cap) + 1
-            for k in range(n + 1):
-                if min(k, n - k) > cap:
-                    with pytest.raises(IndexError, match=rf"G\({n}, {k}\) .* cap {cap}$"):
-                        _table_entry(rows, n, k)
-                    past += 1
-                    continue
-                want = gauss_binomial(n, k, top)
-                got = _unpack(_table_entry(rows, n, k), top + 1, width)
-                assert got == [want.coefficient(d) for d in range(top + 1)], (n, k)
-        assert (past > 0) == (top == 30)
+        # every streamed row, one per n <= top, holds G(n, k) for every
+        # k <= cap, 0 past n, whether the cap lies below n or past it
+        width = _digit_width(_row_strict_count(top))
+        for cap in (0, 1, 3, top + 2):
+            rows = list(_gauss_rows(top, cap, width))
+            assert len(rows) == top + 1
+            for n, row in enumerate(rows):
+                assert len(row) == cap + 1
+                for k in range(cap + 1):
+                    want = gauss_binomial(n, k, top)
+                    assert row[k] == packed_binomial(n, k, top, width), (n, k)
+                    got = _unpack(row[k], top + 1, width)
+                    assert got == [want.coefficient(d) for d in range(top + 1)], (n, k)
 
     def test_total_conventions(self):
-        _, rows = gauss_table(7)
-        assert _table_entry(rows, -3, 0) == 1
-        assert _table_entry(rows, -1, 2) == _table_entry(rows, 3, -1) == 0
-        assert _table_entry(rows, 2, 3) == 0
+        # G(n, 0) = 1 and G(n, k) = 0 for k > n are in the rows; a column
+        # past the cap raises, and the stable census holds 0 for the columns
+        # b - s + t < 0, which a list index would wrap
+        for n, row in enumerate(_gauss_rows(7, 9, 6)):
+            assert row[0] == 1 and row[n + 1:] == [0] * (9 - n)
+            with pytest.raises(IndexError):
+                row[10]
+        _strict_census.cache_clear()
+        p = 40
+        width, labels, skew, _, _, _ = _strict_census(p)
+        negative = 0
+        for (s, b), i in labels.items():
+            for t in range(s + 1):
+                held = skew[i][len(labels) + t]
+                if b - s + t < 0:
+                    assert held == 0, (s, b, t)
+                    negative += 1
+                else:
+                    g = packed_binomial(p - s, b - s + t, p, width)
+                    assert held == ((b * t, g) if g else 0), (s, b, t)
+        assert negative > 0
+        _strict_census.cache_clear()
 
     def test_row_strict_counts(self):
         # the brute-force enumeration, and the series of the product of
@@ -293,35 +314,55 @@ class TestGaussTable:
         assert all(a <= b for a, b in zip(series, series[1:]))
 
     def test_width_holds_the_row_strict_count(self):
+        # both censuses pack at one width; the stable one has no label at 0
         for p, bits in ((0, 2), (1, 2), (10, 9), (60, 32), (100, 47), (200, 76)):
-            width, _ = gauss_table(p)
-            assert width == bits
-            assert _row_strict_count(p) < 1 << (width - 1) <= 2 * _row_strict_count(p)
+            censuses = (_shifted_census,) if p == 0 else (_strict_census, _shifted_census)
+            for census_of in censuses:
+                census_of.cache_clear()
+                width = census_of(p)[0]
+                census_of.cache_clear()
+                assert width == bits
+                assert _row_strict_count(p) < 1 << (width - 1) <= 2 * _row_strict_count(p)
 
     def test_censuses_read_no_column_past_the_cap(self, monkeypatch):
-        # the largest column min(k, n - k) each census reads at every
-        # p <= 60 and at p = 100: at most the cap, for the stable census
-        # M + S once the columns it reads lie below n/2, for the strongly
-        # stable one M + 1
-        read = []
+        # the largest column each census reads of the streamed rows at every
+        # p <= 60 and at p = 100 is the cap it asks for, M + S for the
+        # stable census and M + 1 for the strongly stable one
+        caps, read = [], []
 
-        def entry(rows, n, k):
-            if 0 < k <= n:
-                read.append(min(k, n - k))
-            return _table_entry(rows, n, k)
+        class Row(list):
+            def __getitem__(self, k):
+                read.append(k)
+                return super().__getitem__(k)
 
-        monkeypatch.setattr(qpolys, "_table_entry", entry)
+        def rows(p, cap, width):
+            caps.append(cap)
+            for row in _gauss_rows(p, cap, width):
+                yield Row(row)
+
+        monkeypatch.setattr(qpolys, "_gauss_rows", rows)
         for p in [*range(1, 61), 100]:
-            labels, tallest, cap = column_cap(p)
-            for kind, census_of, most in ((STABLE, _strict_census, labels + tallest),
-                                          (STRONGLY_STABLE, _shifted_census, labels + 1)):
+            for kind, census_of in ((STABLE, _strict_census), (STRONGLY_STABLE, _shifted_census)):
                 census_of.cache_clear()
+                caps.clear()
                 read.clear()
                 census(p, 3, kind)
                 census_of.cache_clear()
-                assert max(read, default=0) <= most <= cap, (p, kind)
+                cap = census_caps(p)[kind]
+                assert caps in ([], [cap]), (p, kind)
+                assert 0 <= min(read, default=0) and max(read, default=0) <= cap, (p, kind)
                 if p >= 12:
-                    assert max(read) == most, (p, kind)
+                    assert caps and max(read) == cap, (p, kind)
+
+    def test_censuses_call_no_gauss_binomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(qpolys, "gauss_binomial", refuse)
+        for kind, census_of in ((STABLE, _strict_census), (STRONGLY_STABLE, _shifted_census)):
+            census_of.cache_clear()
+            assert census(40, 3, kind).total > 0
+            census_of.cache_clear()
 
 
 class TestDigit:
@@ -470,7 +511,7 @@ class TestGfStrictCoefficient:
 
 def read_as(digit):
     """A stand-in for _pfaffian whose digit at the set's top is digit: what a
-    count that overflowed gauss_table's width would read."""
+    count that overflowed the census width would read."""
     def pfaffian(skew, partners, rowmask, top, memo, top_of, width):
         return (digit << top * width) & (1 << (top + 1) * width) - 1
     return pfaffian
@@ -580,7 +621,7 @@ class TestPrunedMinor:
         # full precision
         shapes, beyond = 0, 0
         for p in range(1, 61):
-            width, table = gauss_table(p)
+            width = _digit_width(_row_strict_count(p))
             for (_, h, k) in bar_lists_3vars(p):
                 if k < 2:
                     continue
@@ -592,7 +633,7 @@ class TestPrunedMinor:
                     entries = _strict_entries(beta, (0,) * k, a, (1,) * k, 1, 1)
                     bases = _row_bases(entries)
                     top = p - sum(bases)
-                    rows = [[(power - base, _table_entry(table, n, kk))
+                    rows = [[(power - base, packed_binomial(n, kk, p, width))
                              if 0 <= power - base <= top else (0, 0) for power, n, kk in row]
                             for row, base in zip(entries, bases)]
                     assert top >= 0
@@ -1533,10 +1574,10 @@ def prefix_sum_skew(ms, low, high, p, top):
     with the columns w of the window in descending order and P_s(j) the sum
     of the first j entries of row s, entry (s, u) is
     sum_j T_uj (P_s(j) + P_s(j+1)) - R_s R_u, one product per column."""
-    width, table = gauss_table(p)
+    width = _digit_width(_row_strict_count(p))
     mask = (1 << (top + 1) * width) - 1
     rows = [
-        [(_table_entry(table, w - 1, m) << w * width) & mask if w <= top else 0
+        [(packed_binomial(w - 1, m, p, width) << w * width) & mask if w <= top else 0
          for w in range(high, low - 1, -1)]
         for m in ms
     ]
@@ -1563,7 +1604,7 @@ def prefix_sum_skew(ms, low, high, p, top):
 def shape_pfaffian(skew, p, top):
     """The digit at x^top of the Pfaffian of one shape's own matrix, every
     sub-Pfaffian at that one precision: the per-shape route."""
-    width, _ = gauss_table(p)
+    width = _digit_width(_row_strict_count(p))
     full = (1 << len(skew)) - 1
     return _digit(pfaffian(as_pairs(skew), full, {}, lambda rows: top, width), top, width)
 
